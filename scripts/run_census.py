@@ -2,8 +2,8 @@
 """Reproduce the full census end to end and write the three report tables.
 
 Tier 1 covers the small graphs (seconds), tier 2 adds the multi-minute
-rows (E7 k>=4, E8 k>=3 parameters and counts), tier 3 adds the heaviest
-rows (full E8 k=6/7 edge builds and their clique totals).
+rows (E7 k>=4, E8 k>=3 parameters and every E8 clique count), tier 3 adds
+the heaviest rows (full E8 k=6/7 edge builds).
 
 Usage:
     python scripts/run_census.py --tier 2 --out-dir reports/
@@ -34,8 +34,7 @@ TIER2_PARAMS = [("E7", 4), ("E7", 5), ("E7", 6), ("E8", 3), ("E8", 4),
 TIER3_PARAMS = [("E8", 6), ("E8", 7)]
 
 ALL_LEVELS = {"G2": 2, "F4": 4, "E6": 4, "E7": 7, "E8": 8}
-TIER2_COUNT_SKIP = set()
-TIER_COUNT_LIMITS = {1: {("E8", k) for k in range(3, 9)}, 2: {("E8", 6), ("E8", 7)}, 3: set()}
+TIER_COUNT_LIMITS = {1: {("E8", k) for k in range(3, 9)}, 2: set(), 3: set()}
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]):

@@ -1,11 +1,21 @@
 """Clique number, clique counting and the orbit-weighted maximum-clique census.
 
-Vertices of one Weyl orbit lie in equally many maximum cliques, so the
-census counts (omega-1)-cliques in the neighborhood of one representative
-per orbit and weights by orbit size; the weighted sum is exactly divisible
-by omega. Counting cliques of size exactly omega-1 in the neighborhood
-(rather than maximal ones) stays correct when maximal clique sizes are
-mixed.
+The census works in two orbit levels. Vertices of one Weyl orbit lie in
+equally many maximum cliques, so only one representative v per W-orbit
+is solved, weighted by orbit size; the weighted sum divides exactly by
+omega. Inside N(v) the stabilizer Stab_W(v) acts by graph automorphisms,
+and by Steinberg's fixed-point theorem (Steinberg 1964; Humphreys,
+*Reflection Groups and Coxeter Groups*, 1.12) it is generated by the
+reflections in the roots orthogonal to v. For one representative w per
+Stab(v)-orbit O on N(v):
+
+    omega(N(v)) = 1 + max_w omega(N(v) & N(w))
+    #(omega-1)-cliques of N(v) = sum_O |O| * #(omega-2)-cliques of N(v) & N(w)
+                                 / (omega - 1)
+
+and that division is exact too. Counting cliques of size exactly
+omega-1 (rather than maximal ones) stays correct when maximal clique
+sizes are mixed.
 
 All subgraph work runs on Python-int bitset rows: candidate-set
 intersection is one AND, so branch-and-bound, pivoted counting and
@@ -20,8 +30,8 @@ from math import comb
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, SOSGraph
-from sosgraphs.roots import key_offset
+from sosgraphs.graph import MembershipGraph, SOSGraph, orbit_labels, vertex_permutation
+from sosgraphs.roots import encode_rows, key_offset, parse_label, reflect_rows
 
 GraphLike = SOSGraph | MembershipGraph
 
@@ -258,23 +268,57 @@ def _full_mask(count: int) -> int:
     return (1 << count) - 1
 
 
-def clique_number(g: GraphLike) -> int:
-    """Exact clique number; 1 for edgeless graphs.
+def stabilizer_orbits(g: GraphLike, v: int, nb: np.ndarray) -> tuple[list[int], list[int]]:
+    """Representatives (lowest local indices into nb) and sizes of the
+    Stab_W(v)-orbits on N(v) = nb, in order of representative.
 
-    A maximum clique meets every orbit through some vertex, so it suffices
-    to solve the neighborhood of one representative per Weyl orbit; if no
-    representative has a neighbor, neither does any vertex.
+    The generators are the reflections in the roots orthogonal to v, one
+    per +- pair; an image outside N(v) is a hard error.
+    """
+    if nb.size == 0:
+        return [], []
+    rs = parse_label(g.label)
+    positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
+    perp = positive[positive @ g.vertices.vectors[v].astype(np.int64) == 0]
+    sub = g.vertices.vectors[nb].astype(np.int64)
+    keys = encode_rows(sub)
+    labels = orbit_labels([vertex_permutation(keys, reflect_rows(sub, a)) for a in perp], nb.size)
+    return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
+
+
+def _neighborhoods(g: GraphLike):
+    """Per W-orbit: (orbit size, bitrows of N(v), Stab(v)-orbit reps, sizes)."""
+    for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
+        nb = g.neighbors(v)
+        yield (size, induced_bitrows(g, nb), *stabilizer_orbits(g, v, nb))
+
+
+def _omega(hoods) -> int:
+    """1 + max over neighborhoods; omega(N(v)) = 1 + max_w omega(N(v) & N(w))."""
+    best = 1
+    for _, rows, reps, _ in hoods:
+        for w in reps:
+            best = max(best, 2 + max_clique_size_bitset(rows, rows[w], max(best - 2, 0)))
+    return best
+
+
+def _exact_quotient(weighted: int, divisor: int, what: str) -> int:
+    quotient, rem = divmod(weighted, divisor)
+    if rem:
+        raise ArithmeticError(f"orbit-weighted {what} {weighted} not divisible by {divisor}")
+    return quotient
+
+
+def clique_number(g: GraphLike) -> int:
+    """Exact clique number; 1 for edgeless graphs, 0 for the empty graph.
+
+    A maximum clique meets every W-orbit through some vertex, and every
+    Stab(v)-orbit of N(v) through some neighbor, so one representative
+    per orbit at both levels suffices.
     """
     if g.n == 0:
         return 0
-    best = 1
-    for rep in g.orbit_representatives():
-        nb = g.neighbors(rep)
-        if nb.size == 0:
-            continue
-        rows = induced_bitrows(g, nb)
-        best = max(best, 1 + max_clique_size_bitset(rows, _full_mask(nb.size), best - 1))
-    return best
+    return _omega(_neighborhoods(g))
 
 
 def count_cliques_of_size(g: GraphLike, vertex_subset: np.ndarray, t: int) -> int:
@@ -300,35 +344,28 @@ def enumerate_max_cliques_through(g: GraphLike, v: int, omega: int):
 
 
 def count_maximum_cliques(g: GraphLike, omega: int | None = None) -> CliqueCensus:
-    """Orbit-weighted maximum-clique total with exact divisibility."""
-    if omega is None:
-        omega = clique_number(g)
-    if omega == 0:
+    """Two-level orbit-weighted maximum-clique total with exact divisibility.
+
+    omega and the counts share one induction of N(v) per W-orbit
+    representative; each level's weighted sum must divide exactly.
+    """
+    if g.n == 0 or omega == 0:
         return CliqueCensus(omega=0, per_orbit=(), total_maximum_cliques=0)
-    sizes = g.orbit_sizes()
-    reps = g.orbit_representatives()
-    per_orbit: list[tuple[int, int]] = []
-    weighted = 0
-    for size, rep in zip(sizes, reps):
+    hoods = list(_neighborhoods(g))
+    if omega is None:
+        omega = _omega(hoods)
+    per_orbit = []
+    for size, rows, reps, sizes in hoods:
         if omega == 1:
-            c = 1
-        else:
-            nb = g.neighbors(rep)
-            if nb.size < omega - 1:
-                c = 0
-            else:
-                rows = induced_bitrows(g, nb)
-                c = count_cliques_of_size_bitset(rows, _full_mask(nb.size), omega - 1)
-        per_orbit.append((size, c))
-        weighted += size * c
-    total, rem = divmod(weighted, omega)
-    if rem:
-        raise ArithmeticError(
-            f"orbit-weighted clique count {weighted} not divisible by omega={omega}"
+            per_orbit.append((size, 1))
+            continue
+        weighted = sum(
+            n_o * count_cliques_of_size_bitset(rows, rows[w], omega - 2)
+            for w, n_o in zip(reps, sizes)
         )
-    return CliqueCensus(
-        omega=omega, per_orbit=tuple(per_orbit), total_maximum_cliques=total
-    )
+        per_orbit.append((size, _exact_quotient(weighted, omega - 1, "neighborhood clique count")))
+    total = _exact_quotient(sum(n * c for n, c in per_orbit), omega, "maximum-clique count")
+    return CliqueCensus(omega=omega, per_orbit=tuple(per_orbit), total_maximum_cliques=total)
 
 
 def count_maximal_cliques_by_size(g: GraphLike) -> dict[int, int]:

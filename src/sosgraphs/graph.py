@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sosgraphs.roots import RootSystem, encode_rows, key_offset, orbit_closure
+from sosgraphs.roots import RootSystem, encode_rows, key_offset, reflect_rows
 from sosgraphs.sos import VertexSet, vertex_set
 
 MAGIC = b"SOSG"
@@ -47,6 +47,10 @@ class GammaBuildError(RuntimeError):
         self.checkpoint = checkpoint
 
 
+class GroupActionError(ValueError):
+    """A generator maps some indexed vertex outside the indexed set."""
+
+
 class _OrbitMixin:
     @property
     def n(self) -> int:
@@ -57,11 +61,7 @@ class _OrbitMixin:
 
     def orbit_representatives(self) -> list[int]:
         """Lowest vertex index within each orbit label."""
-        reps = {}
-        for v, lab in enumerate(self.orbit_label.tolist()):
-            if lab not in reps:
-                reps[lab] = v
-        return [reps[lab] for lab in sorted(reps)]
+        return np.unique(self.orbit_label, return_index=True)[1].tolist()
 
 
 @dataclass
@@ -242,28 +242,51 @@ def _assemble_csr(n: int, chunks) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """A generator's action as an index permutation of a sorted key array.
+
+    images holds the generator's image of each indexed row; perm[i] is the
+    position of images[i]. An image outside the set is a hard error, so an
+    injective generator always yields a permutation.
+    """
+    img = encode_rows(images)
+    pos = np.searchsorted(keys, img)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == img[found]
+    if not found.all():
+        raise GroupActionError("generator image escapes the vertex set; the set is not closed")
+    return pos
+
+
+def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
+    """Orbit id per index: components of the generator permutations.
+
+    Orbits are numbered by their lowest index, which is the lex-least
+    vertex of a lex-sorted vertex set.
+    """
+    if not perms:
+        return np.arange(n, dtype=np.int32)
+    cols = []
+    for perm in perms:
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(n)
+        cols += [perm, inverse]
+    indices = np.stack(cols, axis=1).ravel()
+    indptr = np.arange(0, indices.size + 1, len(cols))
+    lowest = _component_labels(n, indptr, indices)
+    return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
+
+
 def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
-    """Per-vertex orbit ids under the simple-reflection closure.
+    """Per-vertex Weyl orbit ids, generated by the simple reflections.
 
     Orbits are numbered by their lex-least vertex; reflections must map
     the vertex set onto itself (they do, since SOS map to SOS).
     """
-    n = len(vertices)
-    labels = np.full(n, -1, dtype=np.int32)
-    if n == 0:
-        return labels
-    keys = vertices.keys()
-    orbits = orbit_closure(rs, vertices.vectors)
-    for idx, orbit in enumerate(orbits):
-        orb_keys = encode_rows(np.asarray(orbit, dtype=np.int64))
-        pos = np.searchsorted(keys, orb_keys)
-        if (pos >= n).any() or (keys[np.minimum(pos, n - 1)] != orb_keys).any():
-            raise GammaBuildError(
-                "reflection image escapes the vertex set; vertex set is not Weyl-closed",
-                None,
-            )
-        labels[pos] = idx
-    return labels
+    rows = vertices.vectors.astype(np.int64)
+    keys = encode_rows(rows)
+    perms = [vertex_permutation(keys, reflect_rows(rows, alpha)) for alpha in rs.simple_roots]
+    return orbit_labels(perms, len(vertices))
 
 
 def membership_graph(rs: RootSystem, k: int) -> MembershipGraph:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from sosgraphs.clique import induced_bitrows
-from sosgraphs.graph import SOSGraph, edge_keys_membership
-from sosgraphs.roots import RootSystem, encode_rows, key_offset
+from sosgraphs.graph import SOSGraph, edge_keys_membership, vertex_permutation
+from sosgraphs.roots import RootSystem, encode_rows, key_offset, reflect_rows
 from sosgraphs.sos import vertex_set
 
 EXHAUSTIVE_PAIR_LIMIT = 10_000_000
@@ -63,20 +63,6 @@ def check_degree_formula(rs: RootSystem) -> bool:
     return s.is_regular and s.min_degree == want
 
 
-def _reflection_vertex_permutation(
-    g: SOSGraph, alpha, keys: np.ndarray
-) -> np.ndarray:
-    from sosgraphs.roots import _reflect_rows
-
-    images = _reflect_rows(g.vertices.vectors.astype(np.int64), alpha)
-    img_keys = encode_rows(images)
-    pos = np.searchsorted(keys, img_keys)
-    n = keys.size
-    if (pos >= n).any() or (keys[np.minimum(pos, n - 1)] != img_keys).any():
-        raise AssertionError("reflection does not permute the vertex set")
-    return pos
-
-
 def check_weyl_automorphism(
     g: SOSGraph, rs: RootSystem, sample_pairs: int = SAMPLE_PAIRS, seed: int = 0
 ) -> dict:
@@ -94,7 +80,7 @@ def check_weyl_automorphism(
         report["sample_pairs"] = sample_pairs
     off = key_offset(g.vertices.dim)
     for idx, alpha in enumerate(rs.simple_roots):
-        perm = _reflection_vertex_permutation(g, alpha, keys)
+        perm = vertex_permutation(keys, reflect_rows(g.vertices.vectors, alpha))
         if exhaustive:
             diff = keys[:, None] - keys[None, :] + off
             pos = np.searchsorted(keys, diff.ravel())

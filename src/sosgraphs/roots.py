@@ -30,6 +30,8 @@ MAX_SOS_SIZE = {"G2": 2, "F4": 4, "E6": 4, "E7": 7, "E8": 8}
 # pairwise differences within [-32, 32], so digit + 32 fits in [0, 128).
 KEY_BASE = 128
 KEY_SHIFT = 32
+# Largest ambient dimension whose keys fit in int64 (KEY_BASE ** dim <= 2 ** 63).
+MAX_AMBIENT_DIM = 63 // (KEY_BASE.bit_length() - 1)
 
 
 class RootSystemError(ValueError):
@@ -94,7 +96,7 @@ class RootSystem:
     """A root system in doubled integer coordinates.
 
     roots is the full lex-sorted tuple of roots; simple_roots generate the
-    Weyl group action used by orbit closures.
+    Weyl group action used by orbit labelling.
     """
 
     label: str
@@ -298,6 +300,12 @@ def build_root_system(label: str, rank: int | None = None) -> RootSystem:
         max_sos = 2 * (rank // 2)
     else:
         raise RootSystemError(f"unknown root system label {label!r}")
+    if dim > MAX_AMBIENT_DIM:
+        raise RootSystemError(
+            f"{label}{rank} needs ambient dimension {dim}; vertex keys support "
+            f"at most {MAX_AMBIENT_DIM} (A(l) up to A{MAX_AMBIENT_DIM - 1}, "
+            f"D(l) up to D{MAX_AMBIENT_DIM})"
+        )
 
     roots = sorted(set(roots))
     if len(roots) != rk * h:
@@ -324,55 +332,15 @@ def parse_label(text: str) -> RootSystem:
     raise RootSystemError(f"unknown root system label {text!r}")
 
 
-def _reflect_rows(rows: np.ndarray, alpha: RootVector) -> np.ndarray:
+def reflect_rows(rows: np.ndarray, alpha: RootVector) -> np.ndarray:
     """Vectorized reflection of lattice vectors (exact int64)."""
     a = np.asarray(alpha, dtype=np.int64)
     aa = int(a @ a)
     num = 2 * (rows.astype(np.int64) @ a)
     coeff, rem = np.divmod(num, aa)
     if rem.any():
-        raise RootSystemError("orbit seed outside the root lattice")
+        raise RootSystemError("vector outside the root lattice")
     return rows - coeff[:, None] * a[None, :]
-
-
-def orbit_closure(
-    rs: RootSystem, seeds: "list[RootVector] | np.ndarray"
-) -> list[list[RootVector]]:
-    """Partition the closure of seeds under simple reflections into orbits.
-
-    Breadth-first per orbit; orbits are returned sorted by their lex-least
-    element, each orbit lex-sorted. Closure of finitely many lattice vectors
-    of fixed norm is finite.
-    """
-    seed_rows = np.asarray(list(seeds), dtype=np.int64).reshape(-1, rs.ambient_dim)
-    seen: dict[int, np.ndarray] = {}
-    orbits: list[list[RootVector]] = []
-    seed_keys = encode_rows(seed_rows)
-    for start in range(seed_rows.shape[0]):
-        if int(seed_keys[start]) in seen:
-            continue
-        member_keys = {int(seed_keys[start])}
-        members = [seed_rows[start]]
-        frontier = seed_rows[start : start + 1]
-        while frontier.shape[0]:
-            images = np.concatenate(
-                [_reflect_rows(frontier, alpha) for alpha in rs.simple_roots]
-            )
-            keys = encode_rows(images)
-            fresh_rows = []
-            for row, key in zip(images, keys):
-                ik = int(key)
-                if ik not in member_keys:
-                    member_keys.add(ik)
-                    members.append(row)
-                    fresh_rows.append(row)
-            frontier = np.array(fresh_rows, dtype=np.int64).reshape(-1, rs.ambient_dim)
-        orbit = sorted(tuple(int(x) for x in row) for row in members)
-        orbits.append(orbit)
-        for key in member_keys:
-            seen[key] = None  # type: ignore[assignment]
-    orbits.sort(key=lambda orb: orb[0])
-    return orbits
 
 
 def root_system_to_json(rs: RootSystem) -> str:

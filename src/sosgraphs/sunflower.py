@@ -21,7 +21,8 @@ from sosgraphs.clique import (
     collect_cliques_of_size,
     induced_bitrows,
 )
-from sosgraphs.roots import RootSystem, RootSystemError, encode_rows
+from sosgraphs.graph import orbit_labels, vertex_permutation
+from sosgraphs.roots import RootSystem, RootSystemError
 from sosgraphs.sos import VertexSet
 
 
@@ -140,35 +141,10 @@ def permutation_subgroup(rs: RootSystem) -> PermGroup:
 
 
 def perm_orbit_labels(group: PermGroup, vertices: VertexSet) -> np.ndarray:
-    """Orbit id per vertex under the permutation group (BFS closure)."""
-    n = len(vertices)
-    labels = np.full(n, -1, dtype=np.int32)
+    """Orbit id per vertex under the permutation group, numbered by lowest index."""
     keys = vertices.keys()
-    rows = vertices.vectors
-    perms = [np.array(p, dtype=np.int64) for p in group.generators]
-    orbit_id = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = orbit_id
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            fresh = []
-            for perm in perms:
-                images = rows[frontier][:, perm]
-                img_keys = encode_rows(images.astype(np.int64))
-                pos = np.searchsorted(keys, img_keys)
-                if (pos >= n).any() or (keys[np.minimum(pos, n - 1)] != img_keys).any():
-                    raise RootSystemError(
-                        "permutation image escapes the vertex set"
-                    )
-                fresh.append(pos[labels[pos] < 0])
-            nxt = np.unique(np.concatenate(fresh)) if fresh else np.empty(0, np.int64)
-            nxt = nxt[labels[nxt] < 0]
-            labels[nxt] = orbit_id
-            frontier = nxt
-        orbit_id += 1
-    return labels
+    perms = [vertex_permutation(keys, vertices.vectors[:, list(p)]) for p in group.generators]
+    return orbit_labels(perms, len(vertices))
 
 
 def _sunflower_count_batch(nonzero: np.ndarray, cliques: np.ndarray, p: int) -> int:
@@ -199,11 +175,8 @@ def count_sunflower_max_cliques(
     total_weighted = 0
     sunflower_weighted = 0
     nonzero = (g.vertices.vectors != 0).astype(np.int8)
-    reps: dict[int, int] = {}
-    for v, lab in enumerate(labels.tolist()):
-        if lab not in reps:
-            reps[lab] = v
-    for lab, rep in sorted(reps.items()):
+    reps = np.unique(labels, return_index=True)[1].tolist()
+    for lab, rep in enumerate(reps):
         size = int(orbit_sizes[lab])
         if omega == 1:
             total_weighted += size

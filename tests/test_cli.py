@@ -78,16 +78,27 @@ def test_table_cliques_row(cli_cache, capsys):
     assert omegas == ["5", "3", "5", "5"]
 
 
-def test_table_sunflowers_json_with_skip(cli_cache, capsys):
+def test_table_sunflowers_json_ignores_pair_budget(cli_cache, capsys):
+    """The edge-pair budget gates only `table parameters`; census tables
+    never build edges, so a tiny budget skips none of their rows."""
     code, out, _ = run(
         capsys, "table", "sunflowers", "--systems", "G2,F4",
         "--format", "json", "--max-pairs", "100",
     )
-    assert code == 2  # partial: big rows skipped under the tiny budget
+    assert code == 0
     rows = json.loads(out)["rows"]
+    assert not any(r.get("skipped") for r in rows)
     by_key = {(r["system"], r["k"]): r for r in rows}
     assert by_key[("G2", 2)]["sunflowers"] == 6
-    assert by_key[("F4", 3)].get("skipped")
+    assert by_key[("F4", 3)]["sunflowers"] == 896
+
+
+def test_table_cliques_ignores_memory_budget(cli_cache, capsys):
+    code, out, _ = run(
+        capsys, "table", "cliques", "--systems", "F4", "--max-memory-gb", "0.0000001",
+    )
+    assert code == 0
+    assert "SKIPPED" not in out
 
 
 def test_table_latex_format(cli_cache, capsys):
@@ -115,6 +126,25 @@ def test_unknown_system_errors(cli_cache, capsys):
     code, _, err = run(capsys, "build", "--system", "B3", "--k", "1")
     assert code == 1
     assert "error" in err
+
+
+def test_key_dimension_limit_errors(cli_cache, capsys):
+    for argv in (["build", "--system", "D10", "--k", "1"],
+                 ["cliques", "--system", "A9", "--k", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "at most 9" in err
+
+
+def test_brute_force_builds_graph_once(cli_cache, capsys, monkeypatch):
+    from sosgraphs import graph as graphmod
+
+    calls = []
+    real = graphmod.membership_graph
+    monkeypatch.setattr(graphmod, "membership_graph", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "cliques", "--system", "F4", "--k", "4", "--brute-force")
+    assert code == 0 and json.loads(out)["brute_force_agrees"]
+    assert len(calls) == 1
 
 
 def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch, capsys):

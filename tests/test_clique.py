@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosgraphs import clique as cliquemod
 from sosgraphs.clique import (
     brute_force_maximum_cliques,
     clique_number,
@@ -18,7 +21,12 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
     maximal_clique_size_counts,
+    stabilizer_orbits,
 )
+from sosgraphs.graph import GroupActionError
+from sosgraphs.roots import parse_label, reflect
+
+from oracles import closure_orbit_labels, single_level_census
 
 OMEGA = {
     ("G2", 1): 3, ("G2", 2): 2,
@@ -208,3 +216,77 @@ def test_induced_bitrows_symmetry(mgraph):
         for j in range(60):
             assert bool(rows[i] >> j & 1) == bool(rows[j] >> i & 1)
         assert not rows[i] >> i & 1
+
+
+def _stabilizer_maps(g, v):
+    rs = parse_label(g.label)
+    vec = tuple(int(x) for x in g.vertices.vectors[v])
+    zero = tuple([0] * len(vec))
+    perp = [a for a in rs.roots if a > zero and sum(x * y for x, y in zip(a, vec)) == 0]
+    return [partial(reflect, alpha) for alpha in perp]
+
+
+@pytest.mark.parametrize("label,k", sorted(OMEGA))
+def test_two_level_matches_single_level_oracle(label, k, mgraph):
+    g = mgraph(label, k)
+    omega, per_orbit = single_level_census(g)
+    census = count_maximum_cliques(g)
+    assert clique_number(g) == census.omega == omega
+    assert census.per_orbit == per_orbit
+    assert census.total_maximum_cliques * omega == sum(n * c for n, c in per_orbit)
+
+
+@pytest.mark.slow
+def test_two_level_matches_single_level_oracle_e8_k4(mgraph):
+    g = mgraph("E8", 4)
+    census = count_maximum_cliques(g)
+    assert (census.omega, census.per_orbit) == single_level_census(g)
+    assert census.total_maximum_cliques == 635316480
+
+
+@pytest.mark.parametrize("label,k", sorted(OMEGA))
+def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
+    """Stab(v)-orbits partition N(v) exactly as the oracle closure under the
+    reflections fixing v does, and per-neighbor counts are constant on
+    each orbit, which is what the weighting relies on."""
+    g = mgraph(label, k)
+    omega = clique_number(g)
+    for v in g.orbit_representatives():
+        nb = g.neighbors(v)
+        labels = closure_orbit_labels(
+            [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, v)
+        )
+        reps, sizes = stabilizer_orbits(g, v, nb)
+        assert sum(sizes) == nb.size
+        assert reps == [labels.index(o) for o in range(len(reps))]
+        assert sizes == np.bincount(labels, minlength=len(reps)).tolist()
+        rows = induced_bitrows(g, nb)
+        counts = [count_cliques_of_size_bitset(rows, rows[i], omega - 2) for i in range(nb.size)]
+        assert all(counts[i] == counts[reps[labels[i]]] for i in range(nb.size))
+
+
+def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
+    g = mgraph("F4", 3)
+    nb = g.neighbors(0)
+    with pytest.raises(GroupActionError):
+        stabilizer_orbits(g, 0, nb[1:])
+
+
+def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
+    """F4 k=1: omega 7, degrees 14 and 20; adding 1 per neighbor breaks
+    divisibility by omega - 1 = 6 at the Stab(v) level."""
+    real = cliquemod.count_cliques_of_size_bitset
+    monkeypatch.setattr(
+        cliquemod, "count_cliques_of_size_bitset", lambda rows, cand, t: real(rows, cand, t) + 1
+    )
+    with pytest.raises(ArithmeticError, match="neighborhood clique count"):
+        count_maximum_cliques(mgraph("F4", 1))
+
+
+def test_non_divisible_orbit_sum_raises(mgraph):
+    """Mislabel F4 k=1 as one orbit of 48 vertices: 48 * c(v0) is not a
+    multiple of omega = 7, so the W level must refuse it."""
+    g = mgraph("F4", 1)
+    merged = dataclasses.replace(g, orbit_label=np.zeros(g.n, dtype=np.int32))
+    with pytest.raises(ArithmeticError, match="maximum-clique count"):
+        count_maximum_cliques(merged)

@@ -1,21 +1,28 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from sosgraphs.graph import (
     GammaBuildError,
     GraphFileError,
+    GroupActionError,
     build_gamma,
     deserialize,
     edge_keys_membership,
     file_checksum,
     membership_graph,
+    orbit_labels,
     serialize,
     stats,
     to_dot,
+    vertex_permutation,
     weyl_orbit_labels,
 )
-from sosgraphs.roots import build_root_system, parse_label
+from sosgraphs.roots import build_root_system, encode_rows, parse_label, reflect, reflect_rows
 from sosgraphs.sos import vertex_set
+
+from oracles import closure, closure_orbit_labels
 
 # (|V|, |E|, min deg, max deg, components) rows
 TIER1 = {
@@ -223,12 +230,50 @@ def test_census_on_deserialized_graph(tmp_path, gamma):
 
 
 def test_orbit_closure_extends_beyond_seeds():
-    """Closure of a non-closed seed set reaches the full reflection orbit."""
-    from sosgraphs.roots import orbit_closure
-
+    """Closure of one root reaches its full reflection orbit; the primitive
+    gives that orbit on the closed set and refuses the seed alone."""
     e6 = build_root_system("E6")
-    orbits = orbit_closure(e6, [e6.roots[0]])
-    assert [len(o) for o in orbits] == [72]
+    maps = [partial(reflect, alpha) for alpha in e6.simple_roots]
+    assert len(closure([e6.roots[0]], maps)) == 72
+    rows = np.array(e6.roots, dtype=np.int64)
+    perms = [vertex_permutation(encode_rows(rows), reflect_rows(rows, a)) for a in e6.simple_roots]
+    assert np.bincount(orbit_labels(perms, len(rows))).tolist() == [72]
+    seed = rows[:1]
+    with pytest.raises(GroupActionError, match="escapes"):
+        for alpha in e6.simple_roots:
+            vertex_permutation(encode_rows(seed), reflect_rows(seed, alpha))
+
+
+@pytest.mark.parametrize("label,k", sorted(TIER1))
+def test_weyl_labels_match_closure_oracle(label, k):
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    maps = [partial(reflect, alpha) for alpha in rs.simple_roots]
+    assert weyl_orbit_labels(rs, vs).tolist() == closure_orbit_labels(vs.as_tuples(), maps)
+
+
+def test_orbit_labels_numbered_by_lowest_index():
+    # two 3-cycles interleaved: {0, 2, 4} and {1, 3, 5}; one fixed point 6
+    perm = np.array([2, 3, 4, 5, 0, 1, 6])
+    assert orbit_labels([perm], 7).tolist() == [0, 1, 0, 1, 0, 1, 2]
+    assert orbit_labels([], 3).tolist() == [0, 1, 2]
+    assert orbit_labels([np.empty(0, dtype=np.int64)], 0).size == 0
+
+
+def test_vertex_permutation_rejects_escaping_images():
+    keys = encode_rows(np.array([[0, 1], [1, 0]]))
+    assert vertex_permutation(keys, np.array([[1, 0], [0, 1]])).tolist() == [1, 0]
+    with pytest.raises(GroupActionError):
+        vertex_permutation(keys, np.array([[1, 0], [2, 0]]))
+    with pytest.raises(GroupActionError):
+        vertex_permutation(keys[:0], np.array([[1, 0]]))
+
+
+def test_largest_key_dimension_builds():
+    """Ambient dimension 9 (A8, D9) is the widest the int64 keys hold."""
+    g = build_gamma(parse_label("D9"), 1)
+    assert g.n == 144 and stats(g).is_regular
+    assert build_gamma(parse_label("A8"), 2).n > 0
 
 
 def test_file_checksum_discriminates(tmp_path, gamma):

@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from sosgraphs.roots import (
     inner_product,
     is_root,
     negate,
-    orbit_closure,
     parse_label,
     reflect,
     reflection_matrix,
@@ -22,6 +23,10 @@ from sosgraphs.roots import (
     strongly_orthogonal,
     sub,
 )
+from sosgraphs.graph import weyl_orbit_labels
+from sosgraphs.sos import VertexSet, vertex_set
+
+from oracles import closure, closure_orbit_labels
 
 EXPECTED = {
     "G2": (12, 2, 3, 6, 2),
@@ -65,6 +70,17 @@ def test_bad_labels_and_ranks():
     with pytest.raises(RootSystemError):
         parse_label("Z9")
     assert parse_label("D4").label == "D4"
+
+
+def test_ambient_dimension_limit():
+    """int64 vertex keys hold 9 coordinates: A8 and D9 build, A9 and D10 do not."""
+    assert build_root_system("A", 8).ambient_dim == 9
+    assert build_root_system("D", 9).ambient_dim == 9
+    for label, rank in [("A", 9), ("D", 10), ("A", 12)]:
+        with pytest.raises(RootSystemError, match="at most 9"):
+            build_root_system(label, rank)
+    with pytest.raises(RootSystemError, match="at most 9"):
+        parse_label("D10")
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))
@@ -139,25 +155,37 @@ def test_simply_laced_orthogonality_is_strong():
             assert strongly_orthogonal(rs, a, b) == (dot(a, b) == 0)
 
 
+def _weyl_maps(rs):
+    return [partial(reflect, alpha) for alpha in rs.simple_roots]
+
+
+def _root_vertex_set(rs) -> VertexSet:
+    return VertexSet(
+        label=rs.label, k=1, vectors=np.array(rs.roots, dtype=np.int32),
+        multiplicity=np.ones(len(rs.roots), dtype=np.int64),
+    )
+
+
 def test_orbit_closure_examples():
     e8 = build_root_system("E8")
-    orbits = orbit_closure(e8, [e8.roots[0]])
-    assert [len(o) for o in orbits] == [240]
+    assert len(closure([e8.roots[0]], _weyl_maps(e8))) == 240
+    labels = weyl_orbit_labels(e8, _root_vertex_set(e8))
+    assert np.bincount(labels).tolist() == [240]
     g2 = build_root_system("G2")
     short = (2, -2, 0)
-    orbits = orbit_closure(g2, [short])
-    assert [len(o) for o in orbits] == [6]
+    assert len(closure([short], _weyl_maps(g2))) == 6
     # full root set of G2: two orbits of 6 (short and long)
-    orbits = orbit_closure(g2, g2.roots)
-    assert sorted(len(o) for o in orbits) == [6, 6]
+    labels = weyl_orbit_labels(g2, _root_vertex_set(g2))
+    assert labels.tolist() == closure_orbit_labels(list(g2.roots), _weyl_maps(g2))
+    assert sorted(np.bincount(labels).tolist()) == [6, 6]
 
 
 def test_orbit_closure_e7_level4():
-    from sosgraphs.sos import vertex_set
-
     e7 = build_root_system("E7")
-    orbits = orbit_closure(e7, vertex_set(e7, 4).vectors)
-    assert sorted(len(o) for o in orbits) == [126, 4032]
+    vs = vertex_set(e7, 4)
+    labels = weyl_orbit_labels(e7, vs)
+    assert labels.tolist() == closure_orbit_labels(vs.as_tuples(), _weyl_maps(e7))
+    assert sorted(np.bincount(labels).tolist()) == [126, 4032]
 
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E8"])

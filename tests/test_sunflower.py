@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from sosgraphs.sunflower import (
     permutation_subgroup,
     rebase_vertices,
 )
+
+from oracles import closure_orbit_labels
 
 # (cliques, sunflowers, printed percentage)
 SUNFLOWER_ROWS = {
@@ -120,6 +123,21 @@ def test_e7_level1_has_seven_perm_orbits(mgraph):
     rs = build_root_system("E7")
     labels = perm_orbit_labels(permutation_subgroup(rs), mgraph("E7", 1).vertices)
     assert labels.max() + 1 == 7
+
+
+TIER1_ROWS = [
+    ("G2", 1), ("G2", 2), ("F4", 1), ("F4", 2), ("F4", 3), ("F4", 4),
+    ("E6", 1), ("E6", 2), ("E6", 3), ("E6", 4), ("E7", 1), ("E7", 2),
+    ("E7", 3), ("E7", 7), ("E8", 1), ("E8", 2),
+]
+
+
+@pytest.mark.parametrize("label,k", TIER1_ROWS)
+def test_perm_labels_match_closure_oracle(label, k, mgraph):
+    group = permutation_subgroup(build_root_system(label))
+    vs = mgraph(label, k).vertices
+    maps = [partial(apply_perm, perm) for perm in group.generators]
+    assert perm_orbit_labels(group, vs).tolist() == closure_orbit_labels(vs.as_tuples(), maps)
 
 
 def test_identity_only_group_gives_singleton_orbits(mgraph):
