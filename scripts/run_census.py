@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the full census end to end and write the three report tables.
 
-Tier 1 covers the small graphs (seconds), tier 2 adds the multi-minute
-rows (E7 k>=4, E8 k>=3 parameters and every E8 clique count), tier 3 adds
-the heaviest rows (full E8 k=6/7 edge builds).
+Tier 1 covers the small graphs (seconds); tier 2 adds the E7 k>=4 and
+E8 k>=3 parameter rows and every E8 clique count. Graph parameters come
+from the Weyl-orbit quotient (`graph.stats`), so no row builds edges.
 
 Usage:
     python scripts/run_census.py --tier 2 --out-dir reports/
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from sosgraphs import clique as cliquemod
 from sosgraphs import sunflower as sunmod
-from sosgraphs.graph import build_gamma, membership_graph, serialize, stats
+from sosgraphs.graph import membership_graph, stats
 from sosgraphs.roots import build_root_system
 
 TIER1_PARAMS = [
@@ -30,11 +30,10 @@ TIER1_PARAMS = [
     ("E8", 1), ("E8", 2),
 ]
 TIER2_PARAMS = [("E7", 4), ("E7", 5), ("E7", 6), ("E8", 3), ("E8", 4),
-                ("E8", 5), ("E8", 8)]
-TIER3_PARAMS = [("E8", 6), ("E8", 7)]
+                ("E8", 5), ("E8", 6), ("E8", 7), ("E8", 8)]
 
 ALL_LEVELS = {"G2": 2, "F4": 4, "E6": 4, "E7": 7, "E8": 8}
-TIER_COUNT_LIMITS = {1: {("E8", k) for k in range(3, 9)}, 2: set(), 3: set()}
+TIER_COUNT_LIMITS = {1: {("E8", k) for k in range(3, 9)}, 2: set()}
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]):
@@ -47,9 +46,8 @@ def write_csv(path: Path, header: list[str], rows: list[list]):
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--tier", type=int, choices=[1, 2, 3], default=1)
+    parser.add_argument("--tier", type=int, choices=[1, 2], default=1)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--cache-dir", default=None, help="also serialize built graphs here")
     args = parser.parse_args()
 
     out = Path(args.out_dir)
@@ -60,17 +58,9 @@ def main() -> int:
     jobs = list(TIER1_PARAMS)
     if args.tier >= 2:
         jobs += TIER2_PARAMS
-    if args.tier >= 3:
-        jobs += TIER3_PARAMS
     for label, k in jobs:
         t = time.time()
-        rs = build_root_system(label)
-        g = build_gamma(rs, k)
-        if args.cache_dir:
-            cache = Path(args.cache_dir)
-            cache.mkdir(parents=True, exist_ok=True)
-            serialize(g, cache / f"{label}_k{k}.sosg")
-        s = stats(g)
+        s = stats(membership_graph(build_root_system(label), k))
         param_rows.append([label, k, s.n, s.m, s.min_degree, s.max_degree,
                            s.component_count])
         print(f"parameters {label} k={k}: n={s.n} m={s.m} [{time.time()-t:.1f}s]")

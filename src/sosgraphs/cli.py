@@ -2,8 +2,7 @@
 clique and sunflower censuses, verify structural properties, and emit the
 census tables in CSV, JSON or LaTeX.
 
-Exit codes: 0 success, 2 partial output (budget-skipped `table parameters`
-rows), 1 failure.
+Exit codes: 0 success, 1 failure.
 """
 
 from __future__ import annotations
@@ -23,14 +22,10 @@ from sosgraphs import graph as graphmod
 from sosgraphs import iso as isomod
 from sosgraphs import sunflower as sunmod
 from sosgraphs.roots import RootSystemError, parse_label
-from sosgraphs.sos import vertex_set
 
 CACHE_ENV = "SOSGRAPHS_CACHE"
 DEFAULT_CACHE = ".sosgraphs_cache"
 SYSTEM_ORDER = ["G2", "F4", "E6", "E7", "E8"]
-# Coarse edge-density bound used for the memory gate (observed max ~7%).
-DENSITY_BOUND = 0.08
-BYTES_PER_EDGE = 24
 
 
 def cache_dir(args) -> Path:
@@ -54,13 +49,7 @@ def load_or_build(args, label: str, k: int, *, force: bool = False) -> graphmod.
                 return g
         except graphmod.GraphFileError:
             pass
-    g = graphmod.build_gamma(
-        rs,
-        k,
-        block_size=args.block_size,
-        threads=args.threads,
-        spill_dir=str(path) + ".spill",
-    )
+    g = graphmod.build_gamma(rs, k)
     graphmod.serialize(g, path)
     return g
 
@@ -149,19 +138,6 @@ def cmd_cliques(args) -> int:
 def cmd_sunflowers(args) -> int:
     rs = parse_label(args.system)
     g = graphmod.membership_graph(rs, args.k)
-    if args.basis:
-        basis_rows = json.loads(Path(args.basis).read_text())
-        rebased = sunmod.rebase_vertices(g, basis_rows)
-        omega = cliquemod.clique_number(g)
-        payload = {
-            "system": rs.label,
-            "k": args.k,
-            "omega": omega,
-            "note": "vertices rebased; graph structure unchanged",
-            "rebased_dim": len(rebased[0]) if rebased else 0,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
     census = sunmod.count_sunflower_max_cliques(g, rs)
     if args.format == "csv":
         buf = io.StringIO()
@@ -300,14 +276,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return int(text), int(text)
 
 
-def _budget_allows(args, n: int) -> bool:
-    pairs = n * (n - 1) // 2
-    if pairs > args.max_pairs:
-        return False
-    est_gb = pairs * DENSITY_BOUND * BYTES_PER_EDGE / 1e9
-    return est_gb <= args.max_memory_gb
-
-
 def _table_rows(args):
     lo, hi = _parse_k_range(args.k_range)
     for label in args.systems:
@@ -318,29 +286,21 @@ def _table_rows(args):
 
 def cmd_table(args) -> int:
     rows = []
-    skipped = 0
     for rs, k in _table_rows(args):
-        if args.which == "parameters" and not _budget_allows(args, len(vertex_set(rs, k))):
-            rows.append({"system": rs.label, "k": k, "skipped": True})
-            skipped += 1
-            continue
+        g = graphmod.membership_graph(rs, k)
         if args.which == "parameters":
-            g = load_or_build(args, rs.label, k)
             s = graphmod.stats(g)
             rows.append({
                 "system": rs.label, "k": k, "n": s.n, "m": s.m,
                 "min_degree": s.min_degree, "max_degree": s.max_degree,
                 "components": s.component_count,
-                "graph_checksum": graphmod.file_checksum(cache_path(args, rs.label, k)),
             })
         elif args.which == "cliques":
-            g = graphmod.membership_graph(rs, k)
             rows.append({
                 "system": rs.label, "k": k,
                 "omega": cliquemod.clique_number(g),
             })
         else:
-            g = graphmod.membership_graph(rs, k)
             census = sunmod.count_sunflower_max_cliques(g, rs)
             rows.append({
                 "system": rs.label, "k": k,
@@ -350,7 +310,7 @@ def cmd_table(args) -> int:
             })
     text = _format_table(args.which, rows, args.format)
     _emit(text, args.out)
-    return 2 if skipped else 0
+    return 0
 
 
 def _format_table(which: str, rows: list[dict], fmt: str) -> str:
@@ -365,26 +325,16 @@ def _format_table(which: str, rows: list[dict], fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(columns)
-        for row in rows:
-            if row.get("skipped"):
-                writer.writerow([row["system"], row["k"]] + ["SKIPPED"] * (len(columns) - 2))
-            else:
-                writer.writerow([row[c] for c in columns])
+        writer.writerows([row[c] for c in columns] for row in rows)
         return buf.getvalue()
     lines = [" & ".join(columns) + r" \\"]
     for row in rows:
-        if row.get("skipped"):
-            cells = [str(row["system"]), str(row["k"])] + ["SKIPPED"] * (len(columns) - 2)
-        else:
-            cells = [str(row[c]) for c in columns]
-        lines.append(" & ".join(cells) + r" \\")
+        lines.append(" & ".join(str(row[c]) for c in columns) + r" \\")
     return "\n".join(lines) + "\n"
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--cache-dir", default=None, help=f"graph cache (or ${CACHE_ENV})")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--block-size", type=int, default=graphmod.DEFAULT_BLOCK_SIZE)
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
@@ -417,7 +367,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("sunflowers", help="sunflower census")
     p.add_argument("--system", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--basis", default=None, help="JSON file with exact rational basis rows")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(p)
     p.set_defaults(func=cmd_sunflowers)
@@ -434,10 +383,6 @@ def main(argv=None) -> int:
                    type=lambda s: [x.strip() for x in s.split(",") if x.strip()])
     p.add_argument("--k-range", default="1-8")
     p.add_argument("--format", choices=["csv", "json", "latex"], default="csv")
-    p.add_argument("--max-pairs", type=int, default=graphmod.DEFAULT_SPILL_PAIRS,
-                   help="edge-build budget for `parameters` rows")
-    p.add_argument("--max-memory-gb", type=float, default=16.0,
-                   help="edge-build budget for `parameters` rows")
     _add_common(p)
     p.set_defaults(func=cmd_table)
 

@@ -30,7 +30,13 @@ from math import comb
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, SOSGraph, orbit_labels, vertex_permutation
+from sosgraphs.graph import (
+    MembershipGraph,
+    SOSGraph,
+    key_index,
+    orbit_labels,
+    vertex_permutation,
+)
 from sosgraphs.roots import encode_rows, key_offset, parse_label, reflect_rows
 
 GraphLike = SOSGraph | MembershipGraph
@@ -55,12 +61,8 @@ def induced_bitrows(g: GraphLike, vertex_ids: np.ndarray) -> list[int]:
     if d == 0:
         return []
     keys = g.vertices.keys()
-    off = key_offset(g.vertices.dim)
     sub = keys[ids]
-    diff = sub[:, None] - sub[None, :] + off
-    pos = np.searchsorted(keys, diff.ravel())
-    np.minimum(pos, keys.size - 1, out=pos)
-    adj = (keys[pos] == diff.ravel()).reshape(d, d)
+    adj = key_index(keys, sub[:, None] - sub[None, :] + key_offset(g.vertices.dim)) >= 0
     np.fill_diagonal(adj, False)
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]

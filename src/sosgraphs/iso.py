@@ -7,7 +7,14 @@ from __future__ import annotations
 import numpy as np
 
 from sosgraphs.clique import induced_bitrows
-from sosgraphs.graph import SOSGraph, edge_keys_membership, vertex_permutation
+from sosgraphs.graph import (
+    SOSGraph,
+    edge_keys_membership,
+    key_index,
+    membership_graph,
+    stats,
+    vertex_permutation,
+)
 from sosgraphs.roots import RootSystem, encode_rows, key_offset, reflect_rows
 from sosgraphs.sos import vertex_set
 
@@ -55,10 +62,7 @@ def check_mod8(rs: RootSystem, k: int | None = None, seed: int = 0) -> dict:
 
 def check_degree_formula(rs: RootSystem) -> bool:
     """Level-1 graph is regular of degree 2(h - 2) for simply-laced systems."""
-    from sosgraphs.graph import build_gamma, stats
-
-    g = build_gamma(rs, 1)
-    s = stats(g)
+    s = stats(membership_graph(rs, 1))
     want = 2 * (rs.coxeter_number - 2)
     return s.is_regular and s.min_degree == want
 
@@ -82,10 +86,7 @@ def check_weyl_automorphism(
     for idx, alpha in enumerate(rs.simple_roots):
         perm = vertex_permutation(keys, reflect_rows(g.vertices.vectors, alpha))
         if exhaustive:
-            diff = keys[:, None] - keys[None, :] + off
-            pos = np.searchsorted(keys, diff.ravel())
-            np.minimum(pos, n - 1, out=pos)
-            adj = (keys[pos] == diff.ravel()).reshape(n, n)
+            adj = key_index(keys, keys[:, None] - keys[None, :] + off) >= 0
             ok = bool(np.array_equal(adj, adj[np.ix_(perm, perm)]))
         else:
             rng = np.random.default_rng(seed + idx)

@@ -9,9 +9,7 @@ norms of norm-2 roots equal 8.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -57,24 +55,8 @@ def sub(v: RootVector, w: RootVector) -> RootVector:
     return tuple(a - b for a, b in zip(v, w))
 
 
-def encode_key(v: RootVector) -> int:
-    """Injective int64 key; numeric order equals lex order of tuples."""
-    key = 0
-    for a in v:
-        key = key * KEY_BASE + (a + KEY_SHIFT)
-    return key
-
-
-def decode_key(key: int, dim: int) -> RootVector:
-    out = []
-    for _ in range(dim):
-        key, digit = divmod(key, KEY_BASE)
-        out.append(digit - KEY_SHIFT)
-    return tuple(reversed(out))
-
-
 def key_offset(dim: int) -> int:
-    """encode_key(u - v) == encode_key(u) - encode_key(v) + key_offset(dim)."""
+    """key(u - v) == key(u) - key(v) + key_offset(dim), keys from encode_rows."""
     off = 0
     for _ in range(dim):
         off = off * KEY_BASE + KEY_SHIFT
@@ -82,7 +64,13 @@ def key_offset(dim: int) -> int:
 
 
 def encode_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized encode_key over an (m, dim) int array."""
+    """Injective int64 key per row of an (m, dim) int array; numeric order
+    equals lex order of rows. Raises ValueError on a coordinate outside
+    the digit range [-KEY_SHIFT, KEY_BASE - KEY_SHIFT)."""
+    if rows.size and (rows.min() < -KEY_SHIFT or rows.max() >= KEY_BASE - KEY_SHIFT):
+        raise ValueError(
+            f"coordinate outside the key digit range [{-KEY_SHIFT}, {KEY_BASE - KEY_SHIFT})"
+        )
     m, dim = rows.shape
     keys = np.zeros(m, dtype=np.int64)
     for j in range(dim):
@@ -119,14 +107,6 @@ class RootSystem:
         return len(self.roots)
 
 
-def is_root(rs: RootSystem, v: RootVector) -> bool:
-    return len(v) == rs.ambient_dim and v in rs.root_set
-
-
-def inner_product(v: RootVector, w: RootVector) -> int:
-    return dot(v, w)
-
-
 def strongly_orthogonal(rs: RootSystem, alpha: RootVector, beta: RootVector) -> bool:
     """True iff neither sum nor difference is a root.
 
@@ -152,28 +132,6 @@ def reflect(alpha: RootVector, v: RootVector) -> RootVector:
     if rem:
         raise RootSystemError(f"vector {v} not in the lattice of {alpha}")
     return tuple(a - coeff * b for a, b in zip(v, alpha))
-
-
-def reflection_matrix(alpha: RootVector) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational matrix of the reflection through alpha (acts on columns)."""
-    n = len(alpha)
-    aa = dot(alpha, alpha)
-    return tuple(
-        tuple(
-            Fraction(int(i == j)) - Fraction(2 * alpha[i] * alpha[j], aa)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def cartan_integer(alpha: RootVector, beta: RootVector) -> int:
-    num = 2 * dot(beta, alpha)
-    den = dot(alpha, alpha)
-    q, rem = divmod(num, den)
-    if rem:
-        raise RootSystemError(f"non-integral Cartan number for {alpha}, {beta}")
-    return q
 
 
 def _e8_roots() -> list[RootVector]:
@@ -341,30 +299,3 @@ def reflect_rows(rows: np.ndarray, alpha: RootVector) -> np.ndarray:
     if rem.any():
         raise RootSystemError("vector outside the root lattice")
     return rows - coeff[:, None] * a[None, :]
-
-
-def root_system_to_json(rs: RootSystem) -> str:
-    return json.dumps(
-        {
-            "label": rs.label,
-            "rank": rs.rank,
-            "ambient_dim": rs.ambient_dim,
-            "coxeter_number": rs.coxeter_number,
-            "max_sos_size": rs.max_sos_size,
-            "doubled_roots": [list(r) for r in rs.roots],
-        }
-    )
-
-
-def root_system_from_json(text: str) -> RootSystem:
-    data = json.loads(text)
-    roots = tuple(tuple(int(x) for x in r) for r in data["doubled_roots"])
-    return RootSystem(
-        label=data["label"],
-        rank=data["rank"],
-        ambient_dim=data["ambient_dim"],
-        roots=roots,
-        simple_roots=_simple_roots(list(roots), data["rank"]),
-        coxeter_number=data["coxeter_number"],
-        max_sos_size=data["max_sos_size"],
-    )

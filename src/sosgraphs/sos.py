@@ -255,28 +255,3 @@ def sos_count(rs: RootSystem, k: int) -> int:
     if k > rs.max_sos_size:
         return 0
     return vertex_set(rs, k).sos_count()
-
-
-def write_vertex_set(vs: VertexSet, path) -> None:
-    """Fixed-width binary: header (label, k, count, dim), then int32 LE rows."""
-    label = vs.label.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(len(label).to_bytes(1, "little"))
-        fh.write(label)
-        fh.write(vs.k.to_bytes(4, "little"))
-        fh.write(len(vs).to_bytes(8, "little"))
-        fh.write(vs.dim.to_bytes(4, "little"))
-        fh.write(vs.vectors.astype("<i4").tobytes())
-        fh.write(vs.multiplicity.astype("<i8").tobytes())
-
-
-def read_vertex_set(path) -> VertexSet:
-    with open(path, "rb") as fh:
-        label_len = int.from_bytes(fh.read(1), "little")
-        label = fh.read(label_len).decode("utf-8")
-        k = int.from_bytes(fh.read(4), "little")
-        count = int.from_bytes(fh.read(8), "little")
-        dim = int.from_bytes(fh.read(4), "little")
-        vectors = np.frombuffer(fh.read(count * dim * 4), dtype="<i4").reshape(count, dim)
-        multiplicity = np.frombuffer(fh.read(count * 8), dtype="<i8")
-    return VertexSet(label=label, k=k, vectors=vectors.astype(np.int32), multiplicity=multiplicity.astype(np.int64))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -213,45 +212,3 @@ def count_sunflowers_direct(g: GraphLike, cliques) -> int:
         if len(vecs) >= 2 and is_sunflower(vecs).is_sunflower:
             count += 1
     return count
-
-
-def rebase_vertices(g: GraphLike, basis_rows) -> list[tuple[Fraction, ...]]:
-    """Re-express vertex vectors in a new basis given as exact rational rows.
-
-    basis_rows spans a subspace containing every vertex; returns the exact
-    coefficient vectors. Graph structure is unaffected, only coordinates
-    (and hence sunflower supports) change.
-    """
-    basis = [[Fraction(x) for x in row] for row in basis_rows]
-    r = len(basis)
-    if r == 0:
-        raise ValueError("empty basis")
-    gram = [[sum(bi * bj for bi, bj in zip(basis[i], basis[j])) for j in range(r)] for i in range(r)]
-    inverse = _invert_rational(gram)
-    out = []
-    for row in g.vertices.vectors:
-        vec = [Fraction(int(x)) for x in row]
-        proj = [sum(b * x for b, x in zip(basis[i], vec)) for i in range(r)]
-        coeff = [sum(inverse[i][j] * proj[j] for j in range(r)) for i in range(r)]
-        rebuilt = [sum(coeff[i] * basis[i][j] for i in range(r)) for j in range(len(vec))]
-        if rebuilt != vec:
-            raise ValueError(f"vertex {tuple(row)} lies outside the span of the basis")
-        out.append(tuple(coeff))
-    return out
-
-
-def _invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("basis map is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -4,15 +4,19 @@ closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
 single_level_census is the one-level orbit reduction: one vertex per
 W-orbit, counting every (omega-1)-clique of its neighborhood directly.
+csr_stats reads the graph parameters off the explicit edge list.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from sosgraphs.clique import (
     count_cliques_of_size_bitset,
     induced_bitrows,
     max_clique_size_bitset,
 )
+from sosgraphs.graph import GraphStats
 
 
 def closure(seeds, maps) -> set:
@@ -63,3 +67,38 @@ def single_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
         for size, rows, full in hoods
     )
     return omega, per_orbit
+
+
+def csr_stats(g) -> GraphStats:
+    """Graph parameters read off an explicit CSR edge list.
+
+    Degrees are row lengths and components come from a depth-first
+    search, with no orbit reasoning.
+    """
+    n = g.n
+    if n == 0:
+        return GraphStats(0, 0, 0, 0, True, 0, (), 0)
+    deg = np.diff(g.indptr)
+    component = np.full(n, -1, dtype=np.int64)
+    for start in range(n):
+        if component[start] >= 0:
+            continue
+        component[start] = start
+        stack = [start]
+        while stack:
+            reached = g.neighbors(stack.pop())
+            reached = reached[component[reached] < 0]
+            component[reached] = start
+            stack.extend(reached.tolist())
+    sizes = np.bincount(component)
+    sizes = tuple(sorted((int(s) for s in sizes[sizes > 0]), reverse=True))
+    return GraphStats(
+        n=n,
+        m=g.indices.size // 2,
+        min_degree=int(deg.min()),
+        max_degree=int(deg.max()),
+        is_regular=bool(deg.min() == deg.max()),
+        component_count=len(sizes),
+        component_sizes=sizes,
+        isolated_vertex_count=int((deg == 0).sum()),
+    )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sosgraphs.cli import main
 
 
@@ -55,16 +57,6 @@ def test_sunflowers_csv(cli_cache, capsys):
     assert out.strip().splitlines()[1] == "F4,4,96,64,66.7"
 
 
-def test_sunflowers_rebase(cli_cache, capsys, tmp_path):
-    basis = tmp_path / "basis.json"
-    basis.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    code, out, _ = run(
-        capsys, "sunflowers", "--system", "G2", "--k", "2", "--basis", str(basis)
-    )
-    assert code == 0
-    assert json.loads(out)["rebased_dim"] == 3
-
-
 def test_table_parameters_g2(cli_cache, capsys):
     code, out, _ = run(capsys, "table", "parameters", "--systems", "G2")
     assert code == 0
@@ -79,11 +71,9 @@ def test_table_cliques_row(cli_cache, capsys):
 
 
 def test_table_sunflowers_json_ignores_pair_budget(cli_cache, capsys):
-    """The edge-pair budget gates only `table parameters`; census tables
-    never build edges, so a tiny budget skips none of their rows."""
+    """Census tables have no budget: every row is computed."""
     code, out, _ = run(
-        capsys, "table", "sunflowers", "--systems", "G2,F4",
-        "--format", "json", "--max-pairs", "100",
+        capsys, "table", "sunflowers", "--systems", "G2,F4", "--format", "json",
     )
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -94,9 +84,7 @@ def test_table_sunflowers_json_ignores_pair_budget(cli_cache, capsys):
 
 
 def test_table_cliques_ignores_memory_budget(cli_cache, capsys):
-    code, out, _ = run(
-        capsys, "table", "cliques", "--systems", "F4", "--max-memory-gb", "0.0000001",
-    )
+    code, out, _ = run(capsys, "table", "cliques", "--systems", "F4")
     assert code == 0
     assert "SKIPPED" not in out
 
@@ -107,13 +95,30 @@ def test_table_latex_format(cli_cache, capsys):
     assert r"G2 & 1 & 3 \\" in out
 
 
-def test_table_memory_gate(cli_cache, capsys):
+@pytest.mark.slow
+def test_table_parameters_has_no_budget(cli_cache, capsys):
+    """E8 k=6/7, once skipped by an edge-build budget, come out in full."""
     code, out, _ = run(
-        capsys, "table", "parameters", "--systems", "G2",
-        "--max-memory-gb", "0.0000001",
+        capsys, "table", "parameters", "--systems", "E8", "--k-range", "6-7",
+        "--format", "json",
     )
-    assert code == 2
-    assert "SKIPPED" in out
+    assert code == 0
+    got = [tuple(r.values()) for r in json.loads(out)["rows"]]
+    assert got == [("E8", 6, 60480, 81950400, 2710, 2710, 1),
+                   ("E8", 7, 69120, 67737600, 1960, 1960, 1)]
+
+
+def test_table_parameters_never_builds_edges(cli_cache, capsys, monkeypatch):
+    from sosgraphs import graph as graphmod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table parameters built an edge list")
+
+    monkeypatch.setattr(graphmod, "build_gamma", refuse)
+    code, out, _ = run(capsys, "table", "parameters", "--systems", "G2,F4,E6")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2 + 4 + 4
+    assert not list(cli_cache.glob("*.sosg"))
 
 
 def test_deterministic_outputs(cli_cache, capsys):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from sosgraphs.graph import (
-    GammaBuildError,
     GraphFileError,
+    GraphStats,
     GroupActionError,
+    SOSGraph,
     build_gamma,
     deserialize,
     edge_keys_membership,
     file_checksum,
-    membership_graph,
+    key_index,
     orbit_labels,
     serialize,
     stats,
@@ -20,9 +21,9 @@ from sosgraphs.graph import (
     weyl_orbit_labels,
 )
 from sosgraphs.roots import build_root_system, encode_rows, parse_label, reflect, reflect_rows
-from sosgraphs.sos import vertex_set
+from sosgraphs.sos import VertexSet, vertex_set
 
-from oracles import closure, closure_orbit_labels
+from oracles import closure, closure_orbit_labels, csr_stats
 
 # (|V|, |E|, min deg, max deg, components) rows
 TIER1 = {
@@ -52,6 +53,26 @@ def test_tier1_parameters(label, k, gamma):
     assert (s.n, s.m, s.min_degree, s.max_degree, s.component_count) == (
         n, m, dmin, dmax, cc,
     )
+
+
+@pytest.mark.parametrize("label,k", sorted(TIER1))
+def test_quotient_stats_match_csr_oracle(label, k, gamma, mgraph):
+    """Every GraphStats field, from the orbit quotient on both graph views,
+    equals the one read off the explicit CSR edge list."""
+    want = csr_stats(gamma(label, k))
+    assert stats(mgraph(label, k)) == want
+    assert stats(gamma(label, k)) == want
+
+
+def test_odd_weighted_degree_sum_raises():
+    """One orbit of 3 vertices whose representative has degree 1."""
+    vs = VertexSet(label="G2", k=1, vectors=np.zeros((3, 3), dtype=np.int32),
+                   multiplicity=np.ones(3, dtype=np.int64))
+    g = SOSGraph(label="G2", k=1, vertices=vs, indptr=np.array([0, 1, 2, 2]),
+                 indices=np.array([1, 0], dtype=np.int32),
+                 orbit_label=np.zeros(3, dtype=np.int32))
+    with pytest.raises(ArithmeticError, match="odd"):
+        stats(g)
 
 
 def test_e7_k3_isolated_vertices(gamma):
@@ -92,52 +113,6 @@ def test_block_size_independence():
         g = build_gamma(rs, 3, block_size=bs)
         assert np.array_equal(g.indptr, baseline.indptr)
         assert np.array_equal(g.indices, baseline.indices)
-
-
-def test_spill_path_equivalence(tmp_path):
-    rs = build_root_system("E6")
-    baseline = build_gamma(rs, 2)
-    spilled = build_gamma(
-        rs, 2, spill_pairs=100, spill_dir=str(tmp_path / "spill"), block_size=64
-    )
-    assert np.array_equal(spilled.indptr, baseline.indptr)
-    assert np.array_equal(spilled.indices, baseline.indices)
-    assert not (tmp_path / "spill").exists()  # cleaned up after assembly
-
-
-def test_threaded_build_equivalence():
-    rs = build_root_system("E6")
-    baseline = build_gamma(rs, 3)
-    threaded = build_gamma(rs, 3, threads=2, block_size=128)
-    assert np.array_equal(threaded.indptr, baseline.indptr)
-    assert np.array_equal(threaded.indices, baseline.indices)
-
-
-def test_checkpoint_resume(tmp_path, monkeypatch):
-    """A failed run leaves a checkpoint that a rerun picks up."""
-    import sosgraphs.graph as graphmod
-
-    rs = build_root_system("E6")
-    baseline = build_gamma(rs, 2)
-    spill = tmp_path / "ckpt"
-    real = graphmod._block_edges
-    calls = {"n": 0}
-
-    def failing(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise MemoryError("injected")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(graphmod, "_block_edges", failing)
-    with pytest.raises(GammaBuildError) as info:
-        build_gamma(rs, 2, spill_pairs=100, spill_dir=str(spill), block_size=64)
-    assert info.value.checkpoint == str(spill)
-    assert (spill / "state.json").exists()
-    monkeypatch.setattr(graphmod, "_block_edges", real)
-    resumed = build_gamma(rs, 2, spill_pairs=100, spill_dir=str(spill), block_size=64)
-    assert np.array_equal(resumed.indptr, baseline.indptr)
-    assert np.array_equal(resumed.indices, baseline.indices)
 
 
 def test_membership_graph_neighbors_match(gamma, mgraph):
@@ -260,6 +235,13 @@ def test_orbit_labels_numbered_by_lowest_index():
     assert orbit_labels([np.empty(0, dtype=np.int64)], 0).size == 0
 
 
+def test_key_index_positions_or_minus_one():
+    keys = np.array([3, 8, 20], dtype=np.int64)
+    assert key_index(keys, np.array([20, 3, 4, 21, -1])).tolist() == [2, 0, -1, -1, -1]
+    assert key_index(keys, np.array([[8, 9], [3, 3]])).tolist() == [[1, -1], [0, 0]]
+    assert key_index(keys[:0], np.array([3])).tolist() == [-1]
+
+
 def test_vertex_permutation_rejects_escaping_images():
     keys = encode_rows(np.array([[0, 1], [1, 0]]))
     assert vertex_permutation(keys, np.array([[1, 0], [0, 1]])).tolist() == [1, 0]
@@ -284,12 +266,12 @@ def test_file_checksum_discriminates(tmp_path, gamma):
     assert file_checksum(p1) != file_checksum(p2)
 
 
-def test_empty_graph_beyond_max_sos():
+def test_empty_graph_beyond_max_sos(mgraph):
     rs = build_root_system("E6")
     g = build_gamma(rs, 5)
     assert g.n == 0 and g.edge_count == 0
-    s = stats(g)
-    assert s.component_count == 0
+    empty = GraphStats(0, 0, 0, 0, True, 0, (), 0)
+    assert stats(g) == stats(mgraph("E6", 5)) == csr_stats(g) == empty
 
 
 def test_to_dot_f4k4(gamma):

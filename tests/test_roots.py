@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -8,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosgraphs.roots import (
+    KEY_BASE,
+    KEY_SHIFT,
     RootSystemError,
     build_root_system,
-    cartan_integer,
     dot,
-    inner_product,
-    is_root,
+    encode_rows,
     negate,
     parse_label,
     reflect,
-    reflection_matrix,
-    root_system_from_json,
-    root_system_to_json,
     strongly_orthogonal,
     sub,
 )
@@ -105,20 +101,20 @@ def test_inner_product_examples():
     # true <e1+e2, e1-e2> = 0
     v = (2, 2, 0, 0, 0, 0, 0, 0)
     w = (2, -2, 0, 0, 0, 0, 0, 0)
-    assert inner_product(v, w) == 0
+    assert dot(v, w) == 0
     # true <e1+e2, e1+e3> = 1, doubled-coordinate value 4
-    assert inner_product((2, 2, 0, 0, 0, 0, 0, 0), (2, 0, 2, 0, 0, 0, 0, 0)) == 4
+    assert dot((2, 2, 0, 0, 0, 0, 0, 0), (2, 0, 2, 0, 0, 0, 0, 0)) == 4
     with pytest.raises(RootSystemError):
-        inner_product((2, 0), (2, 0, 0))
+        dot((2, 0), (2, 0, 0))
 
 
 def test_is_root_examples():
     e8 = build_root_system("E8")
-    assert is_root(e8, (2, 2, 0, 0, 0, 0, 0, 0))
+    assert (2, 2, 0, 0, 0, 0, 0, 0) in e8.root_set
     f4 = build_root_system("F4")
-    assert not is_root(f4, (4, 0, 0, 0))  # 2*e1 has norm 4, not a root
-    assert not is_root(f4, (0, 0, 0, 0))
-    assert not is_root(e8, (0,) * 8)
+    assert (4, 0, 0, 0) not in f4.root_set  # 2*e1 has norm 4, not a root
+    assert (0, 0, 0, 0) not in f4.root_set
+    assert (0,) * 8 not in e8.root_set
 
 
 def test_strongly_orthogonal_examples():
@@ -142,7 +138,7 @@ def test_cartan_integers_all_pairs(label):
     rs = build_root_system(label)
     for alpha in rs.roots:
         for beta in rs.roots:
-            cartan_integer(alpha, beta)  # raises on non-integrality
+            reflect(alpha, beta)  # raises on a non-integral Cartan number
 
 
 def test_simply_laced_orthogonality_is_strong():
@@ -190,25 +186,16 @@ def test_orbit_closure_e7_level4():
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E8"])
 def test_reflection_matrix_properties(label):
+    """Each simple reflection is an involution that preserves the doubled
+    inner product and maps the root set onto itself."""
     rs = build_root_system(label)
-    n = rs.ambient_dim
     for alpha in rs.simple_roots:
-        m = reflection_matrix(alpha)
-        # involution: m @ m == identity
-        square = [
-            [sum(m[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert square == [
-            [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-        ]
-        # orthogonal: preserves the doubled inner product on roots
-        for r in rs.roots[:20]:
-            img = tuple(sum(m[i][j] * r[j] for j in range(n)) for i in range(n))
-            assert all(x.denominator == 1 for x in img)
-            img_int = tuple(int(x) for x in img)
-            assert dot(img_int, img_int) == dot(r, r)
-            assert img_int == reflect(alpha, r)
+        assert reflect(alpha, alpha) == negate(alpha)
+        for r in rs.roots:
+            img = reflect(alpha, r)
+            assert reflect(alpha, img) == r
+            assert dot(img, img) == dot(r, r)
+            assert img in rs.root_set
 
 
 def test_reflect_rejects_off_lattice():
@@ -218,10 +205,14 @@ def test_reflect_rejects_off_lattice():
         reflect(long_root, (1, 0, 0))
 
 
-def test_json_round_trip():
-    rs = build_root_system("F4")
-    again = root_system_from_json(root_system_to_json(rs))
-    assert again == rs
+def test_encode_rows_rejects_coordinates_outside_the_digit_range():
+    lo, hi = -KEY_SHIFT, KEY_BASE - KEY_SHIFT
+    lex_sorted = np.array([[lo, 0], [lo, hi - 1], [0, lo], [hi - 1, hi - 1]])
+    assert (np.diff(encode_rows(lex_sorted)) > 0).all()
+    for bad in (lo - 1, hi):
+        with pytest.raises(ValueError, match="digit range"):
+            encode_rows(np.array([[0, 0], [0, bad]]))
+    assert encode_rows(np.empty((0, 3), dtype=np.int64)).size == 0
 
 
 @given(st.sampled_from(["G2", "F4", "E6", "E7", "E8"]), st.data())

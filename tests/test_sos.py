@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from sosgraphs.roots import build_root_system, negate, reflect, strongly_orthogonal
 from sosgraphs.sos import (
     enumerate_sos,
-    read_vertex_set,
     sos_count,
     strong_orthogonality_graph,
     vertex_set,
-    write_vertex_set,
 )
 
 # |V| column of the census table
@@ -146,18 +144,6 @@ def test_reflections_permute_sos(label, data):
     all_sos = {frozenset(s) for s in enumerate_sos(rs, k)}
     mapped = {frozenset(reflect(alpha, r) for r in s) for s in all_sos}
     assert mapped == all_sos
-
-
-def test_vertex_set_file_round_trip(tmp_path):
-    vs = vertex_set(build_root_system("F4"), 2)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    write_vertex_set(vs, p1)
-    again = read_vertex_set(p1)
-    assert again.label == vs.label and again.k == vs.k
-    assert np.array_equal(again.vectors, vs.vectors)
-    assert np.array_equal(again.multiplicity, vs.multiplicity)
-    write_vertex_set(again, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_vertex_rows_sorted_lexicographically():

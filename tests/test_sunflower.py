@@ -1,4 +1,3 @@
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -17,7 +16,6 @@ from sosgraphs.sunflower import (
     pairwise_is_sunflower,
     perm_orbit_labels,
     permutation_subgroup,
-    rebase_vertices,
 )
 
 from oracles import closure_orbit_labels
@@ -207,37 +205,6 @@ def test_some_weyl_element_breaks_the_sunflower_property(mgraph):
                 if not is_sunflower(image).is_sunflower:
                     return
     pytest.fail("no reflection changed any sunflower verdict")
-
-
-def test_rebase_identity(mgraph):
-    g = mgraph("G2", 2)
-    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    rebased = rebase_vertices(g, identity)
-    assert [tuple(int(x) for x in r) for r in rebased] == g.vertices.as_tuples()
-
-
-def test_rebase_e6_simple_root_basis(mgraph):
-    """6D re-coordinatization: exact coefficients over the simple roots."""
-    rs = build_root_system("E6")
-    g = mgraph("E6", 1)
-    rebased = rebase_vertices(g, [list(r) for r in rs.simple_roots])
-    assert len(rebased) == g.n
-    assert all(len(r) == 6 for r in rebased)
-    assert all(x.denominator == 1 for r in rebased for x in r)
-    # verdicts generally change with the basis, clique structure does not;
-    # spot-check that classification still runs on the rebased labels
-    assert is_sunflower([rebased[0], rebased[1]]).column_profile is not None
-
-
-def test_rebase_errors(mgraph):
-    g = mgraph("G2", 2)
-    with pytest.raises(ValueError, match="invertible"):
-        rebase_vertices(g, [[1, 0, 0], [2, 0, 0]])
-    with pytest.raises(ValueError, match="span"):
-        rebase_vertices(g, [[1, 0, 0]])
-    half = [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]]
-    rebased = rebase_vertices(g, half)
-    assert rebased[0][0] == 2 * g.vertices.vectors[0][0]
 
 
 def test_census_totals_match_clique_module(mgraph):
