@@ -2,8 +2,9 @@
 """Reproduce the full census end to end and write the three report tables.
 
 Tier 1 covers the small graphs (seconds); tier 2 adds the E7 k>=4 and
-E8 k>=3 parameter rows and every E8 clique count. Graph parameters come
-from the Weyl-orbit quotient (`graph.stats`), so no row builds edges.
+E8 k>=3 parameter rows and every E8 clique and sunflower count. Graph
+parameters come from the Weyl-orbit quotient (`graph.stats`), so no row
+builds edges.
 
 Usage:
     python scripts/run_census.py --tier 2 --out-dir reports/
@@ -81,9 +82,8 @@ def main() -> int:
             census = cliquemod.count_maximum_cliques(g)
             omega_rows.append([label, k, census.omega])
             count_rows.append([label, k, census.total_maximum_cliques])
-            expensive_sunflower = label == "E8" and k in (4, 5, 6, 7)
-            if census.omega > 1 and not expensive_sunflower:
-                sf = sunmod.count_sunflower_max_cliques(g, rs, census.omega)
+            if census.omega > 1:
+                sf = sunmod.count_sunflower_max_cliques(g, rs, census)
                 sunflower_rows.append([
                     label, k, sf.total_maximum_cliques, sf.sunflower_cliques,
                     sf.percentage_str(),

@@ -61,7 +61,8 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def cmd_build(args) -> int:
+def _system(args):
+    """The root system named by --system; warns when --k leaves the graph empty."""
     rs = parse_label(args.system)
     if args.k > rs.max_sos_size:
         print(
@@ -69,6 +70,11 @@ def cmd_build(args) -> int:
             "graph is empty",
             file=sys.stderr,
         )
+    return rs
+
+
+def cmd_build(args) -> int:
+    rs = _system(args)
     path = cache_path(args, rs.label, args.k)
     try:
         before = graphmod.file_checksum(path) if path.exists() else None
@@ -109,7 +115,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    rs = parse_label(args.system)
+    rs = _system(args)
     g = graphmod.membership_graph(rs, args.k)
     census = cliquemod.count_maximum_cliques(g)
     payload = {
@@ -136,7 +142,7 @@ def cmd_cliques(args) -> int:
 
 
 def cmd_sunflowers(args) -> int:
-    rs = parse_label(args.system)
+    rs = _system(args)
     g = graphmod.membership_graph(rs, args.k)
     census = sunmod.count_sunflower_max_cliques(g, rs)
     if args.format == "csv":
@@ -270,10 +276,15 @@ def cmd_verify(args) -> int:
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return int(lo), int(hi)
-    return int(text), int(text)
+    """K or LO-HI with LO <= HI; ValueError otherwise."""
+    lo, dash, hi = text.partition("-")
+    try:
+        bounds = int(lo), int(hi if dash else lo)
+    except ValueError:
+        raise ValueError(f"--k-range {text!r}: expected K or LO-HI with integer bounds") from None
+    if bounds[0] > bounds[1]:
+        raise ValueError(f"--k-range {text!r}: lower bound exceeds upper bound")
+    return bounds
 
 
 def _table_rows(args):

@@ -35,9 +35,9 @@ from sosgraphs.graph import (
     SOSGraph,
     key_index,
     orbit_labels,
-    vertex_permutation,
+    reflection_permutations,
 )
-from sosgraphs.roots import encode_rows, key_offset, parse_label, reflect_rows
+from sosgraphs.roots import key_offset, parse_label
 
 GraphLike = SOSGraph | MembershipGraph
 
@@ -64,6 +64,11 @@ def induced_bitrows(g: GraphLike, vertex_ids: np.ndarray) -> list[int]:
     sub = keys[ids]
     adj = key_index(keys, sub[:, None] - sub[None, :] + key_offset(g.vertices.dim)) >= 0
     np.fill_diagonal(adj, False)
+    return bitrows(adj)
+
+
+def bitrows(adj: np.ndarray) -> list[int]:
+    """Python-int rows of a square boolean matrix: bit j of row i is adj[i, j]."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -197,40 +202,6 @@ def collect_cliques_of_size(rows: list[int], cand: int, t: int) -> np.ndarray:
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
-def maximal_clique_size_counts(rows: list[int], cand: int) -> Counter:
-    """Counts of maximal cliques by size (pivoted Bron-Kerbosch)."""
-    counts: Counter = Counter()
-
-    def rec(size: int, p: int, x: int):
-        if p == 0:
-            if x == 0:
-                counts[size] += 1
-            return
-        both = p | x
-        c = both
-        best_u = -1
-        best_n = -1
-        while c:
-            b = c & -c
-            u = b.bit_length() - 1
-            c ^= b
-            nu = (p & rows[u]).bit_count()
-            if nu > best_n:
-                best_n, best_u = nu, u
-        todo = p & ~rows[best_u]
-        while todo:
-            b = todo & -todo
-            v = b.bit_length() - 1
-            todo ^= b
-            rec(size + 1, p & rows[v], x & rows[v])
-            p ^= b
-            x |= b
-
-    if cand:
-        rec(0, cand, 0)
-    return counts
-
-
 def enumerate_maximal_cliques(rows: list[int], cand: int):
     """Yield every maximal clique as a sorted index tuple (Bron-Kerbosch)."""
     chosen: list[int] = []
@@ -266,6 +237,11 @@ def enumerate_maximal_cliques(rows: list[int], cand: int):
         yield from rec(cand, 0)
 
 
+def maximal_clique_size_counts(rows: list[int], cand: int) -> Counter:
+    """Counts of maximal cliques by size."""
+    return Counter(map(len, enumerate_maximal_cliques(rows, cand)))
+
+
 def _full_mask(count: int) -> int:
     return (1 << count) - 1
 
@@ -282,9 +258,7 @@ def stabilizer_orbits(g: GraphLike, v: int, nb: np.ndarray) -> tuple[list[int], 
     rs = parse_label(g.label)
     positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
     perp = positive[positive @ g.vertices.vectors[v].astype(np.int64) == 0]
-    sub = g.vertices.vectors[nb].astype(np.int64)
-    keys = encode_rows(sub)
-    labels = orbit_labels([vertex_permutation(keys, reflect_rows(sub, a)) for a in perp], nb.size)
+    labels = orbit_labels(reflection_permutations(perp, g.vertices.vectors[nb]), nb.size)
     return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
 
 

@@ -213,20 +213,20 @@ def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
 
-def _reflection_permutations(rs: RootSystem, vertices: VertexSet) -> list[np.ndarray]:
-    """The simple reflections of W as vertex permutations.
+def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
+    """The reflections in roots as permutations of lex-sorted rows.
 
-    Reflections must map the vertex set onto itself (they do, since SOS
-    map to SOS).
+    Each reflection must map the rows onto themselves (SOS sums map to SOS
+    sums); an image outside raises GroupActionError.
     """
-    rows = vertices.vectors.astype(np.int64)
+    rows = rows.astype(np.int64)
     keys = encode_rows(rows)
-    return [vertex_permutation(keys, reflect_rows(rows, alpha)) for alpha in rs.simple_roots]
+    return [vertex_permutation(keys, reflect_rows(rows, alpha)) for alpha in roots]
 
 
 def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
     """Per-vertex Weyl orbit ids, numbered by their lex-least vertex."""
-    return orbit_labels(_reflection_permutations(rs, vertices), len(vertices))
+    return orbit_labels(reflection_permutations(rs.simple_roots, vertices.vectors), len(vertices))
 
 
 def membership_graph(rs: RootSystem, k: int) -> MembershipGraph:
@@ -300,7 +300,7 @@ def _quotient_components(g: SOSGraph | MembershipGraph, reps: list[int], hoods) 
     each simple reflection s until the labels L stop changing.
     """
     n = g.n
-    perms = _reflection_permutations(parse_label(g.label), g.vertices)
+    perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
     every = np.arange(n, dtype=np.int64)
     labels = every

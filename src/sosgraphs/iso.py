@@ -12,10 +12,10 @@ from sosgraphs.graph import (
     edge_keys_membership,
     key_index,
     membership_graph,
+    reflection_permutations,
     stats,
-    vertex_permutation,
 )
-from sosgraphs.roots import RootSystem, encode_rows, key_offset, reflect_rows
+from sosgraphs.roots import RootSystem, encode_rows, key_offset
 from sosgraphs.sos import vertex_set
 
 EXHAUSTIVE_PAIR_LIMIT = 10_000_000
@@ -83,8 +83,7 @@ def check_weyl_automorphism(
         report["seed"] = seed
         report["sample_pairs"] = sample_pairs
     off = key_offset(g.vertices.dim)
-    for idx, alpha in enumerate(rs.simple_roots):
-        perm = vertex_permutation(keys, reflect_rows(g.vertices.vectors, alpha))
+    for idx, perm in enumerate(reflection_permutations(rs.simple_roots, g.vertices.vectors)):
         if exhaustive:
             adj = key_index(keys, keys[:, None] - keys[None, :] + off) >= 0
             ok = bool(np.array_equal(adj, adj[np.ix_(perm, perm)]))

@@ -204,21 +204,18 @@ def _d_roots(rank: int) -> list[RootVector]:
     return roots
 
 
-def _simple_roots(roots: list[RootVector], rank: int) -> tuple[RootVector, ...]:
-    """Deterministic base: lex-positive roots not expressible as a sum of two.
+def simple_roots_of(roots) -> tuple[RootVector, ...]:
+    """Deterministic base of a root system or subsystem: the lex-positive
+    roots not expressible as a sum of two lex-positive roots.
 
     Any valid base generates the Weyl group, which is all the base is used
     for; the lex functional makes the choice reproducible.
     """
     positive = {r for r in roots if r > tuple([0] * len(r))}
-    simple = []
-    for alpha in positive:
-        if not any(sub(alpha, beta) in positive for beta in positive if beta != alpha):
-            simple.append(alpha)
-    simple.sort()
-    if len(simple) != rank:
-        raise RootSystemError(f"base extraction found {len(simple)} simple roots, expected {rank}")
-    return tuple(simple)
+    return tuple(sorted(
+        alpha for alpha in positive
+        if not any(sub(alpha, beta) in positive for beta in positive if beta != alpha)
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +265,9 @@ def build_root_system(label: str, rank: int | None = None) -> RootSystem:
     roots = sorted(set(roots))
     if len(roots) != rk * h:
         raise RootSystemError(f"{label}: got {len(roots)} roots, expected {rk * h}")
-    simple = _simple_roots(roots, rk)
+    simple = simple_roots_of(roots)
+    if len(simple) != rk:
+        raise RootSystemError(f"base extraction found {len(simple)} simple roots, expected {rk}")
     return RootSystem(
         label=label if rank is None else f"{label}{rank}",
         rank=rk,

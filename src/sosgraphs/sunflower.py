@@ -2,9 +2,21 @@
 
 A clique is a sunflower when the columns of its vertex-vector matrix are
 core columns (no zero entry), petal columns (one non-zero entry) or zero
-columns, with a non-empty core. Coordinate permutations preserve this,
-so totals are assembled from one representative per permutation orbit,
-weighted by orbit size and divided (exactly) by the clique size.
+columns, with a non-empty core.
+
+The census counts sunflowers without listing cliques. The reflections in
+the positive roots with one non-zero coordinate, or two of equal
+absolute value, are signed coordinate permutations; they generate the
+support-preserving subgroup H of W (W(D8) in E8, W(B4) in F4), whose
+elements map supports to supports and sunflowers to sunflowers. So the
+sunflowers through one vertex v per H-orbit, weighted by orbit size, sum
+to omega times the total, and that division must be exact.
+
+Once v is fixed the condition is pairwise: {v} + C is a sunflower exactly
+when every w in C has the same non-empty core K = supp(v) & supp(w) and
+the petals supp(w) - K are pairwise disjoint. So N(v) splits by K, each
+part keeps only the edges between petal-disjoint neighbors, and the
+(omega-1)-cliques of each part are counted.
 """
 
 from __future__ import annotations
@@ -15,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from sosgraphs.clique import (
+    CliqueCensus,
     GraphLike,
-    clique_number,
-    collect_cliques_of_size,
+    bitrows,
+    count_cliques_of_size_bitset,
+    count_maximum_cliques,
     induced_bitrows,
 )
-from sosgraphs.graph import orbit_labels, vertex_permutation
-from sosgraphs.roots import RootSystem, RootSystemError
+from sosgraphs.graph import orbit_labels, reflection_permutations
+from sosgraphs.roots import RootSystem, RootVector, simple_roots_of
 from sosgraphs.sos import VertexSet
 
 
@@ -77,130 +91,73 @@ def pairwise_is_sunflower(vectors) -> bool:
     return len(inters) == 1 and bool(next(iter(inters)))
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    """Coordinate permutations inside the Weyl group, given by generators.
-
-    Each generator is a tuple perm with image[i] = vector[perm[i]]; all
-    generators are validated to map the root set onto itself.
-    """
-
-    label: str
-    dim: int
-    generators: tuple[tuple[int, ...], ...]
-    order: int
+def signed_permutation_roots(rs: RootSystem) -> tuple[RootVector, ...]:
+    """Generators of H: the simple roots of the subsystem of roots whose
+    reflections are signed coordinate permutations (one non-zero
+    coordinate, or two of equal absolute value)."""
+    return simple_roots_of(
+        alpha for alpha in rs.roots
+        if len({abs(x) for x in alpha if x}) == 1 and sum(1 for x in alpha if x) <= 2
+    )
 
 
-def _transposition(dim: int, i: int, j: int) -> tuple[int, ...]:
-    perm = list(range(dim))
-    perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
+def perm_orbit_labels(roots, vertices: VertexSet) -> np.ndarray:
+    """Orbit id per vertex under the reflections in roots, numbered by lowest index."""
+    return orbit_labels(reflection_permutations(roots, vertices.vectors), len(vertices))
 
 
-def _adjacent_transpositions(dim: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    return [_transposition(dim, i, i + 1) for i in range(lo, hi)]
+def _support_masks(rows: np.ndarray) -> np.ndarray:
+    """Support of each row as a bit mask over the coordinates."""
+    return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
 
 
-def apply_perm(perm: tuple[int, ...], v) -> tuple:
-    return tuple(v[p] for p in perm)
+def sunflowers_through(g: GraphLike, v: int, omega: int) -> int:
+    """Number of sunflower maximum cliques (of size omega >= 2) containing v."""
+    nb = g.neighbors(v)
+    masks = _support_masks(g.vertices.vectors[np.append(nb, v)])
+    cores = masks[:-1] & masks[-1]
+    count = 0
+    for core in np.unique(cores[cores != 0]).tolist():
+        part = cores == core
+        petals = masks[:-1][part] & ~core
+        disjoint = bitrows((petals[:, None] & petals[None, :]) == 0)
+        rows = [a & b for a, b in zip(induced_bitrows(g, nb[part]), disjoint)]
+        count += count_cliques_of_size_bitset(rows, (1 << len(rows)) - 1, omega - 1)
+    return count
 
 
-def permutation_subgroup(rs: RootSystem) -> PermGroup:
-    """The coordinate-permutation subgroup of the Weyl group.
-
-    E8: all of S8. E7 (x1 + x8 = 0): swap of coordinates 1, 8 times S6 on
-    2..7. E6 (x1 + x7 = x1 + x8 = 0): S5 on 2..6. F4: S4. G2: S3 on the
-    three ambient coordinates.
-    """
-    dim = rs.ambient_dim
-    if rs.label == "E8":
-        gens = _adjacent_transpositions(8, 0, 7)
-        order = 40320
-    elif rs.label == "E7":
-        gens = [_transposition(8, 0, 7)] + _adjacent_transpositions(8, 1, 6)
-        order = 2 * 720
-    elif rs.label == "E6":
-        gens = _adjacent_transpositions(8, 1, 5)
-        order = 120
-    elif rs.label == "F4":
-        gens = _adjacent_transpositions(4, 0, 3)
-        order = 24
-    elif rs.label == "G2":
-        gens = _adjacent_transpositions(3, 0, 2)
-        order = 6
-    else:
-        raise RootSystemError(f"no permutation subgroup table for {rs.label}")
-    for perm in gens:
-        if {apply_perm(perm, r) for r in rs.roots} != rs.root_set:
-            raise RootSystemError(
-                f"{rs.label}: generator {perm} does not preserve the root set; "
-                "coordinatization mismatch"
-            )
-    return PermGroup(label=rs.label, dim=dim, generators=tuple(gens), order=order)
-
-
-def perm_orbit_labels(group: PermGroup, vertices: VertexSet) -> np.ndarray:
-    """Orbit id per vertex under the permutation group, numbered by lowest index."""
-    keys = vertices.keys()
-    perms = [vertex_permutation(keys, vertices.vectors[:, list(p)]) for p in group.generators]
-    return orbit_labels(perms, len(vertices))
-
-
-def _sunflower_count_batch(nonzero: np.ndarray, cliques: np.ndarray, p: int) -> int:
-    """Count sunflower cliques in a (batch, p) array of vertex indices."""
-    profile = nonzero[cliques].sum(axis=1)
-    ok = ((profile == 0) | (profile == 1) | (profile == p)).all(axis=1)
-    ok &= (profile == p).any(axis=1)
-    return int(ok.sum())
+def orbit_weighted_sunflowers(g: GraphLike, roots, omega: int) -> int:
+    """Sunflower maximum cliques (of size omega >= 2) from one vertex per
+    orbit of the reflections in roots, weighted by orbit size and divided
+    exactly by omega (ArithmeticError otherwise)."""
+    labels = perm_orbit_labels(roots, g.vertices)
+    reps = np.unique(labels, return_index=True)[1].tolist()
+    weighted = sum(
+        size * sunflowers_through(g, v, omega)
+        for size, v in zip(np.bincount(labels).tolist(), reps)
+    )
+    sunflowers, rem = divmod(weighted, omega)
+    if rem:
+        raise ArithmeticError(f"orbit-weighted sunflower count {weighted} not divisible by {omega}")
+    return sunflowers
 
 
 def count_sunflower_max_cliques(
-    g: GraphLike, rs: RootSystem, omega: int | None = None
+    g: GraphLike, rs: RootSystem, census: CliqueCensus | None = None
 ) -> SunflowerCensus:
-    """Sunflower totals by permutation-orbit weighting; exact division.
+    """Sunflower totals by H-orbit weighting; exact division by omega.
 
-    For each orbit representative v, every maximum clique through v is
-    enumerated as v plus an (omega-1)-clique in the neighborhood graph and
-    classified by column profile; singleton "cliques" of edgeless graphs
-    are never classified as sunflowers.
+    omega and the maximum-clique total come from the two-level census of
+    g (computed when not given); singleton "cliques" of edgeless graphs
+    are never sunflowers.
     """
-    if omega is None:
-        omega = clique_number(g)
-    if omega == 0:
-        return SunflowerCensus(omega=0, total_maximum_cliques=0, sunflower_cliques=0)
-    group = permutation_subgroup(rs)
-    labels = perm_orbit_labels(group, g.vertices)
-    orbit_sizes = np.bincount(labels)
-    total_weighted = 0
-    sunflower_weighted = 0
-    nonzero = (g.vertices.vectors != 0).astype(np.int8)
-    reps = np.unique(labels, return_index=True)[1].tolist()
-    for lab, rep in enumerate(reps):
-        size = int(orbit_sizes[lab])
-        if omega == 1:
-            total_weighted += size
-            continue
-        nb = g.neighbors(rep)
-        if nb.size < omega - 1:
-            continue
-        rows = induced_bitrows(g, nb)
-        locals_ = collect_cliques_of_size(rows, (1 << nb.size) - 1, omega - 1)
-        if locals_.shape[0] == 0:
-            continue
-        cliques = np.empty((locals_.shape[0], omega), dtype=np.int64)
-        cliques[:, 0] = rep
-        cliques[:, 1:] = nb[locals_]
-        total_weighted += size * cliques.shape[0]
-        sunflower_weighted += size * _sunflower_count_batch(nonzero, cliques, omega)
-    total, rem = divmod(total_weighted, omega)
-    if rem:
-        raise ArithmeticError("weighted maximum-clique count not divisible by omega")
-    sunflowers, rem = divmod(sunflower_weighted, omega)
-    if rem:
-        raise ArithmeticError("weighted sunflower count not divisible by omega")
-    return SunflowerCensus(
-        omega=omega, total_maximum_cliques=total, sunflower_cliques=sunflowers
-    )
+    if census is None:
+        census = count_maximum_cliques(g)
+    omega = census.omega
+    sunflowers = 0
+    if omega >= 2:
+        sunflowers = orbit_weighted_sunflowers(g, signed_permutation_roots(rs), omega)
+    return SunflowerCensus(omega, census.total_maximum_cliques, sunflowers)
 
 
 def count_sunflowers_direct(g: GraphLike, cliques) -> int:

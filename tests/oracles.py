@@ -5,6 +5,8 @@ Python tuples and a dict, with no keys and no searchsorted.
 single_level_census is the one-level orbit reduction: one vertex per
 W-orbit, counting every (omega-1)-clique of its neighborhood directly.
 csr_stats reads the graph parameters off the explicit edge list.
+enumerated_sunflower_census lists every maximum clique through one vertex
+per coordinate-permutation orbit and classifies each by its column profile.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from sosgraphs.clique import (
+    clique_number,
+    collect_cliques_of_size,
     count_cliques_of_size_bitset,
     induced_bitrows,
     max_clique_size_bitset,
 )
 from sosgraphs.graph import GraphStats
+from sosgraphs.sunflower import perm_orbit_labels
 
 
 def closure(seeds, maps) -> set:
@@ -102,3 +107,45 @@ def csr_stats(g) -> GraphStats:
         component_sizes=sizes,
         isolated_vertex_count=int((deg == 0).sum()),
     )
+
+
+def plain_permutation_roots(rs) -> list:
+    """The positive roots a(e_i - e_j): their reflections swap two coordinates."""
+    return [alpha for alpha in rs.roots[len(rs.roots) // 2 :]
+            if sum(1 for x in alpha if x) == 2 and sum(alpha) == 0]
+
+
+def _exact(weighted: int, omega: int) -> int:
+    quotient, rem = divmod(weighted, omega)
+    if rem:
+        raise ArithmeticError(f"weighted count {weighted} not divisible by {omega}")
+    return quotient
+
+
+def enumerated_sunflower_census(g, rs) -> tuple[int, int, int]:
+    """(omega, maximum cliques, sunflowers) by listing cliques, unpruned.
+
+    Every maximum clique through one vertex per coordinate-permutation
+    orbit is listed and classified by its column profile; both weighted
+    sums must divide exactly by omega.
+    """
+    omega = clique_number(g)
+    if omega == 0:
+        return 0, 0, 0
+    labels = perm_orbit_labels(plain_permutation_roots(rs), g.vertices)
+    reps = np.unique(labels, return_index=True)[1].tolist()
+    nonzero = (g.vertices.vectors != 0).astype(np.int8)
+    total = sunflowers = 0
+    for size, rep in zip(np.bincount(labels).tolist(), reps):
+        if omega == 1:
+            total += size
+            continue
+        nb = g.neighbors(rep)
+        local = collect_cliques_of_size(induced_bitrows(g, nb), (1 << nb.size) - 1, omega - 1)
+        cliques = np.column_stack([np.full(local.shape[0], rep), nb[local]])
+        profile = nonzero[cliques].sum(axis=1)
+        ok = ((profile == 0) | (profile == 1) | (profile == omega)).all(axis=1)
+        ok &= (profile == omega).any(axis=1)
+        total += size * local.shape[0]
+        sunflowers += size * int(ok.sum())
+    return omega, _exact(total, omega), _exact(sunflowers, omega)

@@ -28,6 +28,22 @@ def test_build_warns_beyond_max_sos(cli_cache, capsys):
     assert json.loads(out)["n"] == 0
 
 
+@pytest.mark.parametrize("command", ["cliques", "sunflowers"])
+def test_census_warns_beyond_max_sos(cli_cache, capsys, command):
+    code, out, err = run(capsys, command, "--system", "E6", "--k", "5")
+    assert code == 0
+    assert err == "warning: k=5 exceeds max SOS size 4 for E6; graph is empty\n"
+    payload = json.loads(out)
+    assert payload["omega"] == 0 and payload["k"] == 5
+
+
+@pytest.mark.parametrize("k_range", ["3-1", "x", "1-", "2-y"])
+def test_table_rejects_bad_k_range(cli_cache, capsys, k_range):
+    code, out, err = run(capsys, "table", "cliques", "--systems", "G2", "--k-range", k_range)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --k-range {k_range!r}: ")
+
+
 def test_stats_output(cli_cache, capsys, tmp_path):
     dot = tmp_path / "f4k4.dot"
     code, out, _ = run(capsys, "stats", "--system", "F4", "--k", "4", "--dot", str(dot))

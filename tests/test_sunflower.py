@@ -5,20 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosgraphs.clique import clique_number, enumerate_max_cliques_through
-from sosgraphs.roots import RootSystemError, build_root_system, reflect
+from sosgraphs import sunflower as sunmod
+from sosgraphs.clique import (
+    brute_force_maximum_cliques,
+    clique_number,
+    enumerate_max_cliques_through,
+)
+from sosgraphs.roots import build_root_system, parse_label, reflect
 from sosgraphs.sunflower import (
-    PermGroup,
-    apply_perm,
     count_sunflower_max_cliques,
     count_sunflowers_direct,
     is_sunflower,
     pairwise_is_sunflower,
     perm_orbit_labels,
-    permutation_subgroup,
+    signed_permutation_roots,
+    sunflowers_through,
 )
 
-from oracles import closure_orbit_labels
+from oracles import (
+    closure,
+    closure_orbit_labels,
+    enumerated_sunflower_census,
+    plain_permutation_roots,
+)
+from test_acceptance import SUNFLOWERS
 
 # (cliques, sunflowers, printed percentage)
 SUNFLOWER_ROWS = {
@@ -90,37 +100,50 @@ def test_column_characterization_matches_pairwise(vectors):
     assert is_sunflower(vectors).is_sunflower == pairwise_is_sunflower(vectors)
 
 
-PERM_ORDERS = {"G2": 6, "F4": 24, "E6": 120, "E7": 1440, "E8": 40320}
+# |H|: W(A2), W(B4), W(D5), W(A3), W(D4)
+H_ORDERS = {"G2": 6, "F4": 384, "E6": 1920, "A3": 24, "D4": 192}
 
 
-@pytest.mark.parametrize("label", sorted(PERM_ORDERS))
+def _d_base_on(coords, dim: int) -> set:
+    """The simple roots of D(l) placed on the given coordinates."""
+    out = set()
+    for root in build_root_system("D", len(coords)).simple_roots:
+        vec = [0] * dim
+        for c, x in zip(coords, root):
+            vec[c] = x
+        out.add(tuple(vec))
+    return out
+
+
+@pytest.mark.parametrize("label", sorted([*H_ORDERS, "E7", "E8"]))
 def test_permutation_subgroup_generators(label):
-    rs = build_root_system(label)
-    group = permutation_subgroup(rs)
-    assert group.order == PERM_ORDERS[label]
-    for perm in group.generators:
-        assert sorted(perm) == list(range(rs.ambient_dim))
-        assert {apply_perm(perm, r) for r in rs.roots} == rs.root_set
-    # closure of the generators reaches exactly the declared order
-    elems = {tuple(range(rs.ambient_dim))}
-    frontier = set(group.generators)
-    while frontier:
-        elems |= frontier
-        frontier = {
-            apply_perm(g, p) for g in group.generators for p in frontier
-        } - elems
-    assert len(elems) == group.order
-
-
-def test_permutation_subgroup_unknown_system():
-    with pytest.raises(RootSystemError):
-        permutation_subgroup(build_root_system("A", 3))
+    """The derived generators are signed coordinate permutations that keep
+    the root set, and they generate the expected group."""
+    rs = parse_label(label)
+    roots = signed_permutation_roots(rs)
+    dim = rs.ambient_dim
+    units = [tuple(2 * (i == j) for j in range(dim)) for i in range(dim)]
+    for alpha in roots:
+        images = [reflect(alpha, u) for u in units]
+        assert sorted(tuple(abs(x) for x in w) for w in images) == sorted(units)
+        assert {reflect(alpha, r) for r in rs.roots} == rs.root_set
+    # W(D8) and W(D6) x W(A1) are too large to close: compare the generators.
+    if label == "E8":
+        assert set(roots) == _d_base_on(range(8), 8)
+        return
+    if label == "E7":
+        assert set(roots) == _d_base_on(range(1, 7), 8) | {(2, 0, 0, 0, 0, 0, 0, -2)}
+        return
+    generic = tuple(range(2, 2 * dim + 2, 2))
+    orbit = closure([generic], [partial(reflect, alpha) for alpha in roots])
+    assert len(orbit) == H_ORDERS[label]
 
 
 def test_e7_level1_has_seven_perm_orbits(mgraph):
     rs = build_root_system("E7")
-    labels = perm_orbit_labels(permutation_subgroup(rs), mgraph("E7", 1).vertices)
-    assert labels.max() + 1 == 7
+    vs = mgraph("E7", 1).vertices
+    assert perm_orbit_labels(plain_permutation_roots(rs), vs).max() + 1 == 7
+    assert perm_orbit_labels(signed_permutation_roots(rs), vs).max() + 1 == 3
 
 
 TIER1_ROWS = [
@@ -132,16 +155,15 @@ TIER1_ROWS = [
 
 @pytest.mark.parametrize("label,k", TIER1_ROWS)
 def test_perm_labels_match_closure_oracle(label, k, mgraph):
-    group = permutation_subgroup(build_root_system(label))
+    roots = signed_permutation_roots(build_root_system(label))
     vs = mgraph(label, k).vertices
-    maps = [partial(apply_perm, perm) for perm in group.generators]
-    assert perm_orbit_labels(group, vs).tolist() == closure_orbit_labels(vs.as_tuples(), maps)
+    maps = [partial(reflect, alpha) for alpha in roots]
+    assert perm_orbit_labels(roots, vs).tolist() == closure_orbit_labels(vs.as_tuples(), maps)
 
 
 def test_identity_only_group_gives_singleton_orbits(mgraph):
     g = mgraph("G2", 2)
-    identity = PermGroup(label="G2", dim=3, generators=((0, 1, 2),), order=1)
-    labels = perm_orbit_labels(identity, g.vertices)
+    labels = perm_orbit_labels([], g.vertices)
     assert sorted(labels.tolist()) == list(range(g.n))
 
 
@@ -155,24 +177,87 @@ def test_sunflower_census_rows(label, k, mgraph):
     assert census.percentage_str() == pct
 
 
-@pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 2), ("F4", 4), ("E6", 1)])
+@pytest.mark.parametrize("label,k", [
+    ("G2", 2), ("F4", 2), ("F4", 4), ("E6", 1),
+    ("A3", 1), ("A3", 2), ("D4", 1), ("D4", 2), ("D4", 3), ("D4", 4),
+])
 def test_census_agrees_with_direct_classification(label, k, mgraph):
     """Oracle: classify every brute-forced maximum clique directly."""
-    from sosgraphs.clique import brute_force_maximum_cliques
-
     g = mgraph(label, k)
-    rs = build_root_system(label)
     cliques = brute_force_maximum_cliques(g)
-    direct = count_sunflowers_direct(g, cliques)
-    census = count_sunflower_max_cliques(g, rs)
-    assert census.sunflower_cliques == direct
+    census = count_sunflower_max_cliques(g, parse_label(label))
+    assert census.sunflower_cliques == count_sunflowers_direct(g, cliques)
     assert census.total_maximum_cliques == len(cliques)
 
 
+# Rows the unpruned enumeration finishes in seconds; E8 k=3 takes about 30 s.
+ORACLE_ROWS = [
+    *((label, k) for label, k in sorted(SUNFLOWERS) if label != "E8"),
+    ("E8", 1), ("E8", 2),
+    pytest.param("E8", 3, marks=pytest.mark.slow),
+    pytest.param("E8", 8, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("label,k", ORACLE_ROWS)
+def test_census_matches_enumeration_oracle(label, k, mgraph):
+    g = mgraph(label, k)
+    rs = build_root_system(label)
+    census = count_sunflower_max_cliques(g, rs)
+    got = (census.omega, census.total_maximum_cliques, census.sunflower_cliques)
+    assert got == enumerated_sunflower_census(g, rs)
+    assert got[1:] == SUNFLOWERS[(label, k)][:2]
+
+
+def _random_clique_through(g, data) -> list[int]:
+    v = data.draw(st.integers(0, g.n - 1))
+    clique = [v]
+    cand = set(g.neighbors(v).tolist())
+    size = data.draw(st.integers(1, 7))
+    while cand and len(clique) < size:
+        w = data.draw(st.sampled_from(sorted(cand)))
+        clique.append(w)
+        cand &= set(g.neighbors(w).tolist())
+    return clique
+
+
+@pytest.mark.parametrize("label,k", [("F4", 3), ("E6", 3), ("E7", 4)])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_pairwise_core_petal_test_matches_column_profile(label, k, mgraph, data):
+    """With v fixed, {v} + C is a sunflower iff every w in C has one
+    non-empty core supp(v) & supp(w) and the petals are pairwise disjoint."""
+    g = mgraph(label, k)
+    clique = _random_clique_through(g, data)
+    if len(clique) < 2:
+        return
+    masks = sunmod._support_masks(g.vertices.vectors[clique]).tolist()
+    v, rest = masks[0], masks[1:]
+    cores = {v & w for w in rest}
+    core = cores.pop()
+    petals = [w & ~core for w in rest]
+    pairwise = not cores and core != 0 and all(
+        a & b == 0 for i, a in enumerate(petals) for b in petals[i + 1 :]
+    )
+    vectors = [tuple(int(x) for x in g.vertices.vectors[u]) for u in clique]
+    assert pairwise == is_sunflower(vectors).is_sunflower
+
+
+def test_non_divisible_sunflower_sum_raises(mgraph, monkeypatch):
+    """F4 k=1 has omega 7 and 48 vertices: one extra sunflower per vertex
+    adds 48 to the weighted sum, which 7 does not divide."""
+    real = sunmod.sunflowers_through
+    monkeypatch.setattr(sunmod, "sunflowers_through", lambda g, v, omega: real(g, v, omega) + 1)
+    with pytest.raises(ArithmeticError, match="sunflower count"):
+        count_sunflower_max_cliques(mgraph("F4", 1), build_root_system("F4"))
+
+
 def test_sf_constant_on_perm_orbits(mgraph):
-    g = mgraph("F4", 4)
+    """Per-vertex counts from listed cliques equal sunflowers_through and
+    are constant on every H-orbit."""
+    g = mgraph("F4", 3)
     rs = build_root_system("F4")
-    labels = perm_orbit_labels(permutation_subgroup(rs), g.vertices)
+    labels = perm_orbit_labels(signed_permutation_roots(rs), g.vertices)
     omega = clique_number(g)
     vecs = g.vertices.vectors
 
@@ -183,8 +268,11 @@ def test_sf_constant_on_perm_orbits(mgraph):
             count += is_sunflower(vt).is_sunflower
         return count
 
-    orbit0 = np.flatnonzero(labels == labels[0])
-    assert sf(int(orbit0[0])) == sf(int(orbit0[-1]))
+    per_vertex = np.array([sf(v) for v in range(g.n)])
+    assert per_vertex.tolist() == [sunflowers_through(g, v, omega) for v in range(g.n)]
+    for label in np.unique(labels):
+        assert len(set(per_vertex[labels == label].tolist())) == 1
+    assert per_vertex.any()
 
 
 def test_some_weyl_element_breaks_the_sunflower_property(mgraph):
