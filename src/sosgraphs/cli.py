@@ -276,12 +276,14 @@ def cmd_verify(args) -> int:
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
-    """K or LO-HI with LO <= HI; ValueError otherwise."""
+    """K or LO-HI with 1 <= LO <= HI; ValueError otherwise."""
     lo, dash, hi = text.partition("-")
     try:
         bounds = int(lo), int(hi if dash else lo)
     except ValueError:
         raise ValueError(f"--k-range {text!r}: expected K or LO-HI with integer bounds") from None
+    if bounds[0] < 1:
+        raise ValueError(f"--k-range {text!r}: k must be >= 1")
     if bounds[0] > bounds[1]:
         raise ValueError(f"--k-range {text!r}: lower bound exceeds upper bound")
     return bounds
@@ -291,7 +293,7 @@ def _table_rows(args):
     lo, hi = _parse_k_range(args.k_range)
     for label in args.systems:
         rs = parse_label(label)
-        for k in range(max(lo, 1), min(hi, rs.max_sos_size) + 1):
+        for k in range(lo, min(hi, rs.max_sos_size) + 1):
             yield rs, k
 
 

@@ -33,11 +33,10 @@ import numpy as np
 from sosgraphs.graph import (
     MembershipGraph,
     SOSGraph,
-    key_index,
     orbit_labels,
     reflection_permutations,
 )
-from sosgraphs.roots import key_offset, parse_label
+from sosgraphs.roots import key_index, key_offset, parse_label
 
 GraphLike = SOSGraph | MembershipGraph
 

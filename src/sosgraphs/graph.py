@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sosgraphs.roots import RootSystem, encode_rows, key_offset, parse_label, reflect_rows
+from sosgraphs.roots import (
+    RootSystem,
+    encode_rows,
+    key_index,
+    key_offset,
+    parse_label,
+    reflect_rows,
+)
 from sosgraphs.sos import VertexSet, vertex_set
 
 MAGIC = b"SOSG"
@@ -104,17 +111,6 @@ class GraphStats:
     component_count: int
     component_sizes: tuple[int, ...]
     isolated_vertex_count: int
-
-
-def key_index(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Position of each query key in the sorted key array, -1 where absent."""
-    query = np.asarray(query, dtype=np.int64)
-    if keys.size == 0:
-        return np.full(query.shape, -1, dtype=np.int64)
-    pos = np.searchsorted(keys, query)
-    np.minimum(pos, keys.size - 1, out=pos)
-    pos[keys[pos] != query] = -1
-    return pos
 
 
 def _blocks(n: int, size: int):

@@ -10,12 +10,11 @@ from sosgraphs.clique import induced_bitrows
 from sosgraphs.graph import (
     SOSGraph,
     edge_keys_membership,
-    key_index,
     membership_graph,
     reflection_permutations,
     stats,
 )
-from sosgraphs.roots import RootSystem, encode_rows, key_offset
+from sosgraphs.roots import RootSystem, encode_rows, key_index, key_offset
 from sosgraphs.sos import vertex_set
 
 EXHAUSTIVE_PAIR_LIMIT = 10_000_000

@@ -4,6 +4,10 @@ Every stored coordinate is twice the true value ("doubled coordinates"),
 so half-integer roots and F4 short roots are exact machine integers.
 Doubled inner products are 4x the true inner product; doubled squared
 norms of norm-2 roots equal 8.
+
+Lattice vectors are keyed by an order-preserving int64 codec
+(`encode_rows`, looked up with `key_index`), and `weyl_closure` closes a
+set of vectors under the simple reflections, orbit by orbit.
 """
 
 from __future__ import annotations
@@ -77,6 +81,17 @@ def encode_rows(rows: np.ndarray) -> np.ndarray:
         keys *= KEY_BASE
         keys += rows[:, j].astype(np.int64) + KEY_SHIFT
     return keys
+
+
+def key_index(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position of each query key in the sorted key array, -1 where absent."""
+    query = np.asarray(query, dtype=np.int64)
+    if keys.size == 0:
+        return np.full(query.shape, -1, dtype=np.int64)
+    pos = np.searchsorted(keys, query)
+    np.minimum(pos, keys.size - 1, out=pos)
+    pos[keys[pos] != query] = -1
+    return pos
 
 
 @dataclass(frozen=True)
@@ -298,3 +313,42 @@ def reflect_rows(rows: np.ndarray, alpha: RootVector) -> np.ndarray:
     if rem.any():
         raise RootSystemError("vector outside the root lattice")
     return rows - coeff[:, None] * a[None, :]
+
+
+def weyl_closure(seeds: np.ndarray, simple_roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closure of the seed rows under the reflections in simple_roots.
+
+    Returns the lex-sorted rows, their keys and an orbit id per row,
+    numbered by lowest row. Each orbit is a breadth-first search from its
+    lowest seed not yet reached; reflections are involutions, so an image
+    of BFS level d lies in level d-1, d or d+1, and a new level is checked
+    only against the two before it.
+    """
+    seed_rows = np.asarray(seeds, dtype=np.int64)
+    seed_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
+    seed_rows = seed_rows[first]
+    reached = np.zeros(seed_keys.size, dtype=bool)
+    # Empty heads keep the concatenations below valid when there are no seeds.
+    rows, keys, sizes = [seed_rows[:0]], [seed_keys[:0]], []
+    for start in range(seed_keys.size):
+        if reached[start]:
+            continue
+        before = seed_keys[:0]
+        level_rows, level_keys = seed_rows[start : start + 1], seed_keys[start : start + 1]
+        sizes.append(0)
+        while level_keys.size:
+            rows.append(level_rows)
+            keys.append(level_keys)
+            sizes[-1] += level_keys.size
+            reached |= key_index(level_keys, seed_keys) >= 0
+            images = np.concatenate([reflect_rows(level_rows, alpha) for alpha in simple_roots])
+            image_keys, first = np.unique(encode_rows(images), return_index=True)
+            fresh = (key_index(before, image_keys) < 0) & (key_index(level_keys, image_keys) < 0)
+            before = level_keys
+            level_rows, level_keys = images[first[fresh]], image_keys[fresh]
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    orbit = np.repeat(np.arange(len(sizes)), sizes)[order]
+    lowest = np.unique(orbit, return_index=True)[1]
+    orbit = np.unique(lowest[orbit], return_inverse=True)[1].astype(np.int32)
+    return np.concatenate(rows)[order], keys[order], orbit

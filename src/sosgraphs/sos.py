@@ -1,15 +1,27 @@
-"""Enumeration of strongly orthogonal subsets and their deduplicated sums.
+"""Strongly orthogonal subsets (SOS) and their deduplicated sums.
 
-SOS enumeration is ordered depth-first extension over bitset candidate
-rows indexed by lex-sorted root order, so streams are deterministic.
-Vertex sets for all depths up to k are collected in a single pass; sums
-are deduplicated through int64 keys and chunk-wise compaction to keep
-memory flat on the deep E8 levels.
+W acts on the SOS of each size, preserving strong orthogonality, and every
+supported system is irreducible, so W is transitive on the roots of each
+length. Every k-SOS is therefore W-conjugate to one through a fixed root
+theta of each length, and the vertex set V_k is the W-orbit closure of the
+seeds theta + sum(T), T a (k-1)-SOS among the roots strongly orthogonal to
+theta (the 126 roots of E7 when the system is E8).
+
+Multiplicities are counted, not enumerated. Counting the pairs (S, a) with
+a in S over the k-SOS S whose sum lies in a W-orbit O gives
+
+    k |O| mult(O) = sum over theta of |W theta| sum_{y in O} c_theta(y),
+
+where c_theta(y) is the number of (k-1)-SOS T with theta + sum(T) = y. The
+division is exact or the vertex set is wrong (ArithmeticError).
+
+enumerate_sos streams every SOS by depth-first extension over bitset
+candidate rows in lex root order; it is deterministic and serves checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -17,17 +29,11 @@ import numpy as np
 from sosgraphs.roots import (
     RootSystem,
     RootVector,
-    KEY_BASE,
-    KEY_SHIFT,
     encode_rows,
+    key_index,
     key_offset,
-    strongly_orthogonal,
+    weyl_closure,
 )
-
-# Compact dedup buffers once this many raw keys accumulate.
-_COMPACT_AT = 4_000_000
-# Vectorize child recording when a candidate set has at least this many bits.
-_VEC_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,7 @@ class VertexSet:
     k: int
     vectors: np.ndarray  # (n, dim) int32, lex-sorted rows
     multiplicity: np.ndarray  # (n,) int64
+    _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -51,7 +58,10 @@ class VertexSet:
         return self.vectors.shape[1]
 
     def keys(self) -> np.ndarray:
-        return encode_rows(self.vectors)
+        """Sorted int64 key per row, encoded once."""
+        if self._keys is None:
+            object.__setattr__(self, "_keys", encode_rows(self.vectors))
+        return self._keys
 
     def sos_count(self) -> int:
         return int(self.multiplicity.sum())
@@ -61,21 +71,28 @@ class VertexSet:
 
 
 def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:
-    """Boolean adjacency over rs.roots: edges join strongly orthogonal pairs."""
-    n = len(rs.roots)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if strongly_orthogonal(rs, rs.roots[i], rs.roots[j]):
-                adj[i, j] = adj[j, i] = True
+    """Boolean adjacency over rs.roots: edges join strongly orthogonal pairs.
+
+    Neither the sum nor the difference is a root, and beta is not +-alpha.
+    """
+    keys = encode_rows(np.asarray(rs.roots, dtype=np.int64))
+    off = key_offset(rs.ambient_dim)
+    sums = keys[:, None] + keys[None, :] - off
+    diffs = keys[:, None] - keys[None, :] + off
+    adj = (key_index(keys, sums) < 0) & (key_index(keys, diffs) < 0)
+    adj &= (diffs != off) & (sums != off)  # beta == alpha, beta == -alpha
     return adj
+
+
+@lru_cache(maxsize=None)
+def _so_adjacency(rs: RootSystem) -> np.ndarray:
+    return strong_orthogonality_graph(rs)
 
 
 @lru_cache(maxsize=None)
 def _so_bitrows(rs: RootSystem) -> tuple[int, ...]:
     """Bitset rows of the strong orthogonality graph, lex root order."""
-    adj = strong_orthogonality_graph(rs)
-    packed = np.packbits(adj, axis=1, bitorder="little")
+    packed = np.packbits(_so_adjacency(rs), axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
@@ -110,120 +127,53 @@ def enumerate_sos(rs: RootSystem, k: int):
     yield from extend([], (1 << n) - 1)
 
 
-class _DedupSink:
-    """Accumulates int64 keys, compacting to (sorted keys, counts) chunks."""
+def _seeds(rs: RootSystem, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per root length: (|W theta|, seed rows, c_theta) for one fixed root theta.
 
-    def __init__(self):
-        self.scalars: list[int] = []
-        self.arrays: list[np.ndarray] = []
-        self.keys = np.empty(0, dtype=np.int64)
-        self.counts = np.empty(0, dtype=np.int64)
-        self.pending = 0
-
-    def push_array(self, arr: np.ndarray):
-        self.arrays.append(arr)
-        self.pending += arr.size
-        if self.pending >= _COMPACT_AT:
-            self.compact()
-
-    def compact(self):
-        if self.scalars:
-            self.arrays.append(np.array(self.scalars, dtype=np.int64))
-            self.scalars.clear()
-        if not self.arrays:
-            return
-        fresh, fresh_counts = np.unique(np.concatenate(self.arrays), return_counts=True)
-        self.arrays.clear()
-        self.pending = 0
-        if self.keys.size == 0:
-            self.keys, self.counts = fresh, fresh_counts
-            return
-        merged = np.concatenate([self.keys, fresh])
-        weights = np.concatenate([self.counts, fresh_counts])
-        order = np.argsort(merged, kind="stable")
-        merged, weights = merged[order], weights[order]
-        uniq_mask = np.empty(merged.size, dtype=bool)
-        uniq_mask[0] = True
-        np.not_equal(merged[1:], merged[:-1], out=uniq_mask[1:])
-        starts = np.flatnonzero(uniq_mask)
-        sums = np.add.reduceat(weights, starts)
-        self.keys, self.counts = merged[starts], sums
-
-    def finalize(self) -> tuple[np.ndarray, np.ndarray]:
-        self.compact()
-        return self.keys, self.counts
-
-
-def _bit_indices(x: int, nbytes: int) -> np.ndarray:
-    raw = x.to_bytes(nbytes, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return np.flatnonzero(bits)
-
-
-def _decode_keys(keys: np.ndarray, dim: int) -> np.ndarray:
-    rows = np.empty((keys.size, dim), dtype=np.int32)
-    rem = keys.copy()
-    for j in range(dim - 1, -1, -1):
-        rem, digit = np.divmod(rem, KEY_BASE)
-        rows[:, j] = digit - KEY_SHIFT
-    return rows
-
-
-def _collect_vertex_sets(rs: RootSystem, kmax: int) -> dict[int, VertexSet]:
-    """One DFS pass recording SOS sum keys at every depth <= kmax."""
-    rows = _so_bitrows(rs)
-    n = len(rs.roots)
-    dim = rs.ambient_dim
-    nbytes = (n + 7) // 8
-    root_keys = encode_rows(np.asarray(rs.roots, dtype=np.int64)).tolist()
-    root_keys_arr = np.array(root_keys, dtype=np.int64)
-    above = [(~((1 << (i + 1)) - 1)) & ((1 << n) - 1) for i in range(n)]
-    adj_above = [rows[i] & above[i] for i in range(n)]
-    sinks = {d: _DedupSink() for d in range(1, kmax + 1)}
-
-    def dfs(cand: int, ksum: int, depth: int):
-        child_depth = depth + 1
-        sink = sinks[child_depth]
-        if cand.bit_count() >= _VEC_MIN:
-            idx = _bit_indices(cand, nbytes)
-            sink.push_array(root_keys_arr[idx] + ksum)
-            if child_depth < kmax:
-                for j in idx.tolist():
-                    sub = cand & adj_above[j]
-                    if sub:
-                        dfs(sub, ksum + root_keys[j], child_depth)
-        else:
-            buf = sink.scalars
-            c = cand
-            if child_depth < kmax:
-                while c:
-                    b = c & -c
-                    j = b.bit_length() - 1
-                    c ^= b
-                    buf.append(ksum + root_keys[j])
-                    sub = cand & adj_above[j]
-                    if sub:
-                        dfs(sub, ksum + root_keys[j], child_depth)
-            else:
-                while c:
-                    b = c & -c
-                    j = b.bit_length() - 1
-                    c ^= b
-                    buf.append(ksum + root_keys[j])
-            if len(buf) >= _COMPACT_AT:
-                sink.compact()
-
-    if kmax >= 1:
-        dfs((1 << n) - 1, 0, 0)
-
-    out = {}
-    off = key_offset(dim)
-    for d in range(1, kmax + 1):
-        keys, counts = sinks[d].finalize()
-        vertex_keys = keys - (d - 1) * off
-        vectors = _decode_keys(vertex_keys, dim)
-        out[d] = VertexSet(label=rs.label, k=d, vectors=vectors, multiplicity=counts)
+    The seeds are the distinct sums theta + sum(T) over the (k-1)-SOS T
+    among the roots strongly orthogonal to theta, and c_theta counts the T
+    behind each. T grows one root at a time in lex order, so each T is
+    listed once.
+    """
+    roots = np.asarray(rs.roots, dtype=np.int64)
+    adj = _so_adjacency(rs)
+    norms = (roots * roots).sum(axis=1)
+    out = []
+    for norm in np.unique(norms):
+        of_length = np.flatnonzero(norms == norm)
+        theta = of_length[-1]
+        partners = np.flatnonzero(adj[theta])
+        later = np.triu(adj[np.ix_(partners, partners)], 1)
+        sums = roots[theta : theta + 1]
+        cand = np.ones((1, partners.size), dtype=bool)
+        for depth in range(k - 1, 0, -1):
+            state, j = np.nonzero(cand)
+            sums = sums[state] + roots[partners[j]]
+            if depth > 1:  # the last step needs no candidates
+                cand = cand[state]
+                cand &= later[j]
+        _, first, counts = np.unique(encode_rows(sums), return_index=True, return_counts=True)
+        out.append((of_length.size, sums[first], counts))
     return out
+
+
+def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
+    """V_k as the W-orbit closure of the seeds, multiplicities per W-orbit."""
+    seeds = _seeds(rs, k)
+    rows, keys, orbit = weyl_closure(np.concatenate([s for _, s, _ in seeds]), rs.simple_roots)
+    orbit_sizes = np.bincount(orbit)
+    weighted = np.zeros(orbit_sizes.size, dtype=np.int64)
+    for length_size, seed_rows, counts in seeds:
+        np.add.at(weighted, orbit[key_index(keys, encode_rows(seed_rows))], length_size * counts)
+    mult, rem = np.divmod(weighted, k * orbit_sizes)
+    if rem.any():
+        raise ArithmeticError(
+            f"{rs.label} k={k}: orbit-weighted SOS counts {weighted.tolist()} are not "
+            f"divisible by k times the orbit sizes {orbit_sizes.tolist()}"
+        )
+    return VertexSet(
+        label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit], _keys=keys
+    )
 
 
 _VCACHE: dict[tuple[str, int], VertexSet] = {}
@@ -241,11 +191,9 @@ def vertex_set(rs: RootSystem, k: int) -> VertexSet:
             multiplicity=np.empty(0, dtype=np.int64),
         )
     hit = _VCACHE.get((rs.label, k))
-    if hit is not None:
-        return hit
-    for depth, vs in _collect_vertex_sets(rs, k).items():
-        _VCACHE.setdefault((rs.label, depth), vs)
-    return _VCACHE[(rs.label, k)]
+    if hit is None:
+        hit = _VCACHE[(rs.label, k)] = _orbit_vertex_set(rs, k)
+    return hit
 
 
 def sos_count(rs: RootSystem, k: int) -> int:

@@ -37,7 +37,7 @@ def test_census_warns_beyond_max_sos(cli_cache, capsys, command):
     assert payload["omega"] == 0 and payload["k"] == 5
 
 
-@pytest.mark.parametrize("k_range", ["3-1", "x", "1-", "2-y"])
+@pytest.mark.parametrize("k_range", ["3-1", "x", "1-", "2-y", "0", "0-2"])
 def test_table_rejects_bad_k_range(cli_cache, capsys, k_range):
     code, out, err = run(capsys, "table", "cliques", "--systems", "G2", "--k-range", k_range)
     assert code == 1 and out == ""

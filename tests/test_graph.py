@@ -12,7 +12,6 @@ from sosgraphs.graph import (
     deserialize,
     edge_keys_membership,
     file_checksum,
-    key_index,
     orbit_labels,
     serialize,
     stats,
@@ -20,7 +19,14 @@ from sosgraphs.graph import (
     vertex_permutation,
     weyl_orbit_labels,
 )
-from sosgraphs.roots import build_root_system, encode_rows, parse_label, reflect, reflect_rows
+from sosgraphs.roots import (
+    build_root_system,
+    encode_rows,
+    key_index,
+    parse_label,
+    reflect,
+    reflect_rows,
+)
 from sosgraphs.sos import VertexSet, vertex_set
 
 from oracles import closure, closure_orbit_labels, csr_stats

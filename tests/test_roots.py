@@ -18,11 +18,13 @@ from sosgraphs.roots import (
     reflect,
     strongly_orthogonal,
     sub,
+    weyl_closure,
 )
 from sosgraphs.graph import weyl_orbit_labels
 from sosgraphs.sos import VertexSet, vertex_set
 
 from oracles import closure, closure_orbit_labels
+from test_acceptance import TIER1
 
 EXPECTED = {
     "G2": (12, 2, 3, 6, 2),
@@ -182,6 +184,34 @@ def test_orbit_closure_e7_level4():
     labels = weyl_orbit_labels(e7, vs)
     assert labels.tolist() == closure_orbit_labels(vs.as_tuples(), _weyl_maps(e7))
     assert sorted(np.bincount(labels).tolist()) == [126, 4032]
+
+
+@pytest.mark.parametrize(
+    "label,k,picks",
+    [("G2", 1, [0, -1]), ("F4", 3, [0]), ("E6", 2, [5]), ("E7", 4, [0, 1, -1]), ("D5", 3, [2])],
+)
+def test_weyl_closure_matches_closure_oracle(label, k, picks):
+    rs = parse_label(label)
+    seeds = vertex_set(rs, k).vectors[picks]
+    rows, keys, orbit = weyl_closure(seeds, rs.simple_roots)
+    want = sorted(closure([tuple(int(x) for x in row) for row in seeds], _weyl_maps(rs)))
+    assert [tuple(row) for row in rows.tolist()] == want
+    assert np.array_equal(keys, encode_rows(rows))
+    assert orbit.tolist() == closure_orbit_labels(want, _weyl_maps(rs))
+
+
+@pytest.mark.parametrize("label,k", TIER1)
+def test_weyl_closure_orbits_match_weyl_orbit_labels(label, k):
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    rows, _, orbit = weyl_closure(vs.vectors, rs.simple_roots)
+    assert np.array_equal(rows, vs.vectors)
+    assert np.array_equal(orbit, weyl_orbit_labels(rs, vs))
+
+
+def test_weyl_closure_of_nothing_is_empty():
+    rows, keys, orbit = weyl_closure(np.empty((0, 8), dtype=np.int64), parse_label("E8").simple_roots)
+    assert rows.shape == (0, 8) and keys.size == 0 and orbit.size == 0
 
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E8"])

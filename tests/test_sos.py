@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosgraphs.roots import build_root_system, negate, reflect, strongly_orthogonal
+from sosgraphs import sos as sosmod
+from sosgraphs.roots import (
+    build_root_system,
+    encode_rows,
+    negate,
+    parse_label,
+    reflect,
+    strongly_orthogonal,
+)
 from sosgraphs.sos import (
     enumerate_sos,
     sos_count,
     strong_orthogonality_graph,
     vertex_set,
 )
+
+from oracles import dfs_vertex_sets
 
 # |V| column of the census table
 VCOUNT = {
@@ -37,6 +47,14 @@ def test_strong_orthogonality_graph_g2():
     assert not adj.diagonal().any()
     assert np.array_equal(adj, adj.T)
     assert (adj.sum(axis=1) == 2).all()
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8", "A3", "D4"])
+def test_strong_orthogonality_graph_matches_pairwise_test(label):
+    rs = parse_label(label)
+    adj = strong_orthogonality_graph(rs)
+    want = [[strongly_orthogonal(rs, a, b) for b in rs.roots] for a in rs.roots]
+    assert adj.dtype == bool and adj.tolist() == want
 
 
 def test_so_pair_counts_brute_force():
@@ -171,3 +189,58 @@ def test_max_sos_size_is_the_so_clique_number(label, max_sos):
     rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
     assert max_clique_size_bitset(rows, (1 << len(rows)) - 1) == max_sos
     assert max_sos <= rs.rank
+
+
+FIXTURES = ["A3", "A5", "A7", "D4", "D5", "D6"]
+ORACLE_ROWS = [
+    (label, k)
+    for label in ["G2", "F4", "E6", "E7", *FIXTURES]
+    for k in range(1, parse_label(label).max_sos_size + 1)
+] + [("E8", 1), ("E8", 2), ("E8", 3)]
+SLOW_ORACLE_ROWS = [pytest.param("E8", k, marks=pytest.mark.slow) for k in range(4, 9)]
+
+
+@pytest.mark.parametrize("label,k", ORACLE_ROWS + SLOW_ORACLE_ROWS)
+def test_vertex_set_matches_dfs_oracle(label, k):
+    """The orbit closure with counted multiplicities equals the whole-SOS
+    depth-first enumeration, row for row."""
+    rs = parse_label(label)
+    # The default E8 rows stay clear of the 10 s full-depth E8 pass.
+    want = dfs_vertex_sets(rs, 3 if label == "E8" and k <= 3 else rs.max_sos_size)[k]
+    vs = vertex_set(rs, k)
+    assert vs.vectors.dtype == want.vectors.dtype and vs.multiplicity.dtype == np.int64
+    assert np.array_equal(vs.vectors, want.vectors)
+    assert np.array_equal(vs.multiplicity, want.multiplicity)
+    assert np.array_equal(vs.keys(), encode_rows(vs.vectors))
+
+
+@pytest.mark.parametrize("label,k", ORACLE_ROWS)
+def test_sos_count_matches_enumeration(label, k):
+    rs = parse_label(label)
+    assert sos_count(rs, k) == sum(1 for _ in enumerate_sos(rs, k))
+
+
+@pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 3), ("E7", 4), ("E8", 2)])
+def test_corrupted_seed_weight_raises(monkeypatch, label, k):
+    """One SOS too many behind one seed breaks the exact orbit division."""
+    true_seeds = sosmod._seeds
+
+    def corrupted(rs, depth):
+        seeds = true_seeds(rs, depth)
+        size, rows, counts = seeds[0]
+        counts = counts.copy()
+        counts[0] += 1
+        return [(size, rows, counts), *seeds[1:]]
+
+    monkeypatch.setattr(sosmod, "_VCACHE", {})
+    monkeypatch.setattr(sosmod, "_seeds", corrupted)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        vertex_set(parse_label(label), k)
+
+
+def test_keys_are_encoded_once():
+    vs = vertex_set(build_root_system("E7"), 3)
+    assert vs.keys() is vs.keys()
+    fresh = sosmod.VertexSet(label=vs.label, k=vs.k, vectors=vs.vectors, multiplicity=vs.multiplicity)
+    assert fresh.keys() is fresh.keys()
+    assert np.array_equal(fresh.keys(), vs.keys())

@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 
 import numpy as np
@@ -86,6 +87,17 @@ def test_singletons_rejected():
         is_sunflower([(1,), (1, 2)])
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_column_characterization_matches_pairwise_on_every_small_support(p):
+    """Both predicates read only supports, so every family of p vectors of
+    dimension <= 4 is one of these 0/1 matrices."""
+    for dim in range(1, 5):
+        for bits in itertools.product((0, 1), repeat=p * dim):
+            vectors = [bits[i * dim : (i + 1) * dim] for i in range(p)]
+            assert is_sunflower(vectors).is_sunflower == pairwise_is_sunflower(vectors)
+
+
+# Larger families, drawn at random; the small ones are covered exhaustively above.
 @given(
     st.integers(2, 6).flatmap(
         lambda p: st.lists(
@@ -95,7 +107,7 @@ def test_singletons_rejected():
         )
     )
 )
-@settings(max_examples=10_000, deadline=None)
+@settings(max_examples=1_000, deadline=None)
 def test_column_characterization_matches_pairwise(vectors):
     assert is_sunflower(vectors).is_sunflower == pairwise_is_sunflower(vectors)
 
