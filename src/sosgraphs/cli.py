@@ -259,6 +259,8 @@ def _verification_checks(args):
 
 
 def cmd_verify(args) -> int:
+    if args.sample_pairs < 1:
+        raise ValueError("--sample-pairs must be >= 1")
     report = {"seed": args.seed, "sample_pairs": args.sample_pairs, "checks": []}
     all_ok = True
     for name, runner in _verification_checks(args):

@@ -30,13 +30,8 @@ from math import comb
 
 import numpy as np
 
-from sosgraphs.graph import (
-    MembershipGraph,
-    SOSGraph,
-    orbit_labels,
-    reflection_permutations,
-)
-from sosgraphs.roots import key_index, key_offset, parse_label
+from sosgraphs.graph import MembershipGraph, SOSGraph, stabilizer_orbits
+from sosgraphs.roots import key_index, key_offset
 
 GraphLike = SOSGraph | MembershipGraph
 
@@ -243,22 +238,6 @@ def maximal_clique_size_counts(rows: list[int], cand: int) -> Counter:
 
 def _full_mask(count: int) -> int:
     return (1 << count) - 1
-
-
-def stabilizer_orbits(g: GraphLike, v: int, nb: np.ndarray) -> tuple[list[int], list[int]]:
-    """Representatives (lowest local indices into nb) and sizes of the
-    Stab_W(v)-orbits on N(v) = nb, in order of representative.
-
-    The generators are the reflections in the roots orthogonal to v, one
-    per +- pair; an image outside N(v) is a hard error.
-    """
-    if nb.size == 0:
-        return [], []
-    rs = parse_label(g.label)
-    positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
-    perp = positive[positive @ g.vertices.vectors[v].astype(np.int64) == 0]
-    labels = orbit_labels(reflection_permutations(perp, g.vertices.vectors[nb]), nb.size)
-    return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
 
 
 def _neighborhoods(g: GraphLike):

@@ -209,6 +209,38 @@ def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
 
+def schreier_vector(
+    perms: list[np.ndarray], roots, n: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Breadth-first Schreier vector of the generator permutations.
+
+    A BFS from each root records, for every index x it reaches, its
+    parent and the generator mapping the parent to it:
+    perms[gen[x]][parent[x]] == x (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, 4.1). Roots keep parent and gen -1.
+    Returns parent, gen and the BFS levels below the roots, in order.
+    """
+    parent = np.full(n, -1, dtype=np.int64)
+    gen = np.full(n, -1, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    level = np.asarray(roots, dtype=np.int64)
+    reached[level] = True
+    levels = []
+    while level.size:
+        images, first = np.unique(
+            np.concatenate([perm[level] for perm in perms]), return_index=True
+        )
+        fresh = ~reached[images]
+        images, first = images[fresh], first[fresh]
+        reached[images] = True
+        parent[images] = level[first % level.size]
+        gen[images] = first // level.size
+        level = images
+        if level.size:
+            levels.append(level)
+    return parent, gen, levels
+
+
 def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
     """The reflections in roots as permutations of lex-sorted rows.
 
@@ -220,17 +252,33 @@ def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
     return [vertex_permutation(keys, reflect_rows(rows, alpha)) for alpha in roots]
 
 
+def stabilizer_orbits(
+    g: SOSGraph | MembershipGraph, v: int, nb: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Representatives (lowest local indices into nb) and sizes of the
+    Stab_W(v)-orbits on N(v) = nb, in order of representative.
+
+    The generators are the reflections in the roots orthogonal to v, one
+    per +- pair; an image outside N(v) is a hard error.
+    """
+    if nb.size == 0:
+        return [], []
+    rs = parse_label(g.label)
+    positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
+    perp = positive[positive @ g.vertices.vectors[v].astype(np.int64) == 0]
+    labels = orbit_labels(reflection_permutations(perp, g.vertices.vectors[nb]), nb.size)
+    return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
+
+
 def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
     """Per-vertex Weyl orbit ids, numbered by their lex-least vertex."""
     return orbit_labels(reflection_permutations(rs.simple_roots, vertices.vectors), len(vertices))
 
 
 def membership_graph(rs: RootSystem, k: int) -> MembershipGraph:
-    """Vertex set plus orbit labels, skipping the pairwise edge build."""
+    """Vertex set plus its closure's orbit labels, skipping the pairwise edge build."""
     vs = vertex_set(rs, k)
-    return MembershipGraph(
-        label=rs.label, k=k, vertices=vs, orbit_label=weyl_orbit_labels(rs, vs)
-    )
+    return MembershipGraph(label=rs.label, k=k, vertices=vs, orbit_label=vs.orbit)
 
 
 def build_gamma(rs: RootSystem, k: int, *, block_size: int = DEFAULT_BLOCK_SIZE) -> SOSGraph:
@@ -248,8 +296,7 @@ def build_gamma(rs: RootSystem, k: int, *, block_size: int = DEFAULT_BLOCK_SIZE)
     chunks = [_block_edges(keys, off, i0, i1, block_size) for i0, i1 in _blocks(n, block_size)]
     indptr, indices = _assemble_csr(n, chunks)
     return SOSGraph(
-        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=indices,
-        orbit_label=weyl_orbit_labels(rs, vs),
+        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=indices, orbit_label=vs.orbit
     )
 
 
@@ -286,29 +333,63 @@ def _pair_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _component_labels(n, indptr, dst[np.argsort(src, kind="stable")])
 
 
-def _quotient_components(g: SOSGraph | MembershipGraph, reps: list[int], hoods) -> np.ndarray:
+def _transported_components(
+    g: SOSGraph | MembershipGraph, perms: list[np.ndarray], reps: list[int], hoods, rep_src
+) -> np.ndarray:
+    """Lowest index per component of the representatives' edges plus, at
+    every vertex x = g_x.r, the edges x ~ g_x.w_j: one neighbour w_j per
+    Stab_W(r)-orbit of N(r), carried along a Schreier vector of r's orbit.
+
+    A helper of its own, so that its n x (seeds) and n x (generators)
+    arrays are freed before the fixed-point loop runs.
+    """
+    n = g.n
+    seeds = [nb[stabilizer_orbits(g, r, nb)[0]] for r, nb in zip(reps, hoods)]
+    # Pad with the representative itself: a self-pair merges nothing.
+    carried = np.repeat(np.asarray(reps, dtype=np.int64)[:, None], max(map(len, seeds)), axis=1)
+    for row, seed in zip(carried, seeds):
+        row[: seed.size] = seed
+    transport = np.empty((n, carried.shape[1]), dtype=np.int64)
+    transport[reps] = carried
+    parent, gen, levels = schreier_vector(perms, reps, n)
+    stacked = np.stack(perms)
+    for level in levels:
+        transport[level] = stacked[gen[level][:, None], transport[parent[level]]]
+    return _pair_components(
+        n,
+        np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), transport.shape[1])]),
+        np.concatenate([*hoods, transport.ravel()]),
+    )
+
+
+def quotient_components(g: SOSGraph | MembershipGraph, reps: list[int], hoods) -> np.ndarray:
     """Lowest index of each vertex's component, from the W-orbit quotient.
 
     W acts by automorphisms, so the component partition is W-invariant,
     and every edge is w.(an edge at an orbit representative). The
     components are therefore the finest W-invariant equivalence holding
-    the representatives' edges: propagate x ~ L[x] to s.x ~ s.L[x] for
-    each simple reflection s until the labels L stop changing.
+    the representatives' edges.
+
+    The search starts from edges at every vertex (`_transported_components`);
+    they are edges, so they never merge too much. Then x ~ L[x] is
+    propagated to s.x ~ s.L[x] for each simple reflection s until the
+    labels L stop changing; that fixed point is W-invariant and holds every
+    edge at the representatives, so it is exact. A round changes nothing
+    exactly when L[s.x] == L[s.L[x]] for every x and s (L always holds the
+    representatives' edges), so that test ends the loop without the round.
     """
     n = g.n
     perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
     every = np.arange(n, dtype=np.int64)
-    labels = every
-    while True:
-        fresh = _pair_components(
+    labels = _transported_components(g, perms, reps, hoods, rep_src)
+    while not all(np.array_equal(labels[perm], labels[perm[labels]]) for perm in perms):
+        labels = _pair_components(
             n,
             np.concatenate([rep_src, every, *perms]),
             np.concatenate([*hoods, labels, *(perm[labels] for perm in perms)]),
         )
-        if np.array_equal(fresh, labels):
-            return labels
-        labels = fresh
+    return labels
 
 
 def stats(g: SOSGraph | MembershipGraph) -> GraphStats:
@@ -327,7 +408,7 @@ def stats(g: SOSGraph | MembershipGraph) -> GraphStats:
     m, rem = divmod(int(orbit_sizes @ deg), 2)
     if rem:
         raise ArithmeticError(f"orbit-weighted degree sum {2 * m + rem} is odd")
-    sizes = np.bincount(_quotient_components(g, reps, hoods))
+    sizes = np.bincount(quotient_components(g, reps, hoods))
     sizes = tuple(sorted((int(s) for s in sizes[sizes > 0]), reverse=True))
     return GraphStats(
         n=n,

@@ -73,7 +73,10 @@ def check_weyl_automorphism(
 
     Exhaustive over all pairs when the graph has at most 1000 vertices,
     otherwise a seeded uniform sample of vertex pairs per reflection.
+    sample_pairs must be at least 1, so a sampled pass always tests pairs.
     """
+    if sample_pairs < 1:
+        raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
     n = g.n
     keys = g.vertices.keys()
     exhaustive = n <= 1000

@@ -114,10 +114,6 @@ class RootSystem:
     def root_set(self) -> frozenset[RootVector]:
         return frozenset(self.roots)
 
-    @cached_property
-    def root_index(self) -> dict[RootVector, int]:
-        return {r: i for i, r in enumerate(self.roots)}
-
     def __len__(self) -> int:
         return len(self.roots)
 
@@ -133,20 +129,6 @@ def strongly_orthogonal(rs: RootSystem, alpha: RootVector, beta: RootVector) -> 
     if alpha == beta or alpha == negate(beta):
         return False
     return add(alpha, beta) not in rs.root_set and sub(alpha, beta) not in rs.root_set
-
-
-def reflect(alpha: RootVector, v: RootVector) -> RootVector:
-    """Image of v under the reflection through alpha's hyperplane.
-
-    Exact for any vector in the root lattice (the Cartan coefficient is
-    asserted integral).
-    """
-    num = 2 * dot(v, alpha)
-    den = dot(alpha, alpha)
-    coeff, rem = divmod(num, den)
-    if rem:
-        raise RootSystemError(f"vector {v} not in the lattice of {alpha}")
-    return tuple(a - coeff * b for a, b in zip(v, alpha))
 
 
 def _e8_roots() -> list[RootVector]:

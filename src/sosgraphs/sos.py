@@ -13,10 +13,9 @@ a in S over the k-SOS S whose sum lies in a W-orbit O gives
     k |O| mult(O) = sum over theta of |W theta| sum_{y in O} c_theta(y),
 
 where c_theta(y) is the number of (k-1)-SOS T with theta + sum(T) = y. The
-division is exact or the vertex set is wrong (ArithmeticError).
-
-enumerate_sos streams every SOS by depth-first extension over bitset
-candidate rows in lex root order; it is deterministic and serves checks.
+division is exact or the vertex set is wrong (ArithmeticError). The
+closure labels the W-orbits as it goes, and the vertex set keeps those
+labels for the graph views.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from sosgraphs.roots import (
     RootSystem,
-    RootVector,
     encode_rows,
     key_index,
     key_offset,
@@ -41,13 +39,15 @@ class VertexSet:
     """Deduplicated sums of k-element SOS with multiplicities.
 
     vectors rows are doubled coordinates in lex order; multiplicity[i]
-    counts the SOS summing to vectors[i].
+    counts the SOS summing to vectors[i]; orbit[i] is the W-orbit id of
+    row i, numbered by lowest row (None when built without the closure).
     """
 
     label: str
     k: int
     vectors: np.ndarray  # (n, dim) int32, lex-sorted rows
     multiplicity: np.ndarray  # (n,) int64
+    orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
     _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -65,9 +65,6 @@ class VertexSet:
 
     def sos_count(self) -> int:
         return int(self.multiplicity.sum())
-
-    def as_tuples(self) -> list[RootVector]:
-        return [tuple(int(x) for x in row) for row in self.vectors]
 
 
 def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:
@@ -87,44 +84,6 @@ def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _so_adjacency(rs: RootSystem) -> np.ndarray:
     return strong_orthogonality_graph(rs)
-
-
-@lru_cache(maxsize=None)
-def _so_bitrows(rs: RootSystem) -> tuple[int, ...]:
-    """Bitset rows of the strong orthogonality graph, lex root order."""
-    packed = np.packbits(_so_adjacency(rs), axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
-def enumerate_sos(rs: RootSystem, k: int):
-    """Yield every k-element SOS exactly once, lexicographically.
-
-    Each item is a tuple of k root vectors in ascending lex order. The
-    stream is empty when k exceeds the maximum SOS size.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > rs.max_sos_size:
-        return
-    rows = _so_bitrows(rs)
-    roots = rs.roots
-    n = len(roots)
-    above = [(~((1 << (i + 1)) - 1)) & ((1 << n) - 1) for i in range(n)]
-
-    def extend(chosen: list[int], cand: int):
-        if len(chosen) == k:
-            yield tuple(roots[i] for i in chosen)
-            return
-        c = cand
-        while c:
-            b = c & -c
-            j = b.bit_length() - 1
-            c ^= b
-            chosen.append(j)
-            yield from extend(chosen, cand & rows[j] & above[j])
-            chosen.pop()
-
-    yield from extend([], (1 << n) - 1)
 
 
 def _seeds(rs: RootSystem, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -172,7 +131,8 @@ def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
             f"divisible by k times the orbit sizes {orbit_sizes.tolist()}"
         )
     return VertexSet(
-        label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit], _keys=keys
+        label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit],
+        orbit=orbit, _keys=keys,
     )
 
 
@@ -189,6 +149,7 @@ def vertex_set(rs: RootSystem, k: int) -> VertexSet:
             k=k,
             vectors=np.empty((0, rs.ambient_dim), dtype=np.int32),
             multiplicity=np.empty(0, dtype=np.int64),
+            orbit=np.empty(0, dtype=np.int32),
         )
     hit = _VCACHE.get((rs.label, k))
     if hit is None:

@@ -21,7 +21,6 @@ part keeps only the edges between petal-disjoint neighbors, and the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +78,6 @@ def is_sunflower(vectors) -> SunflowerVerdict:
     core = frozenset(j for j, c in enumerate(profile) if c == p)
     ok = bool(core) and all(c in (0, 1, p) for c in profile)
     return SunflowerVerdict(is_sunflower=ok, core=core if ok else frozenset(), column_profile=profile)
-
-
-def pairwise_is_sunflower(vectors) -> bool:
-    """Reference check: all pairwise support intersections equal and non-empty."""
-    vecs = list(vectors)
-    if len(vecs) < 2:
-        raise ValueError("sunflower classification needs at least 2 vectors")
-    supports = [frozenset(j for j, x in enumerate(v) if x != 0) for v in vecs]
-    inters = {a & b for a, b in itertools.combinations(supports, 2)}
-    return len(inters) == 1 and bool(next(iter(inters)))
 
 
 def signed_permutation_roots(rs: RootSystem) -> tuple[RootVector, ...]:

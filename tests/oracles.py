@@ -1,10 +1,16 @@
 """Independent reference paths the fast code is checked against.
 
+reflect, as_tuples, enumerate_sos and pairwise_is_sunflower are the plain
+tuple-level definitions: one reflection, a vertex set as tuples, every
+SOS listed depth first, and the sunflower test on pairwise support
+intersections.
 closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
 single_level_census is the one-level orbit reduction: one vertex per
 W-orbit, counting every (omega-1)-clique of its neighborhood directly.
 csr_stats reads the graph parameters off the explicit edge list.
+propagated_components spreads the representatives' edges through the
+simple reflections alone, round after round, to a fixed point.
 dfs_vertex_sets lists every SOS depth first and counts the sums.
 enumerated_sunflower_census lists every maximum clique through one vertex
 per coordinate-permutation orbit and classifies each by its column profile.
@@ -24,10 +30,46 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import GraphStats
-from sosgraphs.roots import KEY_BASE, KEY_SHIFT, encode_rows, key_offset, strongly_orthogonal
+from sosgraphs.graph import GraphStats, _pair_components, reflection_permutations
+from sosgraphs.roots import (
+    KEY_BASE,
+    KEY_SHIFT,
+    RootSystemError,
+    dot,
+    encode_rows,
+    key_offset,
+    parse_label,
+    strongly_orthogonal,
+)
 from sosgraphs.sos import VertexSet
 from sosgraphs.sunflower import perm_orbit_labels
+
+
+def reflect(alpha, v) -> tuple:
+    """Image of v under the reflection through alpha's hyperplane.
+
+    Exact for any vector in the root lattice (the Cartan coefficient is
+    asserted integral).
+    """
+    coeff, rem = divmod(2 * dot(v, alpha), dot(alpha, alpha))
+    if rem:
+        raise RootSystemError(f"vector {v} not in the lattice of {alpha}")
+    return tuple(a - coeff * b for a, b in zip(v, alpha))
+
+
+def as_tuples(vertices) -> list[tuple[int, ...]]:
+    """The rows of a vertex set as tuples of Python ints."""
+    return [tuple(int(x) for x in row) for row in vertices.vectors]
+
+
+def pairwise_is_sunflower(vectors) -> bool:
+    """All pairwise support intersections equal and non-empty."""
+    vecs = list(vectors)
+    if len(vecs) < 2:
+        raise ValueError("sunflower classification needs at least 2 vectors")
+    supports = [frozenset(j for j, x in enumerate(v) if x != 0) for v in vecs]
+    inters = {a & b for a, b in itertools.combinations(supports, 2)}
+    return len(inters) == 1 and bool(next(iter(inters)))
 
 
 def closure(seeds, maps) -> set:
@@ -115,6 +157,29 @@ def csr_stats(g) -> GraphStats:
     )
 
 
+def propagated_components(g, reps: list[int], hoods) -> np.ndarray:
+    """Lowest index of each vertex's component, by propagation alone.
+
+    Starting from the representatives' edges, x ~ L[x] is carried to
+    s.x ~ s.L[x] for each simple reflection s until the labels L stop
+    changing (up to 61 rounds on the census rows).
+    """
+    n = g.n
+    perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
+    rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
+    every = np.arange(n, dtype=np.int64)
+    labels = every
+    while True:
+        fresh = _pair_components(
+            n,
+            np.concatenate([rep_src, every, *perms]),
+            np.concatenate([*hoods, labels, *(perm[labels] for perm in perms)]),
+        )
+        if np.array_equal(fresh, labels):
+            return labels
+        labels = fresh
+
+
 # Compact dedup buffers once this many raw keys accumulate (E8 to depth 8:
 # about 280 MB peak RSS, against 700 MB at 4 million).
 _COMPACT_AT = 1_000_000
@@ -166,14 +231,46 @@ class _DedupSink:
         return self.keys, self.counts
 
 
-def _pairwise_so_bitrows(rs) -> list[int]:
+@lru_cache(maxsize=None)
+def _pairwise_so_bitrows(rs) -> tuple[int, ...]:
     n = len(rs.roots)
     rows = [0] * n
     for i, j in itertools.combinations(range(n), 2):
         if strongly_orthogonal(rs, rs.roots[i], rs.roots[j]):
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return rows
+    return tuple(rows)
+
+
+def enumerate_sos(rs, k: int):
+    """Yield every k-element SOS exactly once, lexicographically.
+
+    Each item is a tuple of k root vectors in ascending lex order. The
+    stream is empty when k exceeds the maximum SOS size.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > rs.max_sos_size:
+        return
+    rows = _pairwise_so_bitrows(rs)
+    roots = rs.roots
+    n = len(roots)
+    above = [(~((1 << (i + 1)) - 1)) & ((1 << n) - 1) for i in range(n)]
+
+    def extend(chosen: list[int], cand: int):
+        if len(chosen) == k:
+            yield tuple(roots[i] for i in chosen)
+            return
+        c = cand
+        while c:
+            b = c & -c
+            j = b.bit_length() - 1
+            c ^= b
+            chosen.append(j)
+            yield from extend(chosen, cand & rows[j] & above[j])
+            chosen.pop()
+
+    yield from extend([], (1 << n) - 1)
 
 
 def _bit_indices(x: int, nbytes: int) -> np.ndarray:

@@ -157,6 +157,13 @@ def test_key_dimension_limit_errors(cli_cache, capsys):
         assert err.startswith("error: ") and "at most 9" in err
 
 
+@pytest.mark.parametrize("pairs", ["0", "-5"])
+def test_verify_rejects_sample_pairs_below_one(cli_cache, capsys, pairs):
+    code, out, err = run(capsys, "verify", "--sample-pairs", pairs)
+    assert code == 1 and out == ""
+    assert err == "error: --sample-pairs must be >= 1\n"
+
+
 def test_brute_force_builds_graph_once(cli_cache, capsys, monkeypatch):
     from sosgraphs import graph as graphmod
 

@@ -21,12 +21,11 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
     maximal_clique_size_counts,
-    stabilizer_orbits,
 )
-from sosgraphs.graph import GroupActionError
-from sosgraphs.roots import parse_label, reflect
+from sosgraphs.graph import GroupActionError, stabilizer_orbits
+from sosgraphs.roots import parse_label
 
-from oracles import closure_orbit_labels, single_level_census
+from oracles import closure_orbit_labels, reflect, single_level_census
 
 OMEGA = {
     ("G2", 1): 3, ("G2", 2): 2,

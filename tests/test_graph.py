@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from sosgraphs import graph as graphmod
 from sosgraphs.graph import (
     GraphFileError,
     GraphStats,
@@ -13,6 +14,9 @@ from sosgraphs.graph import (
     edge_keys_membership,
     file_checksum,
     orbit_labels,
+    quotient_components,
+    reflection_permutations,
+    schreier_vector,
     serialize,
     stats,
     to_dot,
@@ -24,12 +28,18 @@ from sosgraphs.roots import (
     encode_rows,
     key_index,
     parse_label,
-    reflect,
     reflect_rows,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 
-from oracles import closure, closure_orbit_labels, csr_stats
+from oracles import (
+    as_tuples,
+    closure,
+    closure_orbit_labels,
+    csr_stats,
+    propagated_components,
+    reflect,
+)
 
 # (|V|, |E|, min deg, max deg, components) rows
 TIER1 = {
@@ -70,6 +80,63 @@ def test_quotient_stats_match_csr_oracle(label, k, gamma, mgraph):
     assert stats(gamma(label, k)) == want
 
 
+@pytest.mark.parametrize(
+    "label,k", sorted(TIER1) + [pytest.param("E8", 6, marks=pytest.mark.slow)]
+)
+def test_schreier_vector_spans_each_orbit_from_its_representative(label, k, mgraph):
+    """The recorded reflection maps each vertex's parent to it, the BFS of
+    each orbit starts at its representative, and every vertex is reached."""
+    g = mgraph(label, k)
+    perms = reflection_permutations(parse_label(label).simple_roots, g.vertices.vectors)
+    reps = g.orbit_representatives()
+    parent, gen, levels = schreier_vector(perms, reps, g.n)
+    assert (parent[reps] == -1).all() and (gen[reps] == -1).all()
+    below = np.concatenate([np.empty(0, dtype=np.int64), *levels])
+    assert np.array_equal(np.sort(np.concatenate([reps, below])), np.arange(g.n))
+    assert (parent[below] >= 0).all()
+    assert np.array_equal(np.stack(perms)[gen[below], parent[below]], below)
+    seen = np.zeros(g.n, dtype=bool)
+    seen[reps] = True
+    root = np.arange(g.n)
+    for level in levels:  # parents lie one level up, so roots resolve in order
+        assert seen[parent[level]].all()
+        root[level] = root[parent[level]]
+        seen[level] = True
+    assert np.array_equal(root, np.asarray(reps)[g.orbit_label])
+
+
+QUOTIENT_ROWS = sorted(TIER1) + [
+    pytest.param(label, k, marks=pytest.mark.slow)
+    for label, k in [("E7", 4), ("E7", 5), ("E7", 6)] + [("E8", k) for k in range(3, 9)]
+]
+
+
+@pytest.mark.parametrize("label,k", QUOTIENT_ROWS)
+def test_components_match_propagation_oracle(label, k, mgraph, monkeypatch):
+    """Component labels and every GraphStats field equal the propagation-only
+    path (E8 k=2 and k=8 need a round of the fixed-point loop)."""
+    g = mgraph(label, k)
+    reps = g.orbit_representatives()
+    hoods = [g.neighbors(v) for v in reps]
+    want = propagated_components(g, reps, hoods)
+    assert np.array_equal(quotient_components(g, reps, hoods), want)
+    have = stats(g)
+    monkeypatch.setattr(graphmod, "quotient_components", propagated_components)
+    assert have == stats(g)
+
+
+def test_components_exact_without_transported_edges(mgraph, monkeypatch):
+    """With no stabilizer seeds the fixed-point loop alone still finds the
+    57 components of E7 k=3, so no answer rests on the transport."""
+    g = mgraph("E7", 3)
+    reps = g.orbit_representatives()
+    hoods = [g.neighbors(v) for v in reps]
+    want = propagated_components(g, reps, hoods)
+    monkeypatch.setattr(graphmod, "stabilizer_orbits", lambda g, v, nb: ([], []))
+    labels = quotient_components(g, reps, hoods)
+    assert np.array_equal(labels, want) and np.unique(labels).size == 57
+
+
 def test_odd_weighted_degree_sum_raises():
     """One orbit of 3 vertices whose representative has degree 1."""
     vs = VertexSet(label="G2", k=1, vectors=np.zeros((3, 3), dtype=np.int32),
@@ -98,7 +165,7 @@ def test_edges_match_naive_membership(gamma):
     """Oracle: quadratic loop over vertex tuples with set membership."""
     for label, k in [("G2", 1), ("G2", 2), ("F4", 4), ("E6", 1)]:
         g = gamma(label, k)
-        vectors = g.vertices.as_tuples()
+        vectors = as_tuples(g.vertices)
         have = set(vectors)
         edges = set()
         for i, v in enumerate(vectors):
@@ -230,7 +297,7 @@ def test_weyl_labels_match_closure_oracle(label, k):
     rs = parse_label(label)
     vs = vertex_set(rs, k)
     maps = [partial(reflect, alpha) for alpha in rs.simple_roots]
-    assert weyl_orbit_labels(rs, vs).tolist() == closure_orbit_labels(vs.as_tuples(), maps)
+    assert weyl_orbit_labels(rs, vs).tolist() == closure_orbit_labels(as_tuples(vs), maps)
 
 
 def test_orbit_labels_numbered_by_lowest_index():

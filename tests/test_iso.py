@@ -13,6 +13,8 @@ from sosgraphs.iso import (
 )
 from sosgraphs.roots import build_root_system
 
+from oracles import as_tuples
+
 
 def test_scaling_isomorphisms():
     assert check_scaling_isomorphism(build_root_system("E6"), 1, 4)
@@ -78,6 +80,12 @@ def test_weyl_automorphism_sampled(gamma):
     assert rep["ok"] and rep["mode"] == "sampled" and rep["seed"] == 11
 
 
+@pytest.mark.parametrize("pairs", [0, -5])
+def test_weyl_automorphism_rejects_sample_pairs_below_one(gamma, pairs):
+    with pytest.raises(ValueError, match="sample_pairs must be >= 1"):
+        check_weyl_automorphism(gamma("E8", 2), build_root_system("E8"), sample_pairs=pairs)
+
+
 def test_weyl_automorphism_edgeless(gamma):
     rep = check_weyl_automorphism(gamma("E7", 7), build_root_system("E7"))
     assert rep["ok"]
@@ -96,7 +104,7 @@ def test_f4k4_isomorphic_to_d4_level1(gamma):
             assert int(perm[w]) in adj2[int(perm[v])]
     # D4 level-1 vertex set is the k=4 vertex set halved
     halves = {tuple(int(x) // 2 for x in row) for row in g1.vertices.vectors}
-    assert halves == set(g2.vertices.as_tuples())
+    assert halves == set(as_tuples(g2.vertices))
 
 
 def test_e6_level1_isomorphic_level4(gamma):

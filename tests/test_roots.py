@@ -15,7 +15,6 @@ from sosgraphs.roots import (
     encode_rows,
     negate,
     parse_label,
-    reflect,
     strongly_orthogonal,
     sub,
     weyl_closure,
@@ -23,7 +22,7 @@ from sosgraphs.roots import (
 from sosgraphs.graph import weyl_orbit_labels
 from sosgraphs.sos import VertexSet, vertex_set
 
-from oracles import closure, closure_orbit_labels
+from oracles import as_tuples, closure, closure_orbit_labels, reflect
 from test_acceptance import TIER1
 
 EXPECTED = {
@@ -182,7 +181,7 @@ def test_orbit_closure_e7_level4():
     e7 = build_root_system("E7")
     vs = vertex_set(e7, 4)
     labels = weyl_orbit_labels(e7, vs)
-    assert labels.tolist() == closure_orbit_labels(vs.as_tuples(), _weyl_maps(e7))
+    assert labels.tolist() == closure_orbit_labels(as_tuples(vs), _weyl_maps(e7))
     assert sorted(np.bincount(labels).tolist()) == [126, 4032]
 
 

@@ -11,17 +11,15 @@ from sosgraphs.roots import (
     encode_rows,
     negate,
     parse_label,
-    reflect,
     strongly_orthogonal,
 )
 from sosgraphs.sos import (
-    enumerate_sos,
     sos_count,
     strong_orthogonality_graph,
     vertex_set,
 )
 
-from oracles import dfs_vertex_sets
+from oracles import as_tuples, dfs_vertex_sets, enumerate_sos, reflect
 
 # |V| column of the census table
 VCOUNT = {
@@ -104,7 +102,7 @@ def test_f4_contains_published_maximal_sos():
 @pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7"])
 def test_level1_vertices_are_roots(label):
     rs = build_root_system(label)
-    assert set(vertex_set(rs, 1).as_tuples()) == rs.root_set
+    assert set(as_tuples(vertex_set(rs, 1))) == rs.root_set
     assert (vertex_set(rs, 1).multiplicity == 1).all()
 
 
@@ -142,13 +140,13 @@ def test_vertex_set_matches_streamed_sums(label, kmax):
         sums = {
             tuple(sum(col) for col in zip(*s)) for s in enumerate_sos(rs, k)
         }
-        assert sums == set(vertex_set(rs, k).as_tuples())
+        assert sums == set(as_tuples(vertex_set(rs, k)))
 
 
 def test_vertex_set_closed_under_negation():
     for label, k in [("F4", 3), ("E7", 4), ("E8", 3)]:
         vs = vertex_set(build_root_system(label), k)
-        have = set(vs.as_tuples())
+        have = set(as_tuples(vs))
         assert {negate(v) for v in have} == have
 
 
@@ -166,7 +164,7 @@ def test_reflections_permute_sos(label, data):
 
 def test_vertex_rows_sorted_lexicographically():
     vs = vertex_set(build_root_system("E7"), 3)
-    rows = vs.as_tuples()
+    rows = as_tuples(vs)
     assert rows == sorted(rows)
     keys = vs.keys()
     assert (np.diff(keys) > 0).all()

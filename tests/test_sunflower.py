@@ -12,22 +12,24 @@ from sosgraphs.clique import (
     clique_number,
     enumerate_max_cliques_through,
 )
-from sosgraphs.roots import build_root_system, parse_label, reflect
+from sosgraphs.roots import build_root_system, parse_label
 from sosgraphs.sunflower import (
     count_sunflower_max_cliques,
     count_sunflowers_direct,
     is_sunflower,
-    pairwise_is_sunflower,
     perm_orbit_labels,
     signed_permutation_roots,
     sunflowers_through,
 )
 
 from oracles import (
+    as_tuples,
     closure,
     closure_orbit_labels,
     enumerated_sunflower_census,
+    pairwise_is_sunflower,
     plain_permutation_roots,
+    reflect,
 )
 from test_acceptance import SUNFLOWERS
 
@@ -49,7 +51,7 @@ def test_example_non_sunflower_clique_e8_k3(mgraph):
     v2 = tuple(2 * x for x in (-1, -1, 1, -1, 0, -1, 1, 0))
     v3 = tuple(2 * x for x in (1, 0, 1, -1, 1, -1, 1, 0))
     g = mgraph("E8", 3)
-    have = set(g.vertices.as_tuples())
+    have = set(as_tuples(g.vertices))
     assert {v1, v2, v3} <= have
     for a, b in [(v1, v2), (v1, v3), (v2, v3)]:
         assert tuple(x - y for x, y in zip(a, b)) in have
@@ -170,7 +172,7 @@ def test_perm_labels_match_closure_oracle(label, k, mgraph):
     roots = signed_permutation_roots(build_root_system(label))
     vs = mgraph(label, k).vertices
     maps = [partial(reflect, alpha) for alpha in roots]
-    assert perm_orbit_labels(roots, vs).tolist() == closure_orbit_labels(vs.as_tuples(), maps)
+    assert perm_orbit_labels(roots, vs).tolist() == closure_orbit_labels(as_tuples(vs), maps)
 
 
 def test_identity_only_group_gives_singleton_orbits(mgraph):
@@ -293,7 +295,7 @@ def test_some_weyl_element_breaks_the_sunflower_property(mgraph):
     rs = build_root_system("F4")
     omega = clique_number(g)
     vecs = g.vertices.vectors
-    vertex_keys = set(g.vertices.as_tuples())
+    vertex_keys = set(as_tuples(g.vertices))
     for v in range(g.n):
         for clique in enumerate_max_cliques_through(g, v, omega):
             vt = [tuple(int(x) for x in vecs[i]) for i in clique]
