@@ -93,7 +93,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = load_or_build(args, args.system, args.k)
+    rs = _system(args)
+    g = load_or_build(args, rs.label, args.k)
     s = graphmod.stats(g)
     payload = {
         "system": g.label,
@@ -261,6 +262,8 @@ def _verification_checks(args):
 def cmd_verify(args) -> int:
     if args.sample_pairs < 1:
         raise ValueError("--sample-pairs must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     report = {"seed": args.seed, "sample_pairs": args.sample_pairs, "checks": []}
     all_ok = True
     for name, runner in _verification_checks(args):
@@ -293,6 +296,8 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 def _table_rows(args):
     lo, hi = _parse_k_range(args.k_range)
+    if not args.systems:
+        raise ValueError("--systems: no system given")
     for label in args.systems:
         rs = parse_label(label)
         for k in range(lo, min(hi, rs.max_sos_size) + 1):

@@ -2,16 +2,16 @@
 
 Edge tests rely on an affine int64 encoding of doubled-coordinate
 vectors: key(u) - key(v) + offset equals key(u - v) whenever coordinates
-stay in range, so a block of pairwise difference tests is one subtraction
-plus a binary search against the sorted vertex keys (`key_index`).
+stay in range, so the neighbourhood of one vertex is one subtraction plus
+a binary search against the sorted vertex keys (`key_index`).
 
-Graph parameters come from the Weyl-orbit quotient: W acts by
-automorphisms, so degrees are read at one vertex per orbit and the
+W acts by automorphisms, so everything here starts from the
+neighbourhoods at one vertex per W-orbit. Degrees are read there, and the
 components are the finest W-invariant equivalence containing the edges
-at those vertices. The explicit edge build (`build_gamma`) collects the
-edges of blocks of index ranges in memory and assembles CSR with sorted
-neighbor lists; it serves the graph file, DOT export and the isomorphism
-checks.
+at those vertices. The explicit edge list (`build_gamma`) carries each
+representative's neighbourhood to every vertex of its orbit along a
+Schreier vector, N(g.r) = g.N(r) (`transport`); it serves the graph file,
+DOT export and the isomorphism checks.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from sosgraphs.sos import VertexSet, vertex_set
 
 MAGIC = b"SOSG"
 FORMAT_VERSION = 1
-
-DEFAULT_BLOCK_SIZE = 4096
 
 
 class GraphFileError(IOError):
@@ -85,8 +83,8 @@ class SOSGraph(_OrbitMixin):
 class MembershipGraph(_OrbitMixin):
     """Adjacency-free view: neighborhoods computed from vertex keys on demand.
 
-    Supports stats and the clique and sunflower censuses without the
-    quadratic edge build; serialization requires a full SOSGraph.
+    Supports stats and the clique and sunflower censuses without an
+    explicit edge list; serialization requires a full SOSGraph.
     """
 
     label: str
@@ -111,70 +109,6 @@ class GraphStats:
     component_count: int
     component_sizes: tuple[int, ...]
     isolated_vertex_count: int
-
-
-def _blocks(n: int, size: int):
-    for start in range(0, n, size):
-        yield start, min(start + size, n)
-
-
-def _block_edges(keys: np.ndarray, off: int, i0: int, i1: int, block_size: int):
-    """All edges (u, v) with u in [i0, i1), v > u, as one (u, v) chunk pair."""
-    n = keys.size
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    ki = keys[i0:i1]
-    for j0, j1 in _blocks(n, block_size):
-        if j1 <= i0:
-            continue
-        diff = ki[:, None] - keys[None, j0:j1] + off
-        r, c = np.nonzero(key_index(keys, diff) >= 0)
-        u = r.astype(np.int64) + i0
-        v = c.astype(np.int64) + j0
-        keep = v > u
-        us.append(u[keep].astype(np.int32))
-        vs.append(v[keep].astype(np.int32))
-    if not us:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
-    # j-blocks restart u; re-sort so chunks are u-ascending with v ascending per u
-    order = np.argsort(u, kind="stable")
-    return u[order], v[order]
-
-
-def _fill_rows(indices: np.ndarray, cursor: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Scatter dst into CSR rows; src must be sorted (dst sorted within src)."""
-    if src.size == 0:
-        return
-    uniq, starts, counts = np.unique(src, return_index=True, return_counts=True)
-    ranks = np.arange(src.size, dtype=np.int64) - np.repeat(starts, counts)
-    indices[cursor[src] + ranks] = dst
-    cursor[uniq] += counts
-
-
-def _assemble_csr(n: int, chunks: list) -> tuple[np.ndarray, np.ndarray]:
-    """Two passes over (u, v) chunks; emits sorted neighbor lists.
-
-    Relies on the block generation order: within each chunk u is ascending
-    with v ascending per u, reversed edges land in already-sorted order
-    when applied before forward ones.
-    """
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in chunks:
-        deg += np.bincount(u, minlength=n)
-        deg += np.bincount(v, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    cursor = indptr[:-1].copy()
-    for u, v in chunks:
-        order = np.argsort(v, kind="stable")
-        _fill_rows(indices, cursor, v[order], u[order])
-        _fill_rows(indices, cursor, u, v)
-    if not np.array_equal(cursor, indptr[1:]):
-        raise AssertionError("CSR fill incomplete; edge chunks out of order")
-    return indptr, indices
 
 
 def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -241,6 +175,27 @@ def schreier_vector(
     return parent, gen, levels
 
 
+def transport(perms: list[np.ndarray], reps: list[int], carried) -> np.ndarray:
+    """Carry one index row per orbit representative to every vertex of its orbit.
+
+    carried[i] is the row of reps[i]. Row x of the (n, width) int32 result
+    is g_x applied to the row of x's representative r, where g_x.r = x is
+    read off a Schreier vector of the generator permutations, one BFS
+    level at a time. Short rows are padded with r itself, which arrives at
+    x as x: the padding marks self-pairs.
+    """
+    n = perms[0].size
+    stacked = np.stack(perms).astype(np.int32)
+    out = np.empty((n, max(map(len, carried), default=0)), dtype=np.int32)
+    for r, row in zip(reps, carried):
+        out[r, : len(row)] = row
+        out[r, len(row) :] = r
+    parent, gen, levels = schreier_vector(perms, reps, n)
+    for level in levels:
+        out[level] = stacked[gen[level][:, None], out[parent[level]]]
+    return out
+
+
 def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
     """The reflections in roots as permutations of lex-sorted rows.
 
@@ -276,27 +231,33 @@ def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
 
 
 def membership_graph(rs: RootSystem, k: int) -> MembershipGraph:
-    """Vertex set plus its closure's orbit labels, skipping the pairwise edge build."""
+    """Vertex set plus its closure's orbit labels, with no explicit edge list."""
     vs = vertex_set(rs, k)
     return MembershipGraph(label=rs.label, k=k, vertices=vs, orbit_label=vs.orbit)
 
 
-def build_gamma(rs: RootSystem, k: int, *, block_size: int = DEFAULT_BLOCK_SIZE) -> SOSGraph:
+def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     """Build the gamma graph for rs at level k with its explicit edge list.
 
-    Edges are generated in (i-block, j-block) batches held in memory; the
-    result is independent of block size.
+    The neighbourhood of each W-orbit representative is carried to every
+    vertex of its orbit (`transport`); each row is then sorted and the
+    padding, which arrives at x as x itself, is dropped.
     """
-    vs = vertex_set(rs, k)
-    n = len(vs)
-    keys = vs.keys()
-    off = key_offset(rs.ambient_dim)
-    if n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), keys):
+    g = membership_graph(rs, k)
+    vs = g.vertices
+    if g.n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), vs.keys()):
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
-    chunks = [_block_edges(keys, off, i0, i1, block_size) for i0, i1 in _blocks(n, block_size)]
-    indptr, indices = _assemble_csr(n, chunks)
+    reps = g.orbit_representatives()
+    rows = transport(
+        reflection_permutations(rs.simple_roots, vs.vectors), reps, [g.neighbors(r) for r in reps]
+    )
+    rows.sort(axis=1)
+    keep = rows != np.arange(g.n, dtype=np.int32)[:, None]
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return SOSGraph(
-        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=indices, orbit_label=vs.orbit
+        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=rows[keep],
+        orbit_label=g.orbit_label,
     )
 
 
@@ -340,25 +301,16 @@ def _transported_components(
     every vertex x = g_x.r, the edges x ~ g_x.w_j: one neighbour w_j per
     Stab_W(r)-orbit of N(r), carried along a Schreier vector of r's orbit.
 
-    A helper of its own, so that its n x (seeds) and n x (generators)
-    arrays are freed before the fixed-point loop runs.
+    A helper of its own, so that its n x (seeds) array is freed before
+    the fixed-point loop runs.
     """
     n = g.n
     seeds = [nb[stabilizer_orbits(g, r, nb)[0]] for r, nb in zip(reps, hoods)]
-    # Pad with the representative itself: a self-pair merges nothing.
-    carried = np.repeat(np.asarray(reps, dtype=np.int64)[:, None], max(map(len, seeds)), axis=1)
-    for row, seed in zip(carried, seeds):
-        row[: seed.size] = seed
-    transport = np.empty((n, carried.shape[1]), dtype=np.int64)
-    transport[reps] = carried
-    parent, gen, levels = schreier_vector(perms, reps, n)
-    stacked = np.stack(perms)
-    for level in levels:
-        transport[level] = stacked[gen[level][:, None], transport[parent[level]]]
+    carried = transport(perms, reps, seeds)
     return _pair_components(
         n,
-        np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), transport.shape[1])]),
-        np.concatenate([*hoods, transport.ravel()]),
+        np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), carried.shape[1])]),
+        np.concatenate([*hoods, carried.ravel()]),
     )
 
 
@@ -451,11 +403,11 @@ def serialize(g: SOSGraph, path) -> None:
         out.write(g.n.to_bytes(8, "little"))
         out.write(g.edge_count.to_bytes(8, "little"))
         out.write(g.vertices.dim.to_bytes(4, "little"))
-        out.write(g.vertices.vectors.astype("<i4").tobytes())
-        out.write(g.vertices.multiplicity.astype("<i8").tobytes())
-        out.write(g.orbit_label.astype("<i4").tobytes())
-        out.write(g.indptr.astype("<i8").tobytes())
-        out.write(g.indices.astype("<i4").tobytes())
+        blocks = [(g.vertices.vectors, "<i4"), (g.vertices.multiplicity, "<i8"),
+                  (g.orbit_label, "<i4"), (g.indptr, "<i8"), (g.indices, "<i4")]
+        for arr, dtype in blocks:
+            # A byte view, not a copy: the E8 k=6 edge list alone is 655 MB.
+            out.write(memoryview(np.ascontiguousarray(arr, dtype=dtype).reshape(-1)).cast("B"))
         fh.write(out.crc.to_bytes(4, "little"))
 
 

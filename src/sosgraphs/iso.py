@@ -1,12 +1,11 @@
 """Structural checks: scaling maps, the mod-8 norm constraint, degree
 formula, Weyl automorphism action, and small-graph isomorphism with an
-explicit bijection (partition refinement plus backtracking)."""
+explicit bijection (individualization-refinement)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from sosgraphs.clique import induced_bitrows
 from sosgraphs.graph import (
     SOSGraph,
     edge_keys_membership,
@@ -110,17 +109,6 @@ def _adjacency_sets(g: SOSGraph) -> list[set[int]]:
     return [set(g.neighbors(v).tolist()) for v in range(g.n)]
 
 
-def _triangle_counts(g: SOSGraph) -> list[int]:
-    rows = induced_bitrows(g, np.arange(g.n))
-    out = []
-    for v in range(g.n):
-        t = 0
-        for w in g.neighbors(v).tolist():
-            t += (rows[v] & rows[w]).bit_count()
-        out.append(t // 2)
-    return out, rows
-
-
 def _refine_colors(colors: list[int], adj: list[set[int]]) -> list[int]:
     n = len(colors)
     while True:
@@ -134,133 +122,69 @@ def _refine_colors(colors: list[int], adj: list[set[int]]) -> list[int]:
         colors = fresh
 
 
+def _isomorphisms(g1: SOSGraph, g2: SOSGraph):
+    """Every isomorphism g1 -> g2, as a list of g2 indices per g1 vertex.
+
+    Individualization-refinement (McKay, "Practical graph isomorphism",
+    1981) on the disjoint union, so that one palette colours both sides:
+    refine to stability and prune when the sides' colour counts differ;
+    otherwise individualize the first vertex of g1's smallest non-singleton
+    cell against each g2 vertex of its colour. A discrete colouring is a
+    bijection, and stability makes it an isomorphism.
+    """
+    n = g1.n
+    adj = _adjacency_sets(g1) + [{w + n for w in nb} for nb in _adjacency_sets(g2)]
+
+    def search(colors):
+        colors = _refine_colors(colors, adj)
+        if sorted(colors[:n]) != sorted(colors[n:]):
+            return
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        open_cells = [cell for cell in cells.values() if len(cell) > 1]
+        if not open_cells:
+            partner = {colors[w]: w - n for w in range(n, 2 * n)}
+            yield [partner[c] for c in colors[:n]]
+            return
+        v = min(open_cells, key=len)[0]
+        for w in range(n, 2 * n):
+            if colors[w] == colors[v]:
+                fresh = colors.copy()
+                fresh[v] = fresh[w] = max(colors) + 1
+                yield from search(fresh)
+
+    yield from search([0] * (2 * n))
+
+
 def check_graph_isomorphism_small(
     g1: SOSGraph, g2: SOSGraph, bound: int = DEFAULT_ISO_BOUND
 ) -> tuple[bool, list[int] | None]:
     """Isomorphism decision with an explicit vertex bijection when true.
 
-    Screens by vertex/edge counts, degree sequence and per-vertex triangle
-    counts, refines colors to stability, then backtracks over color-
-    compatible assignments in an order that keeps the mapped set connected
-    where possible.
+    Screens by vertex and edge counts, then takes the first isomorphism of
+    the individualization-refinement search and verifies it edge by edge.
     """
     if max(g1.n, g2.n) > bound:
         raise ValueError(f"graphs exceed isomorphism search bound {bound}")
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return False, None
-    n = g1.n
-    if n == 0:
-        return True, []
-    tri1, rows1 = _triangle_counts(g1)
-    tri2, rows2 = _triangle_counts(g2)
-    deg1 = g1.degrees().tolist()
-    deg2 = g2.degrees().tolist()
-    if sorted(zip(deg1, tri1)) != sorted(zip(deg2, tri2)):
+    mapping = next(_isomorphisms(g1, g2), None)
+    if mapping is None:
         return False, None
-    adj1 = _adjacency_sets(g1)
     adj2 = _adjacency_sets(g2)
-    base = {pair: i for i, pair in enumerate(sorted(set(zip(deg1, tri1))))}
-    col1 = _refine_colors([base[p] for p in zip(deg1, tri1)], adj1)
-    col2 = _refine_colors([base[p] for p in zip(deg2, tri2)], adj2)
-    if sorted(col1) != sorted(col2):
-        return False, None
-
-    by_color2: dict[int, list[int]] = {}
-    for v, c in enumerate(col2):
-        by_color2.setdefault(c, []).append(v)
-
-    # order: rarest color first, then expanding along adjacency
-    order: list[int] = []
-    seen = [False] * n
-    rarity = {c: sorted(col1).count(c) for c in set(col1)}
-    pool = sorted(range(n), key=lambda v: (rarity[col1[v]], v))
-    for root in pool:
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in sorted(adj1[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def backtrack(depth: int) -> bool:
-        if depth == n:
-            return True
-        v = order[depth]
-        for w in by_color2[col1[v]]:
-            if used[w]:
-                continue
-            consistent = True
-            for prev in order[:depth]:
-                if (prev in adj1[v]) != (mapping[prev] in adj2[w]):
-                    consistent = False
-                    break
-            if consistent:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(depth + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if not backtrack(0):
-        return False, None
-    for v in range(n):
-        for w in adj1[v]:
+    for v in range(g1.n):
+        for w in g1.neighbors(v).tolist():
             if mapping[w] not in adj2[mapping[v]]:
                 raise AssertionError("isomorphism verification failed")
     return True, mapping
 
 
 def count_automorphisms_small(g: SOSGraph, bound: int = 100) -> int:
-    """Exact automorphism count by exhaustive backtracking (tiny graphs)."""
+    """Exact automorphism count: the isomorphisms of g onto itself."""
     if g.n > bound:
         raise ValueError(f"automorphism count limited to {bound} vertices")
-    n = g.n
-    adj = _adjacency_sets(g)
-    deg = g.degrees().tolist()
-    tri, _ = _triangle_counts(g)
-    base = {pair: i for i, pair in enumerate(sorted(set(zip(deg, tri))))}
-    colors = _refine_colors([base[p] for p in zip(deg, tri)], adj)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    order = sorted(range(n), key=lambda v: (len(by_color[colors[v]]), v))
-    mapping = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def backtrack(depth: int):
-        nonlocal count
-        if depth == n:
-            count += 1
-            return
-        v = order[depth]
-        for w in by_color[colors[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for prev in order[:depth]:
-                if (prev in adj[v]) != (mapping[prev] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                backtrack(depth + 1)
-                mapping[v] = -1
-                used[w] = False
-
-    backtrack(0)
-    return count
+    return sum(1 for _ in _isomorphisms(g, g))
 
 
 def check_f4k4_structure(g: SOSGraph) -> bool:

@@ -3,7 +3,10 @@ import pytest
 from sosgraphs.graph import build_gamma, membership_graph
 from sosgraphs.roots import parse_label
 
+import oracles
+
 _GRAPHS = {}
+_PAIRWISE = {}
 _MEMBERSHIP = {}
 
 
@@ -16,6 +19,19 @@ def gamma():
         if key not in _GRAPHS:
             _GRAPHS[key] = build_gamma(parse_label(label), k)
         return _GRAPHS[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def pairwise_gamma():
+    """Session-cached full graphs from the pairwise edge oracle, keyed by (label, k)."""
+
+    def get(label: str, k: int):
+        key = (label, k)
+        if key not in _PAIRWISE:
+            _PAIRWISE[key] = oracles.pairwise_gamma(parse_label(label), k)
+        return _PAIRWISE[key]
 
     return get
 

@@ -8,6 +8,8 @@ closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
 single_level_census is the one-level orbit reduction: one vertex per
 W-orbit, counting every (omega-1)-clique of its neighborhood directly.
+pairwise_gamma builds the explicit edge list by testing every vertex pair
+in blocks, with no orbit reasoning and no Schreier vector.
 csr_stats reads the graph parameters off the explicit edge list.
 propagated_components spreads the representatives' edges through the
 simple reflections alone, round after round, to a fixed point.
@@ -30,18 +32,19 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import GraphStats, _pair_components, reflection_permutations
+from sosgraphs.graph import GraphStats, SOSGraph, _pair_components, reflection_permutations
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
     RootSystemError,
     dot,
     encode_rows,
+    key_index,
     key_offset,
     parse_label,
     strongly_orthogonal,
 )
-from sosgraphs.sos import VertexSet
+from sosgraphs.sos import VertexSet, vertex_set
 from sosgraphs.sunflower import perm_orbit_labels
 
 
@@ -120,6 +123,89 @@ def single_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
         for size, rows, full in hoods
     )
     return omega, per_orbit
+
+
+def _blocks(n: int, size: int):
+    for start in range(0, n, size):
+        yield start, min(start + size, n)
+
+
+def _block_edges(keys: np.ndarray, off: int, i0: int, i1: int, block_size: int):
+    """All edges (u, v) with u in [i0, i1), v > u, as one (u, v) chunk pair."""
+    n = keys.size
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
+    ki = keys[i0:i1]
+    for j0, j1 in _blocks(n, block_size):
+        if j1 <= i0:
+            continue
+        diff = ki[:, None] - keys[None, j0:j1] + off
+        r, c = np.nonzero(key_index(keys, diff) >= 0)
+        u = r.astype(np.int64) + i0
+        v = c.astype(np.int64) + j0
+        keep = v > u
+        us.append(u[keep].astype(np.int32))
+        vs.append(v[keep].astype(np.int32))
+    if not us:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    # j-blocks restart u; re-sort so chunks are u-ascending with v ascending per u
+    order = np.argsort(u, kind="stable")
+    return u[order], v[order]
+
+
+def _fill_rows(indices: np.ndarray, cursor: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Scatter dst into CSR rows; src must be sorted (dst sorted within src)."""
+    if src.size == 0:
+        return
+    uniq, starts, counts = np.unique(src, return_index=True, return_counts=True)
+    ranks = np.arange(src.size, dtype=np.int64) - np.repeat(starts, counts)
+    indices[cursor[src] + ranks] = dst
+    cursor[uniq] += counts
+
+
+def _assemble_csr(n: int, chunks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Two passes over (u, v) chunks; emits sorted neighbor lists.
+
+    Relies on the block generation order: within each chunk u is ascending
+    with v ascending per u, reversed edges land in already-sorted order
+    when applied before forward ones.
+    """
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in chunks:
+        deg += np.bincount(u, minlength=n)
+        deg += np.bincount(v, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    cursor = indptr[:-1].copy()
+    for u, v in chunks:
+        order = np.argsort(v, kind="stable")
+        _fill_rows(indices, cursor, v[order], u[order])
+        _fill_rows(indices, cursor, u, v)
+    if not np.array_equal(cursor, indptr[1:]):
+        raise AssertionError("CSR fill incomplete; edge chunks out of order")
+    return indptr, indices
+
+
+def pairwise_gamma(rs, k: int, block_size: int = 4096) -> SOSGraph:
+    """The gamma graph with its edge list from every vertex pair.
+
+    Edges are generated in (i-block, j-block) batches held in memory; the
+    result is independent of block size.
+    """
+    vs = vertex_set(rs, k)
+    n = len(vs)
+    keys = vs.keys()
+    off = key_offset(rs.ambient_dim)
+    if n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), keys):
+        raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
+    chunks = [_block_edges(keys, off, i0, i1, block_size) for i0, i1 in _blocks(n, block_size)]
+    indptr, indices = _assemble_csr(n, chunks)
+    return SOSGraph(
+        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=indices, orbit_label=vs.orbit
+    )
 
 
 def csr_stats(g) -> GraphStats:

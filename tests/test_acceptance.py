@@ -2,10 +2,11 @@
 
 All comparisons are exact integer equality; percentage strings compare at
 one printed decimal. Graph parameters are checked through the Weyl-orbit
-quotient on every row, and against the explicit edge list (the CSR
-oracle) on the tier-1 and tier-2 rows. The E8 k>=3 rows, the tier-2 edge
-builds, the E8 k=6/7 clique totals and the E8 k=4..7 sunflower rows are
-marked slow; the heaviest rows (full E8 k=6 edge build, whole-graph E7 k=4
+quotient on every row, and against the edge list of the pairwise oracle
+(`oracles.pairwise_gamma`, read through the CSR oracle) on the tier-1 and
+tier-2 rows. The E8 k>=3 rows, the tier-2 edge builds, the E8 k=6/7
+clique totals and the E8 k=4..7 sunflower rows are marked slow; the
+heaviest rows (full pairwise E8 k=6 edge build, whole-graph E7 k=4
 enumeration) are marked stretch and excluded from default runs.
 """
 
@@ -115,12 +116,12 @@ def _check_table1_row(s, label, k):
     assert got == TABLE1[(label, k)], f"{label} k={k}: {got}"
 
 
-def _check_table1_edge_list(gamma, label, k):
+def _check_table1_edge_list(pairwise_gamma, label, k):
     # Imported here: perfbench loads the pins of this module without
     # tests/ on sys.path.
     from oracles import csr_stats
 
-    _check_table1_row(csr_stats(gamma(label, k)), label, k)
+    _check_table1_row(csr_stats(pairwise_gamma(label, k)), label, k)
 
 
 def test_criterion1_table1_quotient(mgraph):
@@ -138,22 +139,22 @@ def test_criterion1_table1_quotient_e8_deep(mgraph):
     _passline("criterion 1 (graph parameters from the orbit quotient, E8 k=3..8)")
 
 
-def test_criterion1_table1_tier1(gamma):
+def test_criterion1_table1_tier1(pairwise_gamma):
     for label, k in TIER1:
-        _check_table1_edge_list(gamma, label, k)
+        _check_table1_edge_list(pairwise_gamma, label, k)
     _passline("criterion 1 (tier-1 graph parameters from the edge list, exact)")
 
 
 @pytest.mark.slow
-def test_criterion2_table1_tier2(gamma):
+def test_criterion2_table1_tier2(pairwise_gamma):
     for label, k in TIER2:
-        _check_table1_edge_list(gamma, label, k)
+        _check_table1_edge_list(pairwise_gamma, label, k)
     _passline("criterion 2 (tier-2 graph parameters from the edge list, exact)")
 
 
 @pytest.mark.stretch
-def test_criterion2_table1_tier3_e8_k6(gamma):
-    _check_table1_edge_list(gamma, "E8", 6)
+def test_criterion2_table1_tier3_e8_k6(pairwise_gamma):
+    _check_table1_edge_list(pairwise_gamma, "E8", 6)
     _passline("criterion 2 stretch (E8 k=6 edge build, exact)")
 
 

@@ -28,6 +28,13 @@ def test_build_warns_beyond_max_sos(cli_cache, capsys):
     assert json.loads(out)["n"] == 0
 
 
+def test_stats_warns_beyond_max_sos(cli_cache, capsys):
+    code, out, err = run(capsys, "stats", "--system", "E6", "--k", "5")
+    assert code == 0
+    assert err == "warning: k=5 exceeds max SOS size 4 for E6; graph is empty\n"
+    assert json.loads(out)["n"] == 0
+
+
 @pytest.mark.parametrize("command", ["cliques", "sunflowers"])
 def test_census_warns_beyond_max_sos(cli_cache, capsys, command):
     code, out, err = run(capsys, command, "--system", "E6", "--k", "5")
@@ -42,6 +49,13 @@ def test_table_rejects_bad_k_range(cli_cache, capsys, k_range):
     code, out, err = run(capsys, "table", "cliques", "--systems", "G2", "--k-range", k_range)
     assert code == 1 and out == ""
     assert err.startswith(f"error: --k-range {k_range!r}: ")
+
+
+@pytest.mark.parametrize("systems", [",,", ""])
+def test_table_rejects_empty_systems(cli_cache, capsys, systems):
+    code, out, err = run(capsys, "table", "parameters", "--systems", systems)
+    assert code == 1 and out == ""
+    assert err == "error: --systems: no system given\n"
 
 
 def test_stats_output(cli_cache, capsys, tmp_path):
@@ -162,6 +176,12 @@ def test_verify_rejects_sample_pairs_below_one(cli_cache, capsys, pairs):
     code, out, err = run(capsys, "verify", "--sample-pairs", pairs)
     assert code == 1 and out == ""
     assert err == "error: --sample-pairs must be >= 1\n"
+
+
+def test_verify_rejects_negative_seed(cli_cache, capsys):
+    code, out, err = run(capsys, "verify", "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be >= 0\n"
 
 
 def test_brute_force_builds_graph_once(cli_cache, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from sosgraphs.roots import (
 )
 from sosgraphs.sos import VertexSet, vertex_set
 
+import oracles
 from oracles import (
     as_tuples,
     closure,
@@ -40,6 +41,7 @@ from oracles import (
     propagated_components,
     reflect,
 )
+from test_acceptance import TIER2
 
 # (|V|, |E|, min deg, max deg, components) rows
 TIER1 = {
@@ -72,10 +74,10 @@ def test_tier1_parameters(label, k, gamma):
 
 
 @pytest.mark.parametrize("label,k", sorted(TIER1))
-def test_quotient_stats_match_csr_oracle(label, k, gamma, mgraph):
+def test_quotient_stats_match_csr_oracle(label, k, gamma, mgraph, pairwise_gamma):
     """Every GraphStats field, from the orbit quotient on both graph views,
-    equals the one read off the explicit CSR edge list."""
-    want = csr_stats(gamma(label, k))
+    equals the one read off the pairwise oracle's CSR edge list."""
+    want = csr_stats(pairwise_gamma(label, k))
     assert stats(mgraph(label, k)) == want
     assert stats(gamma(label, k)) == want
 
@@ -180,12 +182,36 @@ def test_edges_match_naive_membership(gamma):
 
 
 def test_block_size_independence():
+    """The pairwise oracle gives one edge list at every block size, and it is
+    the transported one."""
     rs = build_root_system("F4")
-    baseline = build_gamma(rs, 3)
-    for bs in (7, 64, 100000):
-        g = build_gamma(rs, 3, block_size=bs)
+    built = build_gamma(rs, 3)
+    baseline = oracles.pairwise_gamma(rs, 3, block_size=7)
+    for bs in (64, 100000):
+        g = oracles.pairwise_gamma(rs, 3, block_size=bs)
         assert np.array_equal(g.indptr, baseline.indptr)
         assert np.array_equal(g.indices, baseline.indices)
+    assert np.array_equal(built.indptr, baseline.indptr)
+    assert np.array_equal(built.indices, baseline.indices)
+
+
+@pytest.mark.parametrize(
+    "label,k",
+    sorted(TIER1)
+    + [("A3", 1), ("A3", 2), ("A8", 2), ("D9", 1), ("E6", 5)]
+    + [("D4", k) for k in range(1, 5)]
+    + [pytest.param(label, k, marks=pytest.mark.slow) for label, k in TIER2],
+)
+def test_build_matches_pairwise_oracle(label, k, pairwise_gamma):
+    """The edge list carried along the Schreier vector equals the one from
+    every vertex pair, dtypes included (E6 k=5 is empty, E7 k=7 edgeless).
+    The transported graph is built here and not cached, so the slow rows
+    hold only the oracle graphs the acceptance suite has cached."""
+    want = pairwise_gamma(label, k)
+    have = build_gamma(parse_label(label), k)
+    for field in ("indptr", "indices", "orbit_label"):
+        a, b = getattr(have, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def test_membership_graph_neighbors_match(gamma, mgraph):

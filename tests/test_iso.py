@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sosgraphs.graph import stats
+from sosgraphs.graph import SOSGraph, stats
 from sosgraphs.iso import (
     check_degree_formula,
     check_f4k4_structure,
@@ -12,6 +12,7 @@ from sosgraphs.iso import (
     count_automorphisms_small,
 )
 from sosgraphs.roots import build_root_system
+from sosgraphs.sos import VertexSet
 
 from oracles import as_tuples
 
@@ -136,3 +137,25 @@ def test_f4k4_automorphism_order(gamma):
 def test_g2_hexagon_automorphisms(gamma):
     # the level-2 graph is a 6-cycle: dihedral symmetry of order 12
     assert count_automorphisms_small(gamma("G2", 2)) == 12
+
+
+def _cycles(*lengths) -> SOSGraph:
+    """Disjoint cycles of the given lengths, on placeholder vertex rows."""
+    rows, start = [], 0
+    for length in lengths:
+        rows += [sorted({start + (i - 1) % length, start + (i + 1) % length})
+                 for i in range(length)]
+        start += length
+    vs = VertexSet(label="G2", k=1, vectors=np.zeros((start, 3), dtype=np.int32),
+                   multiplicity=np.ones(start, dtype=np.int64))
+    return SOSGraph(label="G2", k=1, vertices=vs,
+                    indptr=np.cumsum([0] + [len(r) for r in rows]),
+                    indices=np.array([w for r in rows for w in r], dtype=np.int32),
+                    orbit_label=np.zeros(start, dtype=np.int32))
+
+
+def test_search_rejects_what_refinement_cannot_split():
+    """C8 and two disjoint C4 are both 2-regular and triangle-free, so colour
+    refinement leaves one cell on each side and the search must reject."""
+    assert check_graph_isomorphism_small(_cycles(8), _cycles(4, 4)) == (False, None)
+    assert count_automorphisms_small(_cycles(8)) == 16
