@@ -30,10 +30,7 @@ from math import comb
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, SOSGraph, stabilizer_orbits
-from sosgraphs.roots import key_index, key_offset
-
-GraphLike = SOSGraph | MembershipGraph
+from sosgraphs.graph import MembershipGraph, stabilizer_orbits
 
 DEFAULT_BRUTE_FORCE_BOUND = 750
 _ENUM_BATCH = 65_536
@@ -48,15 +45,13 @@ class CliqueCensus:
     total_maximum_cliques: int
 
 
-def induced_bitrows(g: GraphLike, vertex_ids: np.ndarray) -> list[int]:
+def induced_bitrows(g: MembershipGraph, vertex_ids: np.ndarray) -> list[int]:
     """Bitset adjacency rows of the subgraph induced on vertex_ids."""
     ids = np.asarray(vertex_ids, dtype=np.int64)
     d = ids.size
     if d == 0:
         return []
-    keys = g.vertices.keys()
-    sub = keys[ids]
-    adj = key_index(keys, sub[:, None] - sub[None, :] + key_offset(g.vertices.dim)) >= 0
+    adj = g.vertices.adjacent(ids[:, None], ids[None, :])
     np.fill_diagonal(adj, False)
     return bitrows(adj)
 
@@ -240,7 +235,7 @@ def _full_mask(count: int) -> int:
     return (1 << count) - 1
 
 
-def _neighborhoods(g: GraphLike):
+def _neighborhoods(g: MembershipGraph):
     """Per W-orbit: (orbit size, bitrows of N(v), Stab(v)-orbit reps, sizes)."""
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
@@ -263,7 +258,7 @@ def _exact_quotient(weighted: int, divisor: int, what: str) -> int:
     return quotient
 
 
-def clique_number(g: GraphLike) -> int:
+def clique_number(g: MembershipGraph) -> int:
     """Exact clique number; 1 for edgeless graphs, 0 for the empty graph.
 
     A maximum clique meets every W-orbit through some vertex, and every
@@ -275,39 +270,16 @@ def clique_number(g: GraphLike) -> int:
     return _omega(_neighborhoods(g))
 
 
-def count_cliques_of_size(g: GraphLike, vertex_subset: np.ndarray, t: int) -> int:
-    """Exact number of t-cliques in the subgraph induced on vertex_subset."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    ids = np.asarray(vertex_subset)
-    if t == 1:
-        return int(ids.size)
-    rows = induced_bitrows(g, ids)
-    return count_cliques_of_size_bitset(rows, _full_mask(ids.size), t)
-
-
-def enumerate_max_cliques_through(g: GraphLike, v: int, omega: int):
-    """Yield each maximum clique containing v as a sorted global index tuple."""
-    if omega == 1:
-        yield (v,)
-        return
-    nb = g.neighbors(v)
-    rows = induced_bitrows(g, nb)
-    for local in collect_cliques_of_size(rows, _full_mask(nb.size), omega - 1):
-        yield tuple(sorted([v] + [int(nb[i]) for i in local]))
-
-
-def count_maximum_cliques(g: GraphLike, omega: int | None = None) -> CliqueCensus:
+def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
     """Two-level orbit-weighted maximum-clique total with exact divisibility.
 
     omega and the counts share one induction of N(v) per W-orbit
     representative; each level's weighted sum must divide exactly.
     """
-    if g.n == 0 or omega == 0:
+    if g.n == 0:
         return CliqueCensus(omega=0, per_orbit=(), total_maximum_cliques=0)
     hoods = list(_neighborhoods(g))
-    if omega is None:
-        omega = _omega(hoods)
+    omega = _omega(hoods)
     per_orbit = []
     for size, rows, reps, sizes in hoods:
         if omega == 1:
@@ -322,7 +294,7 @@ def count_maximum_cliques(g: GraphLike, omega: int | None = None) -> CliqueCensu
     return CliqueCensus(omega=omega, per_orbit=tuple(per_orbit), total_maximum_cliques=total)
 
 
-def count_maximal_cliques_by_size(g: GraphLike) -> dict[int, int]:
+def count_maximal_cliques_by_size(g: MembershipGraph) -> dict[int, int]:
     """Counts of maximal cliques by size, orbit-weighted.
 
     Maximal cliques of size s through v biject with maximal (s-1)-cliques
@@ -337,17 +309,11 @@ def count_maximal_cliques_by_size(g: GraphLike) -> dict[int, int]:
         rows = induced_bitrows(g, nb)
         for s1, cnt in maximal_clique_size_counts(rows, _full_mask(nb.size)).items():
             weighted[s1 + 1] += size * cnt
-    out = {}
-    for s, w in sorted(weighted.items()):
-        total, rem = divmod(w, s)
-        if rem:
-            raise ArithmeticError(f"maximal-clique weight {w} not divisible by size {s}")
-        out[s] = total
-    return out
+    return {s: _exact_quotient(w, s, "maximal-clique count") for s, w in sorted(weighted.items())}
 
 
 def brute_force_maximum_cliques(
-    g: GraphLike, bound: int = DEFAULT_BRUTE_FORCE_BOUND
+    g: MembershipGraph, bound: int = DEFAULT_BRUTE_FORCE_BOUND
 ) -> list[tuple[int, ...]]:
     """All maximum cliques by unassisted full enumeration (oracle path).
 

@@ -1,9 +1,7 @@
 """Gamma graphs: edges join vertex pairs whose difference is again a vertex.
 
-Edge tests rely on an affine int64 encoding of doubled-coordinate
-vectors: key(u) - key(v) + offset equals key(u - v) whenever coordinates
-stay in range, so the neighbourhood of one vertex is one subtraction plus
-a binary search against the sorted vertex keys (`key_index`).
+A graph is its vertex set (`VertexSet.adjacent` is the edge test), plus
+the CSR edge list where that list is the product.
 
 W acts by automorphisms, so everything here starts from the
 neighbourhoods at one vertex per W-orbit. Degrees are read there, and the
@@ -26,7 +24,6 @@ from sosgraphs.roots import (
     RootSystem,
     encode_rows,
     key_index,
-    key_offset,
     parse_label,
     reflect_rows,
 )
@@ -44,7 +41,30 @@ class GroupActionError(ValueError):
     """A generator maps some indexed vertex outside the indexed set."""
 
 
-class _OrbitMixin:
+@dataclass
+class MembershipGraph:
+    """The gamma graph of a vertex set, with no explicit edge list.
+
+    Neighbourhoods come from the vertex set's edge test on demand; that
+    serves stats and the clique and sunflower censuses. Serialization
+    needs the edge list of an SOSGraph.
+    """
+
+    vertices: VertexSet
+
+    @property
+    def label(self) -> str:
+        return self.vertices.label
+
+    @property
+    def k(self) -> int:
+        return self.vertices.k
+
+    @property
+    def orbit_label(self) -> np.ndarray:
+        """W-orbit id per vertex, numbered by lowest index."""
+        return self.vertices.orbit
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -56,17 +76,18 @@ class _OrbitMixin:
         """Lowest vertex index within each orbit label."""
         return np.unique(self.orbit_label, return_index=True)[1].tolist()
 
+    def neighbors(self, v: int) -> np.ndarray:
+        hit = self.vertices.adjacent(v, slice(None))
+        hit[v] = False
+        return np.flatnonzero(hit).astype(np.int32)
+
 
 @dataclass
-class SOSGraph(_OrbitMixin):
-    """Vertices, CSR adjacency and Weyl orbit labels of one gamma graph."""
+class SOSGraph(MembershipGraph):
+    """A gamma graph with its CSR edge list."""
 
-    label: str
-    k: int
-    vertices: VertexSet
     indptr: np.ndarray  # (n+1,) int64
     indices: np.ndarray  # (2m,) int32, sorted within each row
-    orbit_label: np.ndarray  # (n,) int32
 
     @property
     def edge_count(self) -> int:
@@ -77,26 +98,6 @@ class SOSGraph(_OrbitMixin):
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-
-@dataclass
-class MembershipGraph(_OrbitMixin):
-    """Adjacency-free view: neighborhoods computed from vertex keys on demand.
-
-    Supports stats and the clique and sunflower censuses without an
-    explicit edge list; serialization requires a full SOSGraph.
-    """
-
-    label: str
-    k: int
-    vertices: VertexSet
-    orbit_label: np.ndarray
-
-    def neighbors(self, v: int) -> np.ndarray:
-        keys = self.vertices.keys()
-        hit = key_index(keys, keys[v] - keys + key_offset(self.vertices.dim)) >= 0
-        hit[v] = False
-        return np.flatnonzero(hit).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
 
 
 def stabilizer_orbits(
-    g: SOSGraph | MembershipGraph, v: int, nb: np.ndarray
+    g: MembershipGraph, v: int, nb: np.ndarray
 ) -> tuple[list[int], list[int]]:
     """Representatives (lowest local indices into nb) and sizes of the
     Stab_W(v)-orbits on N(v) = nb, in order of representative.
@@ -231,9 +232,8 @@ def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
 
 
 def membership_graph(rs: RootSystem, k: int) -> MembershipGraph:
-    """Vertex set plus its closure's orbit labels, with no explicit edge list."""
-    vs = vertex_set(rs, k)
-    return MembershipGraph(label=rs.label, k=k, vertices=vs, orbit_label=vs.orbit)
+    """The level-k vertex set as a graph, with no explicit edge list."""
+    return MembershipGraph(vertex_set(rs, k))
 
 
 def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
@@ -255,10 +255,7 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     keep = rows != np.arange(g.n, dtype=np.int32)[:, None]
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return SOSGraph(
-        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=rows[keep],
-        orbit_label=g.orbit_label,
-    )
+    return SOSGraph(vertices=vs, indptr=indptr, indices=rows[keep])
 
 
 def _component_labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -295,7 +292,7 @@ def _pair_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _transported_components(
-    g: SOSGraph | MembershipGraph, perms: list[np.ndarray], reps: list[int], hoods, rep_src
+    g: MembershipGraph, perms: list[np.ndarray], reps: list[int], hoods, rep_src
 ) -> np.ndarray:
     """Lowest index per component of the representatives' edges plus, at
     every vertex x = g_x.r, the edges x ~ g_x.w_j: one neighbour w_j per
@@ -314,7 +311,7 @@ def _transported_components(
     )
 
 
-def quotient_components(g: SOSGraph | MembershipGraph, reps: list[int], hoods) -> np.ndarray:
+def quotient_components(g: MembershipGraph, reps: list[int], hoods) -> np.ndarray:
     """Lowest index of each vertex's component, from the W-orbit quotient.
 
     W acts by automorphisms, so the component partition is W-invariant,
@@ -344,7 +341,7 @@ def quotient_components(g: SOSGraph | MembershipGraph, reps: list[int], hoods) -
     return labels
 
 
-def stats(g: SOSGraph | MembershipGraph) -> GraphStats:
+def stats(g: MembershipGraph) -> GraphStats:
     """Graph parameters from one neighborhood per W-orbit, on either view.
 
     Degrees are constant on W-orbits; m = sum |O| deg(rep_O) / 2 must
@@ -372,12 +369,6 @@ def stats(g: SOSGraph | MembershipGraph) -> GraphStats:
         component_sizes=sizes,
         isolated_vertex_count=int(orbit_sizes[deg == 0].sum()),
     )
-
-
-def edge_keys_membership(g: SOSGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized edge test for index arrays u, v (difference membership)."""
-    keys = g.vertices.keys()
-    return key_index(keys, keys[u] - keys[v] + key_offset(g.vertices.dim)) >= 0
 
 
 class _ChecksumWriter:
@@ -449,20 +440,10 @@ def deserialize(path) -> SOSGraph:
             raise GraphFileError("graph file checksum mismatch")
         if fh.read(1):
             raise GraphFileError("trailing bytes after checksum")
-    vs = VertexSet(
-        label=label,
-        k=k,
-        vectors=vectors.astype(np.int32),
-        multiplicity=multiplicity.astype(np.int64),
-    )
-    return SOSGraph(
-        label=label,
-        k=k,
-        vertices=vs,
-        indptr=indptr.astype(np.int64),
-        indices=indices.astype(np.int32),
-        orbit_label=orbit.astype(np.int32),
-    )
+    # The file's dtypes are the in-memory ones, so the blocks are used as
+    # read, with no copy: the E8 k=6 edge list alone is 655 MB.
+    vs = VertexSet(label=label, k=k, vectors=vectors, multiplicity=multiplicity, orbit=orbit)
+    return SOSGraph(vertices=vs, indptr=indptr, indices=indices)
 
 
 def file_checksum(path) -> str:

@@ -6,14 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sosgraphs.graph import (
-    SOSGraph,
-    edge_keys_membership,
-    membership_graph,
-    reflection_permutations,
-    stats,
-)
-from sosgraphs.roots import RootSystem, encode_rows, key_index, key_offset
+from sosgraphs.graph import SOSGraph, membership_graph, reflection_permutations, stats
+from sosgraphs.roots import RootSystem, encode_rows
 from sosgraphs.sos import vertex_set
 
 EXHAUSTIVE_PAIR_LIMIT = 10_000_000
@@ -77,27 +71,22 @@ def check_weyl_automorphism(
     if sample_pairs < 1:
         raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
     n = g.n
-    keys = g.vertices.keys()
+    vs = g.vertices
     exhaustive = n <= 1000
     report = {"ok": True, "mode": "exhaustive" if exhaustive else "sampled", "reflections": len(rs.simple_roots)}
-    if not exhaustive:
+    if exhaustive:
+        u, v = np.arange(n)[:, None], np.arange(n)[None, :]
+        adj = vs.adjacent(u, v)
+    else:
         report["seed"] = seed
         report["sample_pairs"] = sample_pairs
-    off = key_offset(g.vertices.dim)
-    for idx, perm in enumerate(reflection_permutations(rs.simple_roots, g.vertices.vectors)):
-        if exhaustive:
-            adj = key_index(keys, keys[:, None] - keys[None, :] + off) >= 0
-            ok = bool(np.array_equal(adj, adj[np.ix_(perm, perm)]))
-        else:
+    for idx, perm in enumerate(reflection_permutations(rs.simple_roots, vs.vectors)):
+        if not exhaustive:
             rng = np.random.default_rng(seed + idx)
             u = rng.integers(0, n, size=sample_pairs)
             v = rng.integers(0, n, size=sample_pairs)
-            ok = bool(
-                np.array_equal(
-                    edge_keys_membership(g, u, v),
-                    edge_keys_membership(g, perm[u], perm[v]),
-                )
-            )
+            adj = vs.adjacent(u, v)
+        ok = bool(np.array_equal(adj, vs.adjacent(perm[u], perm[v])))
         if not ok:
             report["ok"] = False
             report["failed_reflection"] = idx

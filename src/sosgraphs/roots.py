@@ -88,7 +88,7 @@ def key_index(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     query = np.asarray(query, dtype=np.int64)
     if keys.size == 0:
         return np.full(query.shape, -1, dtype=np.int64)
-    pos = np.searchsorted(keys, query)
+    pos = np.asarray(np.searchsorted(keys, query))  # 0-d for a scalar query
     np.minimum(pos, keys.size - 1, out=pos)
     pos[keys[pos] != query] = -1
     return pos

@@ -16,6 +16,9 @@ where c_theta(y) is the number of (k-1)-SOS T with theta + sum(T) = y. The
 division is exact or the vertex set is wrong (ArithmeticError). The
 closure labels the W-orbits as it goes, and the vertex set keeps those
 labels for the graph views.
+
+The gamma graph is the vertex set itself: two vertices are adjacent when
+their difference is again a vertex (`VertexSet.adjacent`).
 """
 
 from __future__ import annotations
@@ -65,6 +68,17 @@ class VertexSet:
 
     def sos_count(self) -> int:
         return int(self.multiplicity.sum())
+
+    def adjacent(self, a, b) -> np.ndarray:
+        """Whether vectors[a] - vectors[b] is a vertex, for anything that
+        indexes the key array: ints, slices or index arrays that broadcast.
+
+        Keys are affine in the rows, so key(u) - key(v) + key_offset(dim)
+        equals key(u - v) while every coordinate of u - v stays in the key
+        digit range, and one binary search against the sorted keys decides.
+        """
+        keys = self.keys()
+        return key_index(keys, keys[a] - keys[b] + key_offset(self.dim)) >= 0
 
 
 def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:
@@ -156,11 +170,3 @@ def vertex_set(rs: RootSystem, k: int) -> VertexSet:
         hit = _VCACHE[(rs.label, k)] = _orbit_vertex_set(rs, k)
     return hit
 
-
-def sos_count(rs: RootSystem, k: int) -> int:
-    """|SOS(R, k)| without materializing the stream."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > rs.max_sos_size:
-        return 0
-    return vertex_set(rs, k).sos_count()

@@ -27,13 +27,13 @@ import numpy as np
 
 from sosgraphs.clique import (
     CliqueCensus,
-    GraphLike,
+    _exact_quotient,
     bitrows,
     count_cliques_of_size_bitset,
     count_maximum_cliques,
     induced_bitrows,
 )
-from sosgraphs.graph import orbit_labels, reflection_permutations
+from sosgraphs.graph import MembershipGraph, orbit_labels, reflection_permutations
 from sosgraphs.roots import RootSystem, RootVector, simple_roots_of
 from sosgraphs.sos import VertexSet
 
@@ -100,7 +100,7 @@ def _support_masks(rows: np.ndarray) -> np.ndarray:
     return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
 
 
-def sunflowers_through(g: GraphLike, v: int, omega: int) -> int:
+def sunflowers_through(g: MembershipGraph, v: int, omega: int) -> int:
     """Number of sunflower maximum cliques (of size omega >= 2) containing v."""
     nb = g.neighbors(v)
     masks = _support_masks(g.vertices.vectors[np.append(nb, v)])
@@ -115,7 +115,7 @@ def sunflowers_through(g: GraphLike, v: int, omega: int) -> int:
     return count
 
 
-def orbit_weighted_sunflowers(g: GraphLike, roots, omega: int) -> int:
+def orbit_weighted_sunflowers(g: MembershipGraph, roots, omega: int) -> int:
     """Sunflower maximum cliques (of size omega >= 2) from one vertex per
     orbit of the reflections in roots, weighted by orbit size and divided
     exactly by omega (ArithmeticError otherwise)."""
@@ -125,14 +125,11 @@ def orbit_weighted_sunflowers(g: GraphLike, roots, omega: int) -> int:
         size * sunflowers_through(g, v, omega)
         for size, v in zip(np.bincount(labels).tolist(), reps)
     )
-    sunflowers, rem = divmod(weighted, omega)
-    if rem:
-        raise ArithmeticError(f"orbit-weighted sunflower count {weighted} not divisible by {omega}")
-    return sunflowers
+    return _exact_quotient(weighted, omega, "sunflower count")
 
 
 def count_sunflower_max_cliques(
-    g: GraphLike, rs: RootSystem, census: CliqueCensus | None = None
+    g: MembershipGraph, rs: RootSystem, census: CliqueCensus | None = None
 ) -> SunflowerCensus:
     """Sunflower totals by H-orbit weighting; exact division by omega.
 
@@ -149,7 +146,7 @@ def count_sunflower_max_cliques(
     return SunflowerCensus(omega, census.total_maximum_cliques, sunflowers)
 
 
-def count_sunflowers_direct(g: GraphLike, cliques) -> int:
+def count_sunflowers_direct(g: MembershipGraph, cliques) -> int:
     """Classify an explicit clique list (global vertex indices); oracle path."""
     vectors = g.vertices.vectors
     count = 0

@@ -8,6 +8,8 @@ closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
 single_level_census is the one-level orbit reduction: one vertex per
 W-orbit, counting every (omega-1)-clique of its neighborhood directly.
+count_cliques_of_size and enumerate_max_cliques_through count and list
+cliques inside one vertex subset, with no orbit reasoning.
 pairwise_gamma builds the explicit edge list by testing every vertex pair
 in blocks, with no orbit reasoning and no Schreier vector.
 csr_stats reads the graph parameters off the explicit edge list.
@@ -125,6 +127,27 @@ def single_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     return omega, per_orbit
 
 
+def count_cliques_of_size(g, vertex_subset, t: int) -> int:
+    """Exact number of t-cliques in the subgraph induced on vertex_subset."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    ids = np.asarray(vertex_subset)
+    if t == 1:
+        return int(ids.size)
+    return count_cliques_of_size_bitset(induced_bitrows(g, ids), (1 << ids.size) - 1, t)
+
+
+def enumerate_max_cliques_through(g, v: int, omega: int):
+    """Yield each maximum clique containing v as a sorted global index tuple."""
+    if omega == 1:
+        yield (v,)
+        return
+    nb = g.neighbors(v)
+    rows = induced_bitrows(g, nb)
+    for local in collect_cliques_of_size(rows, (1 << nb.size) - 1, omega - 1):
+        yield tuple(sorted([v] + [int(nb[i]) for i in local]))
+
+
 def _blocks(n: int, size: int):
     for start in range(0, n, size):
         yield start, min(start + size, n)
@@ -203,9 +226,7 @@ def pairwise_gamma(rs, k: int, block_size: int = 4096) -> SOSGraph:
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     chunks = [_block_edges(keys, off, i0, i1, block_size) for i0, i1 in _blocks(n, block_size)]
     indptr, indices = _assemble_csr(n, chunks)
-    return SOSGraph(
-        label=rs.label, k=k, vertices=vs, indptr=indptr, indices=indices, orbit_label=vs.orbit
-    )
+    return SOSGraph(vertices=vs, indptr=indptr, indices=indices)
 
 
 def csr_stats(g) -> GraphStats:

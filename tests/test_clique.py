@@ -12,11 +12,9 @@ from sosgraphs.clique import (
     brute_force_maximum_cliques,
     clique_number,
     collect_cliques_of_size,
-    count_cliques_of_size,
     count_cliques_of_size_bitset,
     count_maximal_cliques_by_size,
     count_maximum_cliques,
-    enumerate_max_cliques_through,
     enumerate_maximal_cliques,
     induced_bitrows,
     max_clique_size_bitset,
@@ -25,7 +23,13 @@ from sosgraphs.clique import (
 from sosgraphs.graph import GroupActionError, stabilizer_orbits
 from sosgraphs.roots import parse_label
 
-from oracles import closure_orbit_labels, reflect, single_level_census
+from oracles import (
+    closure_orbit_labels,
+    count_cliques_of_size,
+    enumerate_max_cliques_through,
+    reflect,
+    single_level_census,
+)
 
 OMEGA = {
     ("G2", 1): 3, ("G2", 2): 2,
@@ -286,6 +290,8 @@ def test_non_divisible_orbit_sum_raises(mgraph):
     """Mislabel F4 k=1 as one orbit of 48 vertices: 48 * c(v0) is not a
     multiple of omega = 7, so the W level must refuse it."""
     g = mgraph("F4", 1)
-    merged = dataclasses.replace(g, orbit_label=np.zeros(g.n, dtype=np.int32))
+    merged = dataclasses.replace(
+        g, vertices=dataclasses.replace(g.vertices, orbit=np.zeros(g.n, dtype=np.int32))
+    )
     with pytest.raises(ArithmeticError, match="maximum-clique count"):
         count_maximum_cliques(merged)

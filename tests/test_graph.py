@@ -11,7 +11,6 @@ from sosgraphs.graph import (
     SOSGraph,
     build_gamma,
     deserialize,
-    edge_keys_membership,
     file_checksum,
     orbit_labels,
     quotient_components,
@@ -142,10 +141,9 @@ def test_components_exact_without_transported_edges(mgraph, monkeypatch):
 def test_odd_weighted_degree_sum_raises():
     """One orbit of 3 vertices whose representative has degree 1."""
     vs = VertexSet(label="G2", k=1, vectors=np.zeros((3, 3), dtype=np.int32),
-                   multiplicity=np.ones(3, dtype=np.int64))
-    g = SOSGraph(label="G2", k=1, vertices=vs, indptr=np.array([0, 1, 2, 2]),
-                 indices=np.array([1, 0], dtype=np.int32),
-                 orbit_label=np.zeros(3, dtype=np.int32))
+                   multiplicity=np.ones(3, dtype=np.int64), orbit=np.zeros(3, dtype=np.int32))
+    g = SOSGraph(vertices=vs, indptr=np.array([0, 1, 2, 2]),
+                 indices=np.array([1, 0], dtype=np.int32))
     with pytest.raises(ArithmeticError, match="odd"):
         stats(g)
 
@@ -247,9 +245,7 @@ def test_edge_symmetry_sampled(gamma):
     rng = np.random.default_rng(7)
     u = rng.integers(0, g.n, 20000)
     v = rng.integers(0, g.n, 20000)
-    assert np.array_equal(
-        edge_keys_membership(g, u, v), edge_keys_membership(g, v, u)
-    )
+    assert np.array_equal(g.vertices.adjacent(u, v), g.vertices.adjacent(v, u))
 
 
 def test_serialize_round_trip(tmp_path, gamma):
@@ -264,6 +260,10 @@ def test_serialize_round_trip(tmp_path, gamma):
         assert np.array_equal(back.indptr, g.indptr)
         assert np.array_equal(back.indices, g.indices)
         assert np.array_equal(back.orbit_label, g.orbit_label)
+        assert np.array_equal(back.vertices.orbit, g.orbit_label)
+        for arr in (back.vertices.vectors, back.vertices.multiplicity, back.vertices.orbit,
+                    back.indptr, back.indices):
+            assert arr.base is not None  # the file's bytes, not a copy
         assert back.edge_count == g.edge_count
         # byte-identical rewrite
         path2 = tmp_path / "again.sosg"

@@ -147,11 +147,10 @@ def _cycles(*lengths) -> SOSGraph:
                  for i in range(length)]
         start += length
     vs = VertexSet(label="G2", k=1, vectors=np.zeros((start, 3), dtype=np.int32),
-                   multiplicity=np.ones(start, dtype=np.int64))
-    return SOSGraph(label="G2", k=1, vertices=vs,
-                    indptr=np.cumsum([0] + [len(r) for r in rows]),
-                    indices=np.array([w for r in rows for w in r], dtype=np.int32),
-                    orbit_label=np.zeros(start, dtype=np.int32))
+                   multiplicity=np.ones(start, dtype=np.int64),
+                   orbit=np.zeros(start, dtype=np.int32))
+    return SOSGraph(vertices=vs, indptr=np.cumsum([0] + [len(r) for r in rows]),
+                    indices=np.array([w for r in rows for w in r], dtype=np.int32))
 
 
 def test_search_rejects_what_refinement_cannot_split():

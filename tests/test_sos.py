@@ -13,11 +13,7 @@ from sosgraphs.roots import (
     parse_label,
     strongly_orthogonal,
 )
-from sosgraphs.sos import (
-    sos_count,
-    strong_orthogonality_graph,
-    vertex_set,
-)
+from sosgraphs.sos import strong_orthogonality_graph, vertex_set
 
 from oracles import as_tuples, dfs_vertex_sets, enumerate_sos, reflect
 
@@ -67,7 +63,7 @@ def test_so_pair_counts_brute_force():
 
     assert pairs("G2") == 12  # 12 ordered partners / 2-regular graph
     assert pairs("E8") == 15120  # 240 * 126 / 2
-    assert pairs("E8") == sos_count(build_root_system("E8"), 2)
+    assert pairs("E8") == vertex_set(build_root_system("E8"), 2).sos_count()
     # cross-check against the deduplicated sums column
     assert len(vertex_set(build_root_system("E8"), 2)) == 2160
 
@@ -215,7 +211,7 @@ def test_vertex_set_matches_dfs_oracle(label, k):
 @pytest.mark.parametrize("label,k", ORACLE_ROWS)
 def test_sos_count_matches_enumeration(label, k):
     rs = parse_label(label)
-    assert sos_count(rs, k) == sum(1 for _ in enumerate_sos(rs, k))
+    assert vertex_set(rs, k).sos_count() == sum(1 for _ in enumerate_sos(rs, k))
 
 
 @pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 3), ("E7", 4), ("E8", 2)])
@@ -242,3 +238,17 @@ def test_keys_are_encoded_once():
     fresh = sosmod.VertexSet(label=vs.label, k=vs.k, vectors=vs.vectors, multiplicity=vs.multiplicity)
     assert fresh.keys() is fresh.keys()
     assert np.array_equal(fresh.keys(), vs.keys())
+
+
+@pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 2), ("E6", 2)])
+def test_adjacent_is_difference_membership(label, k):
+    """The edge test against tuple arithmetic, for broadcast index arrays,
+    a slice and a pair of ints."""
+    vs = vertex_set(build_root_system(label), k)
+    rows = as_tuples(vs)
+    members = set(rows)
+    want = np.array([[tuple(a - b for a, b in zip(u, v)) in members for v in rows] for u in rows])
+    ids = np.arange(len(vs))
+    assert np.array_equal(vs.adjacent(ids[:, None], ids[None, :]), want)
+    assert np.array_equal(vs.adjacent(3, slice(None)), want[3])
+    assert vs.adjacent(1, 2) == want[1, 2] and vs.adjacent(2, 1) == want[2, 1]

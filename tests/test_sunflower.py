@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosgraphs import sunflower as sunmod
-from sosgraphs.clique import (
-    brute_force_maximum_cliques,
-    clique_number,
-    enumerate_max_cliques_through,
-)
+from sosgraphs.clique import brute_force_maximum_cliques, clique_number
 from sosgraphs.roots import build_root_system, parse_label
 from sosgraphs.sunflower import (
     count_sunflower_max_cliques,
@@ -26,6 +22,7 @@ from oracles import (
     as_tuples,
     closure,
     closure_orbit_labels,
+    enumerate_max_cliques_through,
     enumerated_sunflower_census,
     pairwise_is_sunflower,
     plain_permutation_roots,
