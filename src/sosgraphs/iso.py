@@ -6,12 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from sosgraphs.graph import SOSGraph, membership_graph, reflection_permutations, stats
+from sosgraphs.graph import MembershipGraph, membership_graph, reflection_permutations, stats
 from sosgraphs.roots import RootSystem, encode_rows
 from sosgraphs.sos import vertex_set
 
-EXHAUSTIVE_PAIR_LIMIT = 10_000_000
-SAMPLE_PAIRS = 1_000_000
 DEFAULT_ISO_BOUND = 5000
 
 
@@ -25,31 +23,26 @@ def check_scaling_isomorphism(rs: RootSystem, k_small: int, k_large: int) -> boo
     return bool(np.array_equal(doubled, large.keys()))
 
 
-def check_mod8(rs: RootSystem, k: int | None = None, seed: int = 0) -> dict:
-    """Doubled squared distances divisible by 32 on the level-k vertex set.
+def _within_bound(n: int, what: str) -> None:
+    """The exhaustive checks hold an n x n array; refuse n above the bound."""
+    if n > DEFAULT_ISO_BOUND:
+        raise ValueError(f"{what}: {n} vertices exceed the exhaustive bound {DEFAULT_ISO_BOUND}")
 
-    k defaults to the maximum SOS size (the rank for E7/E8; 4 for E6 where
-    the top level is a scaled copy of level 1). Exhaustive below the pair
-    limit, seeded sampling above.
+
+def check_mod8(rs: RootSystem) -> dict:
+    """Doubled squared distances divisible by 32 on the top-level vertex set.
+
+    The top level is the maximum SOS size (the rank for E7/E8; 4 for E6,
+    where it is a scaled copy of level 1). Every pair is checked.
     """
-    if k is None:
-        k = rs.max_sos_size
-    vs = vertex_set(rs, k)
-    vecs = vs.vectors.astype(np.int64)
+    vs = vertex_set(rs, rs.max_sos_size)
     n = len(vs)
-    pairs = n * (n - 1) // 2
-    if pairs <= EXHAUSTIVE_PAIR_LIMIT:
-        gram = vecs @ vecs.T
-        norms = np.diag(gram)
-        dist2 = norms[:, None] + norms[None, :] - 2 * gram
-        ok = bool((dist2 % 32 == 0).all())
-        return {"ok": ok, "mode": "exhaustive", "pairs": pairs}
-    rng = np.random.default_rng(seed)
-    u = rng.integers(0, n, size=SAMPLE_PAIRS)
-    v = rng.integers(0, n, size=SAMPLE_PAIRS)
-    diff = vecs[u] - vecs[v]
-    ok = bool(((diff * diff).sum(axis=1) % 32 == 0).all())
-    return {"ok": ok, "mode": "sampled", "pairs": SAMPLE_PAIRS, "seed": seed}
+    _within_bound(n, f"mod-8 check on {rs.label}")
+    vecs = vs.vectors.astype(np.int64)
+    gram = vecs @ vecs.T
+    norms = np.diag(gram)
+    dist2 = norms[:, None] + norms[None, :] - 2 * gram
+    return {"ok": bool((dist2 % 32 == 0).all()), "pairs": n * (n - 1) // 2}
 
 
 def check_degree_formula(rs: RootSystem) -> bool:
@@ -59,42 +52,23 @@ def check_degree_formula(rs: RootSystem) -> bool:
     return s.is_regular and s.min_degree == want
 
 
-def check_weyl_automorphism(
-    g: SOSGraph, rs: RootSystem, sample_pairs: int = SAMPLE_PAIRS, seed: int = 0
-) -> dict:
+def check_weyl_automorphism(g: MembershipGraph, rs: RootSystem) -> dict:
     """Each simple reflection permutes vertices and preserves (non-)adjacency.
 
-    Exhaustive over all pairs when the graph has at most 1000 vertices,
-    otherwise a seeded uniform sample of vertex pairs per reflection.
-    sample_pairs must be at least 1, so a sampled pass always tests pairs.
+    Exact over every vertex pair: with adj the all-pairs edge test and p a
+    reflection's vertex permutation, adj[p][:, p] must equal adj.
     """
-    if sample_pairs < 1:
-        raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
-    n = g.n
-    vs = g.vertices
-    exhaustive = n <= 1000
-    report = {"ok": True, "mode": "exhaustive" if exhaustive else "sampled", "reflections": len(rs.simple_roots)}
-    if exhaustive:
-        u, v = np.arange(n)[:, None], np.arange(n)[None, :]
-        adj = vs.adjacent(u, v)
-    else:
-        report["seed"] = seed
-        report["sample_pairs"] = sample_pairs
-    for idx, perm in enumerate(reflection_permutations(rs.simple_roots, vs.vectors)):
-        if not exhaustive:
-            rng = np.random.default_rng(seed + idx)
-            u = rng.integers(0, n, size=sample_pairs)
-            v = rng.integers(0, n, size=sample_pairs)
-            adj = vs.adjacent(u, v)
-        ok = bool(np.array_equal(adj, vs.adjacent(perm[u], perm[v])))
-        if not ok:
-            report["ok"] = False
-            report["failed_reflection"] = idx
-            return report
+    _within_bound(g.n, f"Weyl automorphism check on {g.label} k={g.k}")
+    every = np.arange(g.n)
+    adj = g.vertices.adjacent(every[:, None], every[None, :])
+    report = {"ok": True, "reflections": len(rs.simple_roots)}
+    for idx, perm in enumerate(reflection_permutations(rs.simple_roots, g.vertices.vectors)):
+        if not np.array_equal(adj[np.ix_(perm, perm)], adj):
+            return {**report, "ok": False, "failed_reflection": idx}
     return report
 
 
-def _adjacency_sets(g: SOSGraph) -> list[set[int]]:
+def _adjacency_sets(g: MembershipGraph) -> list[set[int]]:
     return [set(g.neighbors(v).tolist()) for v in range(g.n)]
 
 
@@ -111,7 +85,7 @@ def _refine_colors(colors: list[int], adj: list[set[int]]) -> list[int]:
         colors = fresh
 
 
-def _isomorphisms(g1: SOSGraph, g2: SOSGraph):
+def _isomorphisms(g1: MembershipGraph, g2: MembershipGraph):
     """Every isomorphism g1 -> g2, as a list of g2 indices per g1 vertex.
 
     Individualization-refinement (McKay, "Practical graph isomorphism",
@@ -147,16 +121,18 @@ def _isomorphisms(g1: SOSGraph, g2: SOSGraph):
 
 
 def check_graph_isomorphism_small(
-    g1: SOSGraph, g2: SOSGraph, bound: int = DEFAULT_ISO_BOUND
+    g1: MembershipGraph, g2: MembershipGraph, bound: int = DEFAULT_ISO_BOUND
 ) -> tuple[bool, list[int] | None]:
     """Isomorphism decision with an explicit vertex bijection when true.
 
-    Screens by vertex and edge counts, then takes the first isomorphism of
-    the individualization-refinement search and verifies it edge by edge.
+    Screens by vertex count, then takes the first isomorphism of the
+    individualization-refinement search and verifies it edge by edge. The
+    search's first refinement already separates different degree
+    multisets, so different edge counts come out (False, None).
     """
     if max(g1.n, g2.n) > bound:
         raise ValueError(f"graphs exceed isomorphism search bound {bound}")
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+    if g1.n != g2.n:
         return False, None
     mapping = next(_isomorphisms(g1, g2), None)
     if mapping is None:
@@ -169,14 +145,14 @@ def check_graph_isomorphism_small(
     return True, mapping
 
 
-def count_automorphisms_small(g: SOSGraph, bound: int = 100) -> int:
+def count_automorphisms_small(g: MembershipGraph, bound: int = 100) -> int:
     """Exact automorphism count: the isomorphisms of g onto itself."""
     if g.n > bound:
         raise ValueError(f"automorphism count limited to {bound} vertices")
     return sum(1 for _ in _isomorphisms(g, g))
 
 
-def check_f4k4_structure(g: SOSGraph) -> bool:
+def check_f4k4_structure(g: MembershipGraph) -> bool:
     """Level-4 F4 vertices have two non-zero (doubled +-4) coordinates and
     adjacency means exactly one shared coordinate with equal value."""
     vecs = g.vertices.vectors

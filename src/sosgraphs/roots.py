@@ -47,14 +47,6 @@ def dot(v: RootVector, w: RootVector) -> int:
     return sum(a * b for a, b in zip(v, w))
 
 
-def negate(v: RootVector) -> RootVector:
-    return tuple(-a for a in v)
-
-
-def add(v: RootVector, w: RootVector) -> RootVector:
-    return tuple(a + b for a, b in zip(v, w))
-
-
 def sub(v: RootVector, w: RootVector) -> RootVector:
     return tuple(a - b for a, b in zip(v, w))
 
@@ -116,19 +108,6 @@ class RootSystem:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-
-def strongly_orthogonal(rs: RootSystem, alpha: RootVector, beta: RootVector) -> bool:
-    """True iff neither sum nor difference is a root.
-
-    Antipodal and equal pairs are excluded: a strongly orthogonal subset
-    consists of linearly independent roots, and {a, -a} sums to zero.
-    """
-    if alpha not in rs.root_set or beta not in rs.root_set:
-        raise RootSystemError("strongly_orthogonal requires roots of the system")
-    if alpha == beta or alpha == negate(beta):
-        return False
-    return add(alpha, beta) not in rs.root_set and sub(alpha, beta) not in rs.root_set
 
 
 def _e8_roots() -> list[RootVector]:

@@ -1,5 +1,8 @@
 """Independent reference paths the fast code is checked against.
 
+strongly_orthogonal is the pairwise definition (neither sum nor
+difference is a root) that sos.strong_orthogonality_graph is checked
+against; negate and add are its tuple helpers.
 reflect, as_tuples, enumerate_sos and pairwise_is_sunflower are the plain
 tuple-level definitions: one reflection, a vertex set as tuples, every
 SOS listed depth first, and the sunflower test on pairwise support
@@ -44,10 +47,31 @@ from sosgraphs.roots import (
     key_index,
     key_offset,
     parse_label,
-    strongly_orthogonal,
+    sub,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 from sosgraphs.sunflower import perm_orbit_labels
+
+
+def negate(v) -> tuple:
+    return tuple(-a for a in v)
+
+
+def add(v, w) -> tuple:
+    return tuple(a + b for a, b in zip(v, w))
+
+
+def strongly_orthogonal(rs, alpha, beta) -> bool:
+    """True iff neither sum nor difference is a root.
+
+    Antipodal and equal pairs are excluded: a strongly orthogonal subset
+    consists of linearly independent roots, and {a, -a} sums to zero.
+    """
+    if alpha not in rs.root_set or beta not in rs.root_set:
+        raise RootSystemError("strongly_orthogonal requires roots of the system")
+    if alpha == beta or alpha == negate(beta):
+        return False
+    return add(alpha, beta) not in rs.root_set and sub(alpha, beta) not in rs.root_set
 
 
 def reflect(alpha, v) -> tuple:

@@ -171,17 +171,45 @@ def test_key_dimension_limit_errors(cli_cache, capsys):
         assert err.startswith("error: ") and "at most 9" in err
 
 
-@pytest.mark.parametrize("pairs", ["0", "-5"])
-def test_verify_rejects_sample_pairs_below_one(cli_cache, capsys, pairs):
-    code, out, err = run(capsys, "verify", "--sample-pairs", pairs)
-    assert code == 1 and out == ""
-    assert err == "error: --sample-pairs must be >= 1\n"
+def test_verify_is_exact_and_writes_no_graph_files(cli_cache, capsys):
+    code, out, err = run(capsys, "verify")
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == ["checks"]
+    assert len(report["checks"]) == 7
+    for check in report["checks"]:
+        assert check["ok"] and all(v is True for v in check["detail"].values()), check
+    weyl = next(c for c in report["checks"] if c["name"] == "weyl_automorphism_action")
+    assert list(weyl["detail"]) == ["G2 k=1", "F4 k=3", "E6 k=2", "E7 k=2", "E8 k=2"]
+    assert err.count("PASS ") == 7
+    assert not list(cli_cache.glob("*.sosg"))
 
 
-def test_verify_rejects_negative_seed(cli_cache, capsys):
-    code, out, err = run(capsys, "verify", "--seed", "-1")
+@pytest.mark.parametrize("command", [
+    ["cliques", "--system", "G2", "--k", "1"],
+    ["sunflowers", "--system", "G2", "--k", "1"],
+    ["verify"],
+], ids=["cliques", "sunflowers", "verify"])
+def test_cache_dir_only_where_a_cache_is_read(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_errors(cli_cache, capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "cliques", "--system", "G2", "--k", "1", "--out", str(target))
     assert code == 1 and out == ""
-    assert err == "error: --seed must be >= 0\n"
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_cache_dir_that_is_a_file_errors(capsys, tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    code, out, err = run(capsys, "build", "--system", "G2", "--k", "1", "--cache-dir", str(blocker))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(blocker) in err
 
 
 def test_brute_force_builds_graph_once(cli_cache, capsys, monkeypatch):

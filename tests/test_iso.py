@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sosgraphs import iso as isomod
 from sosgraphs.graph import SOSGraph, stats
 from sosgraphs.iso import (
     check_degree_formula,
@@ -36,16 +37,16 @@ def test_scaling_implies_equal_stats(gamma):
 
 
 def test_mod8_e6_and_e7():
-    rep = check_mod8(build_root_system("E6"))  # k defaults to max SOS size 4
-    assert rep == {"ok": True, "mode": "exhaustive", "pairs": 72 * 71 // 2}
+    rep = check_mod8(build_root_system("E6"))  # top level: max SOS size 4
+    assert rep == {"ok": True, "pairs": 72 * 71 // 2}
     rep = check_mod8(build_root_system("E7"))
-    assert rep["ok"] and rep["pairs"] == 576 * 575 // 2
+    assert rep == {"ok": True, "pairs": 576 * 575 // 2}
 
 
 @pytest.mark.slow
 def test_mod8_e8():
     rep = check_mod8(build_root_system("E8"))
-    assert rep["ok"] and rep["mode"] == "exhaustive"
+    assert rep == {"ok": True, "pairs": 2160 * 2159 // 2}
 
 
 def test_e7_top_level_norm_rules_out_edges(gamma):
@@ -71,20 +72,39 @@ def test_degree_formula_a1():
 
 def test_weyl_automorphism_exhaustive(gamma):
     rep = check_weyl_automorphism(gamma("F4", 3), build_root_system("F4"))
-    assert rep == {"ok": True, "mode": "exhaustive", "reflections": 4}
+    assert rep == {"ok": True, "reflections": 4}
 
 
-def test_weyl_automorphism_sampled(gamma):
-    rep = check_weyl_automorphism(
-        gamma("E8", 2), build_root_system("E8"), sample_pairs=100_000, seed=11
-    )
-    assert rep["ok"] and rep["mode"] == "sampled" and rep["seed"] == 11
+def test_weyl_automorphism_e8_every_pair(mgraph):
+    """All 2160 x 2160 pairs of E8 k=2, on the graph with no edge list."""
+    rep = check_weyl_automorphism(mgraph("E8", 2), build_root_system("E8"))
+    assert rep == {"ok": True, "reflections": 8}
 
 
-@pytest.mark.parametrize("pairs", [0, -5])
-def test_weyl_automorphism_rejects_sample_pairs_below_one(gamma, pairs):
-    with pytest.raises(ValueError, match="sample_pairs must be >= 1"):
-        check_weyl_automorphism(gamma("E8", 2), build_root_system("E8"), sample_pairs=pairs)
+def test_weyl_automorphism_detects_a_non_automorphism(mgraph, monkeypatch):
+    """A permutation swapping a degree-4 and a degree-6 vertex of G2 k=1
+    preserves no adjacency structure, so the first reflection fails."""
+    g = mgraph("G2", 1)
+    degrees = [g.neighbors(v).size for v in range(g.n)]
+    swap = np.arange(g.n)
+    a, b = degrees.index(4), degrees.index(6)
+    swap[[a, b]] = swap[[b, a]]
+    monkeypatch.setattr(isomod, "reflection_permutations", lambda roots, rows: [swap] * len(roots))
+    rep = check_weyl_automorphism(g, build_root_system("G2"))
+    assert rep == {"ok": False, "reflections": 2, "failed_reflection": 0}
+
+
+def test_exhaustive_checks_refuse_graphs_above_bound(mgraph, monkeypatch):
+    """E8 k=3 has 6720 vertices, above the bound of 5000; the mod-8 check
+    runs at the bound and refuses one vertex past it."""
+    assert mgraph("E8", 3).n == 6720 > isomod.DEFAULT_ISO_BOUND
+    with pytest.raises(ValueError, match="6720 vertices exceed the exhaustive bound 5000"):
+        check_weyl_automorphism(mgraph("E8", 3), build_root_system("E8"))
+    monkeypatch.setattr(isomod, "DEFAULT_ISO_BOUND", 576)
+    assert check_mod8(build_root_system("E7"))["ok"]
+    monkeypatch.setattr(isomod, "DEFAULT_ISO_BOUND", 575)
+    with pytest.raises(ValueError, match="576 vertices exceed the exhaustive bound 575"):
+        check_mod8(build_root_system("E7"))
 
 
 def test_weyl_automorphism_edgeless(gamma):

@@ -13,16 +13,14 @@ from sosgraphs.roots import (
     build_root_system,
     dot,
     encode_rows,
-    negate,
     parse_label,
-    strongly_orthogonal,
     sub,
     weyl_closure,
 )
 from sosgraphs.graph import weyl_orbit_labels
 from sosgraphs.sos import VertexSet, vertex_set
 
-from oracles import as_tuples, closure, closure_orbit_labels, reflect
+from oracles import as_tuples, closure, closure_orbit_labels, negate, reflect, strongly_orthogonal
 from test_acceptance import TIER1
 
 EXPECTED = {

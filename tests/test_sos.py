@@ -9,13 +9,11 @@ from sosgraphs import sos as sosmod
 from sosgraphs.roots import (
     build_root_system,
     encode_rows,
-    negate,
     parse_label,
-    strongly_orthogonal,
 )
 from sosgraphs.sos import strong_orthogonality_graph, vertex_set
 
-from oracles import as_tuples, dfs_vertex_sets, enumerate_sos, reflect
+from oracles import as_tuples, dfs_vertex_sets, enumerate_sos, negate, reflect, strongly_orthogonal
 
 # |V| column of the census table
 VCOUNT = {
