@@ -107,6 +107,13 @@ def test_exhaustive_checks_refuse_graphs_above_bound(mgraph, monkeypatch):
         check_mod8(build_root_system("E7"))
 
 
+@pytest.mark.parametrize("pairs", [0, -5])
+def test_weyl_automorphism_rejects_sample_pairs_below_one(mgraph, pairs):
+    """The check has no sampled mode, so it takes no sample_pairs at all."""
+    with pytest.raises(TypeError, match="sample_pairs"):
+        check_weyl_automorphism(mgraph("G2", 1), build_root_system("G2"), sample_pairs=pairs)
+
+
 def test_weyl_automorphism_edgeless(gamma):
     rep = check_weyl_automorphism(gamma("E7", 7), build_root_system("E7"))
     assert rep["ok"]
