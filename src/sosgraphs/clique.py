@@ -1,32 +1,35 @@
 """Clique number, clique counting and the orbit-weighted maximum-clique census.
 
-The census works in two orbit levels. Vertices of one Weyl orbit lie in
-equally many maximum cliques, so only one representative v per W-orbit
-is solved, weighted by orbit size; the weighted sum divides exactly by
-omega. Inside N(v) the stabilizer Stab_W(v) acts by graph automorphisms,
-and by Steinberg's fixed-point theorem (Steinberg 1964; Humphreys,
-*Reflection Groups and Coxeter Groups*, 1.12) it is generated by the
-reflections in the roots orthogonal to v. For one representative w per
-Stab(v)-orbit O on N(v):
+The census works in three orbit levels. Vertices of one Weyl orbit lie
+in equally many maximum cliques, so only one representative v per
+W-orbit is solved, weighted by orbit size; the weighted sum divides
+exactly by omega. By Steinberg's fixed-point theorem (Steinberg 1964;
+Humphreys, *Reflection Groups and Coxeter Groups*, 1.12) the pointwise
+stabilizer of a set of vectors is generated by the reflections in the
+roots orthogonal to all of them, and it acts by graph automorphisms on
+their common neighborhood. So with one representative w per
+Stab(v)-orbit O on N(v), C_w = N(v) & N(w), and one representative u
+per W_{v,w}-orbit O' on C_w:
 
-    omega(N(v)) = 1 + max_w omega(N(v) & N(w))
-    #(omega-1)-cliques of N(v) = sum_O |O| * #(omega-2)-cliques of N(v) & N(w)
-                                 / (omega - 1)
+    omega = 1 + max_w (1 + max_u (1 + omega(C_w & N(u))))
+    #(omega-1)-cliques of N(v) = sum_O |O| * #(omega-2)-cliques of C_w / (omega - 1)
+    #t-cliques of C_w = sum_O' |O'| * #(t-1)-cliques of C_w & N(u) / t
 
-and that division is exact too. Counting cliques of size exactly
+and both divisions are exact too. Counting cliques of size exactly
 omega-1 (rather than maximal ones) stays correct when maximal clique
-sizes are mixed.
+sizes are mixed. A fourth level was measured slower: its orbit labelling
+costs more than the counting it saves.
 
 All subgraph work runs on Python-int bitset rows: candidate-set
-intersection is one AND, so branch-and-bound, pivoted counting and
-enumeration share the same representation.
+intersection is one AND, so branch-and-bound, counting and enumeration
+share the same representation. The counter lists each clique once, in
+ascending index order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -106,47 +109,30 @@ def max_clique_size_bitset(rows: list[int], cand: int, lower: int = 0) -> int:
 
 
 def count_cliques_of_size_bitset(rows: list[int], cand: int, t: int) -> int:
-    """Count cliques of size exactly t via pivoted recursion.
+    """Count cliques of size exactly t, each once in ascending index order.
 
-    Held vertices are definite members, pivot vertices are optional; a leaf
-    with h held and p pivots contributes C(p, t - h). Subtrees that cannot
-    reach size t are pruned on the candidate popcount.
+    Each clique is counted from its lowest vertex b, among the later
+    candidates adjacent to b. Branches with fewer than need - 1 such
+    candidates are pruned, and at need = 2 their popcount is the count.
     """
     if t == 0:
         return 1
-    total = 0
+    if t == 1:
+        return cand.bit_count()
 
-    def rec(sub: int, held: int, pivots: int):
-        nonlocal total
-        if held > t or held + pivots + sub.bit_count() < t:
-            return
-        if sub == 0:
-            total += comb(pivots, t - held)
-            return
-        c = sub
-        best_u = -1
-        best_n = -1
-        best_c = 0
-        while c:
-            b = c & -c
-            u = b.bit_length() - 1
-            c ^= b
-            cu = sub & rows[u]
-            nu = cu.bit_count()
-            if nu > best_n:
-                best_n, best_u, best_c = nu, u, cu
-        rec(best_c, held, pivots + 1)
-        rest = sub & ~rows[best_u] & ~(1 << best_u)
-        cur = sub
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            cur ^= b
-            rec(cur & rows[v], held + 1, pivots)
+    def rec(sub: int, need: int) -> int:
+        total = 0
+        while sub:
+            b = sub & -sub
+            sub ^= b
+            nxt = sub & rows[b.bit_length() - 1]
+            if need == 2:
+                total += nxt.bit_count()
+            elif nxt.bit_count() >= need - 1:
+                total += rec(nxt, need - 1)
+        return total
 
-    rec(cand, 0, 0)
-    return total
+    return rec(cand, t)
 
 
 def collect_cliques_of_size(rows: list[int], cand: int, t: int) -> np.ndarray:
@@ -235,19 +221,47 @@ def _full_mask(count: int) -> int:
     return (1 << count) - 1
 
 
+def _members(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
 def _neighborhoods(g: MembershipGraph):
-    """Per W-orbit: (orbit size, bitrows of N(v), Stab(v)-orbit reps, sizes)."""
+    """Per W-orbit representative v: (orbit size, bitrows of N(v), pairs).
+
+    pairs holds, per Stab(v)-orbit on N(v) with representative w:
+    (orbit size, C_w = N(v) & N(w) as a mask over N(v), one u per
+    W_{v,w}-orbit on C_w as an index into N(v), the orbit sizes).
+    """
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        yield (size, induced_bitrows(g, nb), *stabilizer_orbits(g, v, nb))
+        rows = induced_bitrows(g, nb)
+        pairs = []
+        for w, n_w in zip(*stabilizer_orbits(g, v, nb)):
+            common = _members(rows[w])
+            reps, sizes = stabilizer_orbits(g, [v, nb[w]], nb[common])
+            pairs.append((n_w, rows[w], [common[i] for i in reps], sizes))
+        yield size, rows, pairs
 
 
 def _omega(hoods) -> int:
-    """1 + max over neighborhoods; omega(N(v)) = 1 + max_w omega(N(v) & N(w))."""
+    """omega = 1 + max_w (1 + max_u (1 + omega(C_w & N(u)))).
+
+    An empty C_w gives 2 and an empty N(v) gives 1.
+    """
     best = 1
-    for _, rows, reps, _ in hoods:
-        for w in reps:
-            best = max(best, 2 + max_clique_size_bitset(rows, rows[w], max(best - 2, 0)))
+    for _, rows, pairs in hoods:
+        for _, common, reps, _ in pairs:
+            best = max(best, 2)
+            for u in reps:
+                best = max(
+                    best, 3 + max_clique_size_bitset(rows, common & rows[u], max(best - 3, 0))
+                )
     return best
 
 
@@ -258,12 +272,24 @@ def _exact_quotient(weighted: int, divisor: int, what: str) -> int:
     return quotient
 
 
+def _common_count(rows: list[int], common: int, reps: list[int], sizes: list[int], t: int) -> int:
+    """#t-cliques of C_w = sum_O |O| * #(t-1)-cliques of C_w & N(u_O) / t."""
+    if t == 0:
+        return 1
+    weighted = sum(
+        n_o * count_cliques_of_size_bitset(rows, common & rows[u], t - 1)
+        for u, n_o in zip(reps, sizes)
+    )
+    return _exact_quotient(weighted, t, "clique count of N(v) & N(w)")
+
+
 def clique_number(g: MembershipGraph) -> int:
     """Exact clique number; 1 for edgeless graphs, 0 for the empty graph.
 
-    A maximum clique meets every W-orbit through some vertex, and every
-    Stab(v)-orbit of N(v) through some neighbor, so one representative
-    per orbit at both levels suffices.
+    A maximum clique meets every W-orbit through some vertex v, every
+    Stab(v)-orbit of N(v) through some neighbor w, and every
+    W_{v,w}-orbit of N(v) & N(w) through some u, so one representative
+    per orbit at all three levels suffices.
     """
     if g.n == 0:
         return 0
@@ -271,7 +297,7 @@ def clique_number(g: MembershipGraph) -> int:
 
 
 def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
-    """Two-level orbit-weighted maximum-clique total with exact divisibility.
+    """Three-level orbit-weighted maximum-clique total with exact divisibility.
 
     omega and the counts share one induction of N(v) per W-orbit
     representative; each level's weighted sum must divide exactly.
@@ -281,13 +307,13 @@ def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
     hoods = list(_neighborhoods(g))
     omega = _omega(hoods)
     per_orbit = []
-    for size, rows, reps, sizes in hoods:
+    for size, rows, pairs in hoods:
         if omega == 1:
             per_orbit.append((size, 1))
             continue
         weighted = sum(
-            n_o * count_cliques_of_size_bitset(rows, rows[w], omega - 2)
-            for w, n_o in zip(reps, sizes)
+            n_w * _common_count(rows, common, reps, sizes, omega - 2)
+            for n_w, common, reps, sizes in pairs
         )
         per_orbit.append((size, _exact_quotient(weighted, omega - 1, "neighborhood clique count")))
     total = _exact_quotient(sum(n * c for n, c in per_orbit), omega, "maximum-clique count")

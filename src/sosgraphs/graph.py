@@ -209,19 +209,22 @@ def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
 
 
 def stabilizer_orbits(
-    g: MembershipGraph, v: int, nb: np.ndarray
+    g: MembershipGraph, fixed, nb: np.ndarray
 ) -> tuple[list[int], list[int]]:
     """Representatives (lowest local indices into nb) and sizes of the
-    Stab_W(v)-orbits on N(v) = nb, in order of representative.
+    orbits of the pointwise stabilizer W_S on nb, in order of
+    representative, where S is one vertex or a list of vertices.
 
-    The generators are the reflections in the roots orthogonal to v, one
-    per +- pair; an image outside N(v) is a hard error.
+    The generators are the reflections in the roots orthogonal to every
+    vector of S, one per +- pair (Steinberg); an image outside nb is a
+    hard error.
     """
     if nb.size == 0:
         return [], []
     rs = parse_label(g.label)
     positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
-    perp = positive[positive @ g.vertices.vectors[v].astype(np.int64) == 0]
+    fixed_vectors = g.vertices.vectors[np.atleast_1d(fixed)].astype(np.int64)
+    perp = positive[~(positive @ fixed_vectors.T).any(axis=1)]
     labels = orbit_labels(reflection_permutations(perp, g.vertices.vectors[nb]), nb.size)
     return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
 

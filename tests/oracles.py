@@ -9,8 +9,11 @@ SOS listed depth first, and the sunflower test on pairwise support
 intersections.
 closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
+pivot_clique_count counts the t-cliques of a bitset graph by pivoted
+recursion (a leaf with p optional pivots adds C(p, t - h)).
 single_level_census is the one-level orbit reduction: one vertex per
 W-orbit, counting every (omega-1)-clique of its neighborhood directly.
+two_level_census adds one neighbour per Stab_W(v)-orbit of N(v).
 count_cliques_of_size and enumerate_max_cliques_through count and list
 cliques inside one vertex subset, with no orbit reasoning.
 pairwise_gamma builds the explicit edge list by testing every vertex pair
@@ -27,17 +30,23 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from sosgraphs.clique import (
     clique_number,
     collect_cliques_of_size,
-    count_cliques_of_size_bitset,
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import GraphStats, SOSGraph, _pair_components, reflection_permutations
+from sosgraphs.graph import (
+    GraphStats,
+    SOSGraph,
+    _pair_components,
+    reflection_permutations,
+    stabilizer_orbits,
+)
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
@@ -131,6 +140,50 @@ def closure_orbit_labels(rows, maps) -> list[int]:
     return labels
 
 
+def pivot_clique_count(rows: list[int], cand: int, t: int) -> int:
+    """Count cliques of size exactly t via pivoted recursion.
+
+    Held vertices are definite members, pivot vertices are optional; a leaf
+    with h held and p pivots contributes C(p, t - h). Subtrees that cannot
+    reach size t are pruned on the candidate popcount.
+    """
+    if t == 0:
+        return 1
+    total = 0
+
+    def rec(sub: int, held: int, pivots: int):
+        nonlocal total
+        if held > t or held + pivots + sub.bit_count() < t:
+            return
+        if sub == 0:
+            total += comb(pivots, t - held)
+            return
+        c = sub
+        best_u = -1
+        best_n = -1
+        best_c = 0
+        while c:
+            b = c & -c
+            u = b.bit_length() - 1
+            c ^= b
+            cu = sub & rows[u]
+            nu = cu.bit_count()
+            if nu > best_n:
+                best_n, best_u, best_c = nu, u, cu
+        rec(best_c, held, pivots + 1)
+        rest = sub & ~rows[best_u] & ~(1 << best_u)
+        cur = sub
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            rest ^= b
+            cur ^= b
+            rec(cur & rows[v], held + 1, pivots)
+
+    rec(cand, 0, 0)
+    return total
+
+
 def single_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(omega, per-orbit (orbit size, maximum cliques through a vertex))."""
     if g.n == 0:
@@ -145,10 +198,36 @@ def single_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
             omega = max(omega, 1 + max_clique_size_bitset(rows, full, omega - 1))
         hoods.append((size, rows, full))
     per_orbit = tuple(
-        (size, 1 if omega == 1 else count_cliques_of_size_bitset(rows, full, omega - 1))
+        (size, 1 if omega == 1 else pivot_clique_count(rows, full, omega - 1))
         for size, rows, full in hoods
     )
     return omega, per_orbit
+
+
+def two_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(omega, per-orbit (orbit size, maximum cliques through a vertex))
+    from one vertex v per W-orbit, then one neighbour w per Stab(v)-orbit
+    of N(v), counting every (omega-2)-clique of N(v) & N(w) directly."""
+    if g.n == 0:
+        return 0, ()
+    hoods = []
+    for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
+        nb = g.neighbors(v)
+        hoods.append((size, induced_bitrows(g, nb), *stabilizer_orbits(g, v, nb)))
+    omega = 1
+    for _, rows, reps, _ in hoods:
+        for w in reps:
+            omega = max(omega, 2 + max_clique_size_bitset(rows, rows[w], max(omega - 2, 0)))
+    per_orbit = []
+    for size, rows, reps, sizes in hoods:
+        if omega == 1:
+            per_orbit.append((size, 1))
+            continue
+        weighted = sum(
+            n_o * pivot_clique_count(rows, rows[w], omega - 2) for w, n_o in zip(reps, sizes)
+        )
+        per_orbit.append((size, _exact(weighted, omega - 1)))
+    return omega, tuple(per_orbit)
 
 
 def count_cliques_of_size(g, vertex_subset, t: int) -> int:
@@ -158,7 +237,7 @@ def count_cliques_of_size(g, vertex_subset, t: int) -> int:
     ids = np.asarray(vertex_subset)
     if t == 1:
         return int(ids.size)
-    return count_cliques_of_size_bitset(induced_bitrows(g, ids), (1 << ids.size) - 1, t)
+    return pivot_clique_count(induced_bitrows(g, ids), (1 << ids.size) - 1, t)
 
 
 def enumerate_max_cliques_through(g, v: int, omega: int):

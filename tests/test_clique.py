@@ -27,8 +27,10 @@ from oracles import (
     closure_orbit_labels,
     count_cliques_of_size,
     enumerate_max_cliques_through,
+    pivot_clique_count,
     reflect,
     single_level_census,
+    two_level_census,
 )
 
 OMEGA = {
@@ -150,18 +152,22 @@ def small_graphs(draw):
     return n, picked
 
 
-@given(small_graphs(), st.integers(1, 5))
+@given(small_graphs(), st.integers(0, 5), st.one_of(st.just(-1), st.integers(0, (1 << 12) - 1)))
 @settings(max_examples=120, deadline=None)
-def test_pivot_counter_matches_naive(graph, t):
-    """Oracle: test every t-subset for cliqueness directly."""
+def test_pivot_counter_matches_naive(graph, t, bits):
+    """The ordered counter against every t-subset of the candidates tested
+    for cliqueness directly, and against the pivoted counter; -1 draws
+    the whole vertex set, any other value a subset."""
     n, edges = graph
     rows = _random_graph_rows(n, edges)
+    cand = bits & ((1 << n) - 1)
     eset = {frozenset(e) for e in edges}
     naive = sum(
         all(frozenset(p) in eset for p in itertools.combinations(sub, 2))
-        for sub in itertools.combinations(range(n), t)
+        for sub in itertools.combinations([i for i in range(n) if cand >> i & 1], t)
     )
-    assert count_cliques_of_size_bitset(rows, (1 << n) - 1, t) == naive
+    assert count_cliques_of_size_bitset(rows, cand, t) == naive
+    assert pivot_clique_count(rows, cand, t) == naive
 
 
 @given(small_graphs())
@@ -221,11 +227,15 @@ def test_induced_bitrows_symmetry(mgraph):
         assert not rows[i] >> i & 1
 
 
-def _stabilizer_maps(g, v):
+def _stabilizer_maps(g, fixed):
+    """The reflections in the positive roots orthogonal to every fixed vertex."""
     rs = parse_label(g.label)
-    vec = tuple(int(x) for x in g.vertices.vectors[v])
-    zero = tuple([0] * len(vec))
-    perp = [a for a in rs.roots if a > zero and sum(x * y for x, y in zip(a, vec)) == 0]
+    vecs = [tuple(int(x) for x in g.vertices.vectors[v]) for v in fixed]
+    zero = tuple([0] * len(vecs[0]))
+    perp = [
+        a for a in rs.roots
+        if a > zero and all(sum(x * y for x, y in zip(a, vec)) == 0 for vec in vecs)
+    ]
     return [partial(reflect, alpha) for alpha in perp]
 
 
@@ -248,6 +258,21 @@ def test_two_level_matches_single_level_oracle_e8_k4(mgraph):
 
 
 @pytest.mark.parametrize("label,k", sorted(OMEGA))
+def test_three_level_matches_two_level_oracle(label, k, mgraph):
+    g = mgraph(label, k)
+    census = count_maximum_cliques(g)
+    assert (census.omega, census.per_orbit) == two_level_census(g)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_three_level_matches_two_level_oracle_e8(k, mgraph):
+    g = mgraph("E8", k)
+    census = count_maximum_cliques(g)
+    assert (census.omega, census.per_orbit) == two_level_census(g)
+
+
+@pytest.mark.parametrize("label,k", sorted(OMEGA))
 def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
     """Stab(v)-orbits partition N(v) exactly as the oracle closure under the
     reflections fixing v does, and per-neighbor counts are constant on
@@ -257,7 +282,7 @@ def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
     for v in g.orbit_representatives():
         nb = g.neighbors(v)
         labels = closure_orbit_labels(
-            [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, v)
+            [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, [v])
         )
         reps, sizes = stabilizer_orbits(g, v, nb)
         assert sum(sizes) == nb.size
@@ -275,13 +300,64 @@ def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
         stabilizer_orbits(g, 0, nb[1:])
 
 
-def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
-    """F4 k=1: omega 7, degrees 14 and 20; adding 1 per neighbor breaks
-    divisibility by omega - 1 = 6 at the Stab(v) level."""
+@pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
+def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
+    """W_{v,w}-orbits on C_w = N(v) & N(w) partition C_w exactly as the
+    oracle closure under the reflections fixing v and w does, per-vertex
+    counts are constant on them, and a subset that is not invariant
+    raises."""
+    g = mgraph(label, k)
+    omega = clique_number(g)
+    refused = 0
+    for v in g.orbit_representatives():
+        nb = g.neighbors(v)
+        rows = induced_bitrows(g, nb)
+        for w in stabilizer_orbits(g, v, nb)[0]:
+            local = [i for i in range(nb.size) if rows[w] >> i & 1]
+            common = nb[local]
+            fixed = [v, int(nb[w])]
+            labels = closure_orbit_labels(
+                [tuple(int(x) for x in g.vertices.vectors[u]) for u in common],
+                _stabilizer_maps(g, fixed),
+            )
+            reps, sizes = stabilizer_orbits(g, fixed, common)
+            assert sum(sizes) == common.size
+            assert reps == [labels.index(o) for o in range(len(reps))]
+            assert sizes == np.bincount(labels, minlength=len(reps)).tolist()
+            counts = [
+                count_cliques_of_size_bitset(rows, rows[w] & rows[u], omega - 3) for u in local
+            ]
+            assert all(counts[i] == counts[reps[labels[i]]] for i in range(len(local)))
+            if sizes and sizes[0] > 1:
+                with pytest.raises(GroupActionError):
+                    stabilizer_orbits(g, fixed, common[1:])
+                refused += 1
+    assert refused
+
+
+def test_non_divisible_common_neighborhood_sum_raises(mgraph, monkeypatch):
+    """F4 k=1: omega 7, and the first C_w has 6 vertices; adding 1 per
+    call breaks divisibility by omega - 2 = 5 at the W_{v,w} level."""
     real = cliquemod.count_cliques_of_size_bitset
     monkeypatch.setattr(
         cliquemod, "count_cliques_of_size_bitset", lambda rows, cand, t: real(rows, cand, t) + 1
     )
+    with pytest.raises(ArithmeticError, match=r"clique count of N\(v\) & N\(w\)"):
+        count_maximum_cliques(mgraph("F4", 1))
+
+
+def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
+    """F4 k=1: omega 7. At the first vertex the Stab(v)-orbits have sizes
+    8, 6, 6 with 0, 1, 1 cliques of size 5 in C_w; one more vertex in each
+    gives 9*0 + 7*1 + 7*1 = 14, not a multiple of omega - 1 = 6, while
+    the W_{v,w} level is left exact."""
+    real = cliquemod.stabilizer_orbits
+
+    def grown(g, fixed, nb):
+        reps, sizes = real(g, fixed, nb)
+        return reps, [s + 1 for s in sizes] if np.ndim(fixed) == 0 else sizes
+
+    monkeypatch.setattr(cliquemod, "stabilizer_orbits", grown)
     with pytest.raises(ArithmeticError, match="neighborhood clique count"):
         count_maximum_cliques(mgraph("F4", 1))
 
