@@ -39,19 +39,22 @@ def cache_path(args, label: str, k: int) -> Path:
     return cache_dir(args) / f"{label}_k{k}.sosg"
 
 
-def load_or_build(args, label: str, k: int, *, force: bool = False) -> graphmod.SOSGraph:
+def load_or_build(
+    args, label: str, k: int, *, force: bool = False
+) -> tuple[graphmod.SOSGraph, str, bool]:
+    """The graph, its file's payload CRC32, and whether the cached file was
+    reused. Either path reads or writes the file once."""
     rs = parse_label(label)
     path = cache_path(args, rs.label, k)
     if path.exists() and not force:
         try:
-            g = graphmod.deserialize(path)
+            g, checksum = graphmod.deserialize(path)
             if g.label == rs.label and g.k == k:
-                return g
+                return g, checksum, True
         except graphmod.GraphFileError:
             pass
     g = graphmod.build_gamma(rs, k)
-    graphmod.serialize(g, path)
-    return g
+    return g, graphmod.serialize(g, path), False
 
 
 def _emit(text: str, out: str | None):
@@ -75,17 +78,11 @@ def _system(args):
 
 def cmd_build(args) -> int:
     rs = _system(args)
-    path = cache_path(args, rs.label, args.k)
-    try:
-        before = graphmod.file_checksum(path) if path.exists() else None
-    except graphmod.GraphFileError:
-        before = None
-    g = load_or_build(args, args.system, args.k, force=args.force)
-    checksum = graphmod.file_checksum(path)
+    g, checksum, reused = load_or_build(args, rs.label, args.k, force=args.force)
     print(json.dumps({
-        "path": str(path),
+        "path": str(cache_path(args, rs.label, args.k)),
         "checksum": checksum,
-        "reused": before == checksum and not args.force,
+        "reused": reused,
         "n": g.n,
         "m": g.edge_count,
     }))
@@ -94,7 +91,7 @@ def cmd_build(args) -> int:
 
 def cmd_stats(args) -> int:
     rs = _system(args)
-    g = load_or_build(args, rs.label, args.k)
+    g, checksum, _ = load_or_build(args, rs.label, args.k)
     s = graphmod.stats(g)
     payload = {
         "system": g.label,
@@ -107,7 +104,7 @@ def cmd_stats(args) -> int:
         "component_count": s.component_count,
         "isolated_vertex_count": s.isolated_vertex_count,
         "orbit_sizes": g.orbit_sizes(),
-        "graph_checksum": graphmod.file_checksum(cache_path(args, g.label, g.k)),
+        "graph_checksum": checksum,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if args.dot:

@@ -1,24 +1,22 @@
 """Clique number, clique counting and the orbit-weighted maximum-clique census.
 
-The census works in three orbit levels. Vertices of one Weyl orbit lie
-in equally many maximum cliques, so only one representative v per
-W-orbit is solved, weighted by orbit size; the weighted sum divides
-exactly by omega. By Steinberg's fixed-point theorem (Steinberg 1964;
-Humphreys, *Reflection Groups and Coxeter Groups*, 1.12) the pointwise
-stabilizer of a set of vectors is generated by the reflections in the
-roots orthogonal to all of them, and it acts by graph automorphisms on
-their common neighborhood. So with one representative w per
-Stab(v)-orbit O on N(v), C_w = N(v) & N(w), and one representative u
-per W_{v,w}-orbit O' on C_w:
+The census repeats one step. Vertices of one Weyl orbit lie in equally
+many maximum cliques, so only one representative v per W-orbit is
+solved, weighted by orbit size; the weighted sum divides exactly by
+omega. By Steinberg's fixed-point theorem (Steinberg 1964; Humphreys,
+*Reflection Groups and Coxeter Groups*, 1.12) the pointwise stabilizer
+W_F of a set F of vectors is generated by the reflections in the roots
+orthogonal to all of them, and it acts by graph automorphisms on their
+common neighborhood. So below v the same step recurses on a candidate
+set S (first N(v), with F = [v]): one representative u per W_F-orbit O
+on S, then S & N(u) with F + [u], down to DEPTH levels, where
 
-    omega = 1 + max_w (1 + max_u (1 + omega(C_w & N(u))))
-    #(omega-1)-cliques of N(v) = sum_O |O| * #(omega-2)-cliques of C_w / (omega - 1)
-    #t-cliques of C_w = sum_O' |O'| * #(t-1)-cliques of C_w & N(u) / t
+    omega(S) = 1 + max_O omega(S & N(u_O))
+    #t-cliques of S = sum_O |O| * #(t-1)-cliques of S & N(u_O) / t
 
-and both divisions are exact too. Counting cliques of size exactly
+and every division is exact too. Counting cliques of size exactly
 omega-1 (rather than maximal ones) stays correct when maximal clique
-sizes are mixed. A fourth level was measured slower: its orbit labelling
-costs more than the counting it saves.
+sizes are mixed.
 
 All subgraph work runs on Python-int bitset rows: candidate-set
 intersection is one AND, so branch-and-bound, counting and enumeration
@@ -37,6 +35,10 @@ from sosgraphs.graph import MembershipGraph, stabilizer_orbits
 
 DEFAULT_BRUTE_FORCE_BOUND = 750
 _ENUM_BATCH = 65_536
+# Orbit levels below W. A third (W_{v,w,u}) gave the same counts but took
+# the E8 k=1..7 census from 1.41-1.43 s to 1.70-1.83 s (2-core Xeon,
+# Python 3.11): its orbit labelling costs more than the counting it saves.
+DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -232,36 +234,38 @@ def _members(mask: int) -> list[int]:
 
 
 def _neighborhoods(g: MembershipGraph):
-    """Per W-orbit representative v: (orbit size, bitrows of N(v), pairs).
-
-    pairs holds, per Stab(v)-orbit on N(v) with representative w:
-    (orbit size, C_w = N(v) & N(w) as a mask over N(v), one u per
-    W_{v,w}-orbit on C_w as an index into N(v), the orbit sizes).
-    """
+    """Per W-orbit representative v: (orbit size, bitrows of N(v), the
+    orbit tree of N(v) under Stab(v))."""
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
         rows = induced_bitrows(g, nb)
-        pairs = []
-        for w, n_w in zip(*stabilizer_orbits(g, v, nb)):
-            common = _members(rows[w])
-            reps, sizes = stabilizer_orbits(g, [v, nb[w]], nb[common])
-            pairs.append((n_w, rows[w], [common[i] for i in reps], sizes))
-        yield size, rows, pairs
+        yield size, rows, _orbit_tree(g, nb, rows, _full_mask(nb.size), [v], DEPTH)
 
 
-def _omega(hoods) -> int:
-    """omega = 1 + max_w (1 + max_u (1 + omega(C_w & N(u)))).
+def _orbit_tree(
+    g: MembershipGraph, nb: np.ndarray, rows: list[int], mask: int, fixed: list[int], depth: int
+):
+    """The candidate mask S (over nb) itself at depth 0. Above that, one
+    (|O|, subtree of S & N(u) under fixed + [u]) per orbit O of the
+    pointwise stabilizer of fixed on S, with u the lowest vertex of O."""
+    if depth == 0:
+        return mask
+    members = _members(mask)
+    reps, sizes = stabilizer_orbits(g, fixed, nb[members])
+    return [
+        (n_o, _orbit_tree(g, nb, rows, mask & rows[u], fixed + [nb[u]], depth - 1))
+        for u, n_o in zip([members[i] for i in reps], sizes)
+    ]
 
-    An empty C_w gives 2 and an empty N(v) gives 1.
-    """
-    best = 1
-    for _, rows, pairs in hoods:
-        for _, common, reps, _ in pairs:
-            best = max(best, 2)
-            for u in reps:
-                best = max(
-                    best, 3 + max_clique_size_bitset(rows, common & rows[u], max(best - 3, 0))
-                )
+
+def _omega(rows: list[int], tree, lower: int) -> int:
+    """omega(S) = 1 + max over the children of omega(S & N(u)), or lower
+    when that is larger; lower is passed down one level at a time."""
+    if isinstance(tree, int):
+        return max_clique_size_bitset(rows, tree, lower)
+    best = lower
+    for _, child in tree:
+        best = max(best, 1 + _omega(rows, child, max(best - 1, 0)))
     return best
 
 
@@ -272,32 +276,42 @@ def _exact_quotient(weighted: int, divisor: int, what: str) -> int:
     return quotient
 
 
-def _common_count(rows: list[int], common: int, reps: list[int], sizes: list[int], t: int) -> int:
-    """#t-cliques of C_w = sum_O |O| * #(t-1)-cliques of C_w & N(u_O) / t."""
+def _count(rows: list[int], tree, t: int, level: int = 1) -> int:
+    """#t-cliques(S) = sum_O |O| * #(t-1)-cliques(S & N(u_O)) / t, exactly.
+
+    level counts the fixed vertices (v, w, u, ...), which the error names.
+    """
+    if isinstance(tree, int):
+        return count_cliques_of_size_bitset(rows, tree, t)
     if t == 0:
         return 1
-    weighted = sum(
-        n_o * count_cliques_of_size_bitset(rows, common & rows[u], t - 1)
-        for u, n_o in zip(reps, sizes)
-    )
-    return _exact_quotient(weighted, t, "clique count of N(v) & N(w)")
+    weighted = sum(n_o * _count(rows, child, t - 1, level + 1) for n_o, child in tree)
+    common = " & ".join(f"N({x})" for x in "vwu"[:level])
+    return _exact_quotient(weighted, t, f"neighborhood clique count of {common}")
+
+
+def _clique_number(hoods) -> int:
+    """omega = 1 + max_v omega(N(v)), the lower bound carried across the v."""
+    best = 1
+    for _, rows, tree in hoods:
+        best = max(best, 1 + _omega(rows, tree, best - 1))
+    return best
 
 
 def clique_number(g: MembershipGraph) -> int:
     """Exact clique number; 1 for edgeless graphs, 0 for the empty graph.
 
-    A maximum clique meets every W-orbit through some vertex v, every
-    Stab(v)-orbit of N(v) through some neighbor w, and every
-    W_{v,w}-orbit of N(v) & N(w) through some u, so one representative
-    per orbit at all three levels suffices.
+    A maximum clique meets every W-orbit through some vertex v, and at
+    each level below it every orbit of the pointwise stabilizer of the
+    vertices fixed so far, so one representative per orbit suffices.
     """
     if g.n == 0:
         return 0
-    return _omega(_neighborhoods(g))
+    return _clique_number(_neighborhoods(g))
 
 
 def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
-    """Three-level orbit-weighted maximum-clique total with exact divisibility.
+    """Orbit-weighted maximum-clique total with exact divisibility.
 
     omega and the counts share one induction of N(v) per W-orbit
     representative; each level's weighted sum must divide exactly.
@@ -305,19 +319,10 @@ def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
     if g.n == 0:
         return CliqueCensus(omega=0, per_orbit=(), total_maximum_cliques=0)
     hoods = list(_neighborhoods(g))
-    omega = _omega(hoods)
-    per_orbit = []
-    for size, rows, pairs in hoods:
-        if omega == 1:
-            per_orbit.append((size, 1))
-            continue
-        weighted = sum(
-            n_w * _common_count(rows, common, reps, sizes, omega - 2)
-            for n_w, common, reps, sizes in pairs
-        )
-        per_orbit.append((size, _exact_quotient(weighted, omega - 1, "neighborhood clique count")))
+    omega = _clique_number(hoods)
+    per_orbit = tuple((size, _count(rows, tree, omega - 1)) for size, rows, tree in hoods)
     total = _exact_quotient(sum(n * c for n, c in per_orbit), omega, "maximum-clique count")
-    return CliqueCensus(omega=omega, per_orbit=tuple(per_orbit), total_maximum_cliques=total)
+    return CliqueCensus(omega=omega, per_orbit=per_orbit, total_maximum_cliques=total)
 
 
 def count_maximal_cliques_by_size(g: MembershipGraph) -> dict[int, int]:

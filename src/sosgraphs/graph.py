@@ -93,9 +93,6 @@ class SOSGraph(MembershipGraph):
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
@@ -128,18 +125,14 @@ def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
 def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
     """Orbit id per index: components of the generator permutations.
 
-    Orbits are numbered by their lowest index, which is the lex-least
-    vertex of a lex-sorted vertex set.
+    Each generator has finite order, so its forward images alone reach
+    the whole orbit. Orbits are numbered by their lowest index, which is
+    the lex-least vertex of a lex-sorted vertex set.
     """
     if not perms:
         return np.arange(n, dtype=np.int32)
-    cols = []
-    for perm in perms:
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(n)
-        cols += [perm, inverse]
-    indices = np.stack(cols, axis=1).ravel()
-    indptr = np.arange(0, indices.size + 1, len(cols))
+    indices = np.stack(perms, axis=1).ravel()
+    indptr = np.arange(0, indices.size + 1, len(perms))
     lowest = _component_labels(n, indptr, indices)
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
@@ -209,21 +202,21 @@ def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
 
 
 def stabilizer_orbits(
-    g: MembershipGraph, fixed, nb: np.ndarray
+    g: MembershipGraph, fixed: list[int], nb: np.ndarray
 ) -> tuple[list[int], list[int]]:
     """Representatives (lowest local indices into nb) and sizes of the
-    orbits of the pointwise stabilizer W_S on nb, in order of
-    representative, where S is one vertex or a list of vertices.
+    orbits of the pointwise stabilizer W_F on nb, in order of
+    representative, where F is the list of vertices fixed.
 
     The generators are the reflections in the roots orthogonal to every
-    vector of S, one per +- pair (Steinberg); an image outside nb is a
+    vector of F, one per +- pair (Steinberg); an image outside nb is a
     hard error.
     """
     if nb.size == 0:
         return [], []
     rs = parse_label(g.label)
     positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
-    fixed_vectors = g.vertices.vectors[np.atleast_1d(fixed)].astype(np.int64)
+    fixed_vectors = g.vertices.vectors[fixed].astype(np.int64)
     perp = positive[~(positive @ fixed_vectors.T).any(axis=1)]
     labels = orbit_labels(reflection_permutations(perp, g.vertices.vectors[nb]), nb.size)
     return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
@@ -305,7 +298,7 @@ def _transported_components(
     the fixed-point loop runs.
     """
     n = g.n
-    seeds = [nb[stabilizer_orbits(g, r, nb)[0]] for r, nb in zip(reps, hoods)]
+    seeds = [nb[stabilizer_orbits(g, [r], nb)[0]] for r, nb in zip(reps, hoods)]
     carried = transport(perms, reps, seeds)
     return _pair_components(
         n,
@@ -384,8 +377,11 @@ class _ChecksumWriter:
         self.crc = zlib.crc32(data, self.crc)
 
 
-def serialize(g: SOSGraph, path) -> None:
-    """Write the graph file: magic, version, header, blocks, CRC32 trailer."""
+def serialize(g: SOSGraph, path) -> str:
+    """Write the graph file: magic, version, header, blocks, CRC32 trailer.
+
+    Returns the payload CRC32 as `file_checksum` reports it.
+    """
     label = g.label.encode("utf-8")
     with open(path, "wb") as fh:
         out = _ChecksumWriter(fh)
@@ -403,6 +399,7 @@ def serialize(g: SOSGraph, path) -> None:
             # A byte view, not a copy: the E8 k=6 edge list alone is 655 MB.
             out.write(memoryview(np.ascontiguousarray(arr, dtype=dtype).reshape(-1)).cast("B"))
         fh.write(out.crc.to_bytes(4, "little"))
+    return f"{out.crc:08x}"
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -412,7 +409,8 @@ def _read_exact(fh, count: int) -> bytes:
     return data
 
 
-def deserialize(path) -> SOSGraph:
+def deserialize(path) -> tuple[SOSGraph, str]:
+    """The graph in a file and its payload CRC32, as `file_checksum` reports it."""
     with open(path, "rb") as fh:
         crc = 0
 
@@ -446,7 +444,7 @@ def deserialize(path) -> SOSGraph:
     # The file's dtypes are the in-memory ones, so the blocks are used as
     # read, with no copy: the E8 k=6 edge list alone is 655 MB.
     vs = VertexSet(label=label, k=k, vectors=vectors, multiplicity=multiplicity, orbit=orbit)
-    return SOSGraph(vertices=vs, indptr=indptr, indices=indices)
+    return SOSGraph(vertices=vs, indptr=indptr, indices=indices), f"{crc:08x}"
 
 
 def file_checksum(path) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class RootSystem:
     simple_roots: tuple[RootVector, ...]
     coxeter_number: int
     max_sos_size: int
-
-    @cached_property
-    def root_set(self) -> frozenset[RootVector]:
-        return frozenset(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
 
 def _e8_roots() -> list[RootVector]:

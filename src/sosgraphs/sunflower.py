@@ -133,7 +133,7 @@ def count_sunflower_max_cliques(
 ) -> SunflowerCensus:
     """Sunflower totals by H-orbit weighting; exact division by omega.
 
-    omega and the maximum-clique total come from the three-level census of
+    omega and the maximum-clique total come from the orbit census of
     g (computed when not given); singleton "cliques" of edgeless graphs
     are never sunflowers.
     """

@@ -76,11 +76,12 @@ def strongly_orthogonal(rs, alpha, beta) -> bool:
     Antipodal and equal pairs are excluded: a strongly orthogonal subset
     consists of linearly independent roots, and {a, -a} sums to zero.
     """
-    if alpha not in rs.root_set or beta not in rs.root_set:
+    roots = frozenset(rs.roots)
+    if alpha not in roots or beta not in roots:
         raise RootSystemError("strongly_orthogonal requires roots of the system")
     if alpha == beta or alpha == negate(beta):
         return False
-    return add(alpha, beta) not in rs.root_set and sub(alpha, beta) not in rs.root_set
+    return add(alpha, beta) not in roots and sub(alpha, beta) not in roots
 
 
 def reflect(alpha, v) -> tuple:
@@ -213,7 +214,7 @@ def two_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     hoods = []
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        hoods.append((size, induced_bitrows(g, nb), *stabilizer_orbits(g, v, nb)))
+        hoods.append((size, induced_bitrows(g, nb), *stabilizer_orbits(g, [v], nb)))
     omega = 1
     for _, rows, reps, _ in hoods:
         for w in reps:

@@ -316,7 +316,7 @@ def test_criterion7_property_suites(tmp_path, mgraph):
     for label in ("G2", "F4", "E6", "E7", "E8"):
         rs = build_root_system(label)
         for alpha in sunmod.signed_permutation_roots(rs):
-            assert {reflect(alpha, r) for r in rs.roots} == rs.root_set
+            assert {reflect(alpha, r) for r in rs.roots} == frozenset(rs.roots)
     # divisibility inside every census on a mixed sample of graphs
     for label, k in [("G2", 1), ("F4", 3), ("E6", 3), ("E7", 3), ("E8", 2)]:
         g = mgraph(label, k)
@@ -328,7 +328,7 @@ def test_criterion7_property_suites(tmp_path, mgraph):
     g = build_gamma(build_root_system("F4"), 2)
     p1, p2 = tmp_path / "a.sosg", tmp_path / "b.sosg"
     serialize(g, p1)
-    serialize(deserialize(p1), p2)
+    serialize(deserialize(p1)[0], p2)
     assert p1.read_bytes() == p2.read_bytes()
     elapsed = time.time() - start
     assert elapsed < 60, f"property suite took {elapsed:.1f}s"

@@ -1,4 +1,6 @@
 import json
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,26 @@ def test_build_and_reuse(cli_cache, capsys):
     code, out, _ = run(capsys, "build", "--system", "F4", "--k", "4")
     second = json.loads(out)
     assert second["reused"] and second["checksum"] == first["checksum"]
+
+
+def test_build_and_stats_read_the_file_once(cli_cache, capsys, monkeypatch):
+    """A cold build, a warm build and stats report the file's CRC from the
+    one write or read of the file, with no separate checksum pass."""
+    from sosgraphs import graph as graphmod
+
+    def refuse(path):
+        raise AssertionError("the graph file was read again for its checksum")
+
+    monkeypatch.setattr(graphmod, "file_checksum", refuse)
+    argv = ["--system", "F4", "--k", "3"]
+    cold = json.loads(run(capsys, "build", *argv)[1])
+    warm = json.loads(run(capsys, "build", *argv)[1])
+    stats = json.loads(run(capsys, "stats", *argv)[1])
+    data = Path(cold["path"]).read_bytes()
+    crc = zlib.crc32(data[:-4])
+    assert data[-4:] == crc.to_bytes(4, "little")
+    assert cold["checksum"] == warm["checksum"] == stats["graph_checksum"] == f"{crc:08x}"
+    assert not cold["reused"] and warm["reused"]
 
 
 def test_build_warns_beyond_max_sos(cli_cache, capsys):

@@ -284,7 +284,7 @@ def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
         labels = closure_orbit_labels(
             [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, [v])
         )
-        reps, sizes = stabilizer_orbits(g, v, nb)
+        reps, sizes = stabilizer_orbits(g, [v], nb)
         assert sum(sizes) == nb.size
         assert reps == [labels.index(o) for o in range(len(reps))]
         assert sizes == np.bincount(labels, minlength=len(reps)).tolist()
@@ -297,7 +297,7 @@ def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
     g = mgraph("F4", 3)
     nb = g.neighbors(0)
     with pytest.raises(GroupActionError):
-        stabilizer_orbits(g, 0, nb[1:])
+        stabilizer_orbits(g, [0], nb[1:])
 
 
 @pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
@@ -312,7 +312,7 @@ def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
     for v in g.orbit_representatives():
         nb = g.neighbors(v)
         rows = induced_bitrows(g, nb)
-        for w in stabilizer_orbits(g, v, nb)[0]:
+        for w in stabilizer_orbits(g, [v], nb)[0]:
             local = [i for i in range(nb.size) if rows[w] >> i & 1]
             common = nb[local]
             fixed = [v, int(nb[w])]
@@ -355,7 +355,7 @@ def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
 
     def grown(g, fixed, nb):
         reps, sizes = real(g, fixed, nb)
-        return reps, [s + 1 for s in sizes] if np.ndim(fixed) == 0 else sizes
+        return reps, [s + 1 for s in sizes] if len(fixed) == 1 else sizes
 
     monkeypatch.setattr(cliquemod, "stabilizer_orbits", grown)
     with pytest.raises(ArithmeticError, match="neighborhood clique count"):

@@ -234,7 +234,7 @@ def test_e8_k4_orbits():
 def test_orbitwise_constant_degree(gamma):
     for label, k in [("G2", 1), ("F4", 1), ("E7", 3)]:
         g = gamma(label, k)
-        deg = g.degrees()
+        deg = np.diff(g.indptr)
         for orbit in range(int(g.orbit_label.max()) + 1):
             members = np.flatnonzero(g.orbit_label == orbit)
             assert len(set(deg[members].tolist())) == 1
@@ -252,8 +252,9 @@ def test_serialize_round_trip(tmp_path, gamma):
     for label, k in [("F4", 4), ("E8", 2), ("E7", 7)]:
         g = gamma(label, k)
         path = tmp_path / f"{label}_{k}.sosg"
-        serialize(g, path)
-        back = deserialize(path)
+        written = serialize(g, path)
+        back, read = deserialize(path)
+        assert written == read == file_checksum(path)
         assert back.label == g.label and back.k == g.k
         assert np.array_equal(back.vertices.vectors, g.vertices.vectors)
         assert np.array_equal(back.vertices.multiplicity, g.vertices.multiplicity)
@@ -297,7 +298,7 @@ def test_census_on_deserialized_graph(tmp_path, gamma):
 
     path = tmp_path / "e6k2.sosg"
     serialize(gamma("E6", 2), path)
-    g = deserialize(path)
+    g, _ = deserialize(path)
     assert count_maximum_cliques(g).total_maximum_cliques == 4320
     census = count_sunflower_max_cliques(g, build_root_system("E6"))
     assert (census.total_maximum_cliques, census.sunflower_cliques) == (4320, 0)

@@ -81,10 +81,11 @@ def test_ambient_dimension_limit():
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_negation_and_reflection_closure(label):
     rs = build_root_system(label)
+    roots = frozenset(rs.roots)
     for r in rs.roots:
-        assert negate(r) in rs.root_set
+        assert negate(r) in roots
     for alpha in rs.simple_roots:
-        assert {reflect(alpha, r) for r in rs.roots} == rs.root_set
+        assert {reflect(alpha, r) for r in rs.roots} == roots
 
 
 def test_doubled_norms():
@@ -109,11 +110,11 @@ def test_inner_product_examples():
 
 def test_is_root_examples():
     e8 = build_root_system("E8")
-    assert (2, 2, 0, 0, 0, 0, 0, 0) in e8.root_set
+    assert (2, 2, 0, 0, 0, 0, 0, 0) in frozenset(e8.roots)
     f4 = build_root_system("F4")
-    assert (4, 0, 0, 0) not in f4.root_set  # 2*e1 has norm 4, not a root
-    assert (0, 0, 0, 0) not in f4.root_set
-    assert (0,) * 8 not in e8.root_set
+    assert (4, 0, 0, 0) not in frozenset(f4.roots)  # 2*e1 has norm 4, not a root
+    assert (0, 0, 0, 0) not in frozenset(f4.roots)
+    assert (0,) * 8 not in frozenset(e8.roots)
 
 
 def test_strongly_orthogonal_examples():
@@ -216,13 +217,14 @@ def test_reflection_matrix_properties(label):
     """Each simple reflection is an involution that preserves the doubled
     inner product and maps the root set onto itself."""
     rs = build_root_system(label)
+    roots = frozenset(rs.roots)
     for alpha in rs.simple_roots:
         assert reflect(alpha, alpha) == negate(alpha)
         for r in rs.roots:
             img = reflect(alpha, r)
             assert reflect(alpha, img) == r
             assert dot(img, img) == dot(r, r)
-            assert img in rs.root_set
+            assert img in roots
 
 
 def test_reflect_rejects_off_lattice():
@@ -252,4 +254,4 @@ def test_reflection_preserves_inner_products(label, data):
     assert dot(reflect(alpha, a), reflect(alpha, b)) == dot(a, b)
     # basic root-pair fact: positive product and a != b means a - b is a root
     if dot(a, b) > 0 and a != b:
-        assert sub(a, b) in rs.root_set
+        assert sub(a, b) in frozenset(rs.roots)

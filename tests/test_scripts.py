@@ -1,0 +1,52 @@
+"""Files outside the package that run against it: the census script and
+the benchmark tracer, loaded from their paths."""
+
+import csv
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from sosgraphs.graph import MembershipGraph
+
+from test_acceptance import SUNFLOWERS, TABLE1, TABLE2, TABLE3
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(relative: str):
+    spec = importlib.util.spec_from_file_location(Path(relative).stem, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps by name still exists; a
+    missing one would break every traced benchmark pass."""
+    tracer = _load("perfbench/tracer.py")
+    for name, module_name, attr, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), name
+    assert callable(MembershipGraph.neighbors)
+
+
+def _read(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_run_census_writes_the_pinned_tables(tmp_path, monkeypatch, capsys):
+    script = _load("scripts/run_census.py")
+    levels = {"G2": 2, "F4": 4}
+    monkeypatch.setattr(script, "ALL_LEVELS", levels)
+    monkeypatch.setattr(sys, "argv", ["run_census.py", "--out-dir", str(tmp_path)])
+    assert script.main() == 0
+    rows = [(label, k) for label, kmax in levels.items() for k in range(1, kmax + 1)]
+
+    def body(name: str) -> list[list[str]]:
+        return _read(tmp_path / name)[1:]
+
+    assert body("parameters.csv") == [[l, str(k), *map(str, TABLE1[(l, k)])] for l, k in rows]
+    assert body("clique_numbers.csv") == [[l, str(k), str(TABLE2[l][k - 1])] for l, k in rows]
+    assert body("maximum_clique_counts.csv") == [[l, str(k), str(TABLE3[(l, k)])] for l, k in rows]
+    assert body("sunflowers.csv") == [[l, str(k), *map(str, SUNFLOWERS[(l, k)])] for l, k in rows]
