@@ -18,6 +18,14 @@ and every division is exact too. Counting cliques of size exactly
 omega-1 (rather than maximal ones) stays correct when maximal clique
 sizes are mixed.
 
+One group action per W-representative serves every level. The Stab_W(v)
+generators become permutations of N(v) once (`Neighborhood`). Adjacency
+rows are computed at one w per Stab_W(v)-orbit and carried to the rest
+of N(v) along a Schreier vector, N(h.w) = h.N(w) for h fixing v. Each
+W_F below is generated by the subset of those reflections that fix F,
+so its permutations of S are restrictions of the same ones, with no new
+lookup.
+
 All subgraph work runs on Python-int bitset rows: candidate-set
 intersection is one AND, so branch-and-bound, counting and enumeration
 share the same representation. The counter lists each clique once, in
@@ -27,17 +35,18 @@ ascending index order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, stabilizer_orbits
+from sosgraphs.graph import MembershipGraph, restricted_orbits, stabilizer_action, transport
 
 DEFAULT_BRUTE_FORCE_BOUND = 750
 _ENUM_BATCH = 65_536
 # Orbit levels below W. A third (W_{v,w,u}) gave the same counts but took
-# the E8 k=1..7 census from 1.41-1.43 s to 1.70-1.83 s (2-core Xeon,
-# Python 3.11): its orbit labelling costs more than the counting it saves.
+# the E7 and E8 k=1..7 censuses from 0.48-0.57 s to 0.69-0.79 s on carried
+# rows (2-core Xeon, Python 3.11): its orbit labelling costs more than the
+# counting it saves.
 DEPTH = 2
 
 
@@ -48,10 +57,13 @@ class CliqueCensus:
     omega: int
     per_orbit: tuple[tuple[int, int], ...]  # (orbit size, max cliques through a vertex)
     total_maximum_cliques: int
+    # The carried neighborhoods the counts were read from, one per W-orbit.
+    neighborhoods: tuple = field(default=(), repr=False, compare=False)
 
 
 def induced_bitrows(g: MembershipGraph, vertex_ids: np.ndarray) -> list[int]:
-    """Bitset adjacency rows of the subgraph induced on vertex_ids."""
+    """Bitset adjacency rows of the subgraph induced on vertex_ids, every
+    pair looked up; the censuses carry theirs (`carried_neighborhoods`)."""
     ids = np.asarray(vertex_ids, dtype=np.int64)
     d = ids.size
     if d == 0:
@@ -223,39 +235,73 @@ def _full_mask(count: int) -> int:
     return (1 << count) - 1
 
 
-def _members(mask: int) -> list[int]:
+def _members(mask: int) -> np.ndarray:
     """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
+    packed = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little"))
 
 
-def _neighborhoods(g: MembershipGraph):
-    """Per W-orbit representative v: (orbit size, bitrows of N(v), the
-    orbit tree of N(v) under Stab(v))."""
+@dataclass(frozen=True, eq=False)
+class Neighborhood:
+    """N(v) at a W-orbit representative v, with the action of Stab_W(v) on it.
+
+    members lists N(v) ascending. roots are the positive roots orthogonal
+    to v and perms their reflections as permutations of members; reps and
+    sizes are the Stab_W(v)-orbits. adjacency (boolean) and rows (bitsets)
+    are the induced graph, in the order of members.
+    """
+
+    orbit_size: int
+    members: np.ndarray
+    roots: np.ndarray
+    perms: list[np.ndarray]
+    reps: list[int]
+    sizes: list[int]
+    adjacency: np.ndarray
+    rows: list[int]
+
+
+def carried_neighborhoods(g: MembershipGraph):
+    """One Neighborhood per W-orbit, in orbit order.
+
+    Adjacency rows are computed at one w per Stab_W(v)-orbit and carried
+    to the rest of N(v) along a Schreier vector of the local permutations
+    (`transport`), since N(h.w) = h.N(w) for h fixing v.
+    """
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        rows = induced_bitrows(g, nb)
-        yield size, rows, _orbit_tree(g, nb, rows, _full_mask(nb.size), [v], DEPTH)
+        roots, perms = stabilizer_action(g, v, nb)
+        reps, sizes = restricted_orbits(perms, np.arange(nb.size))
+        adjacency = g.vertices.adjacent(nb[reps][:, None], nb[None, :])
+        if len(reps) < nb.size:
+            carried = transport(perms, reps, [np.flatnonzero(row) for row in adjacency])
+            adjacency = np.zeros((nb.size, nb.size), dtype=bool)
+            adjacency[np.arange(nb.size)[:, None], carried] = True
+            np.fill_diagonal(adjacency, False)  # the padding of short rows
+        yield Neighborhood(size, nb, roots, perms, reps, sizes, adjacency, bitrows(adjacency))
 
 
 def _orbit_tree(
-    g: MembershipGraph, nb: np.ndarray, rows: list[int], mask: int, fixed: list[int], depth: int
+    g: MembershipGraph, hood: Neighborhood, roots, perms, mask: int, orbits, depth: int
 ):
-    """The candidate mask S (over nb) itself at depth 0. Above that, one
-    (|O|, subtree of S & N(u) under fixed + [u]) per orbit O of the
-    pointwise stabilizer of fixed on S, with u the lowest vertex of O."""
-    if depth == 0:
-        return mask
-    members = _members(mask)
-    reps, sizes = stabilizer_orbits(g, fixed, nb[members])
-    return [
-        (n_o, _orbit_tree(g, nb, rows, mask & rows[u], fixed + [nb[u]], depth - 1))
-        for u, n_o in zip([members[i] for i in reps], sizes)
-    ]
+    """One (|O|, child) per orbit O of the generators (roots, perms) on the
+    candidate mask S over hood.members; orbits holds the lowest vertex u
+    and the size of each. The child is S & N(u) at depth 1, and above that
+    its own tree under the generators also orthogonal to u, which fix u.
+    Their permutations on S & N(u) are restrictions of perms."""
+    tree = []
+    for u, n_o in zip(*orbits):
+        child = mask & hood.rows[u]
+        if depth > 1:
+            keep = np.flatnonzero(~(roots @ g.vertices.vectors[hood.members[u]]).astype(bool))
+            fixing = [perms[j] for j in keep]
+            members = _members(child)
+            reps, sizes = restricted_orbits(fixing, members)
+            child = _orbit_tree(
+                g, hood, roots[keep], fixing, child, (members[reps].tolist(), sizes), depth - 1
+            )
+        tree.append((n_o, child))
+    return tree
 
 
 def _omega(rows: list[int], tree, lower: int) -> int:
@@ -290,12 +336,22 @@ def _count(rows: list[int], tree, t: int, level: int = 1) -> int:
     return _exact_quotient(weighted, t, f"neighborhood clique count of {common}")
 
 
-def _clique_number(hoods) -> int:
+def _clique_number(trees) -> int:
     """omega = 1 + max_v omega(N(v)), the lower bound carried across the v."""
     best = 1
-    for _, rows, tree in hoods:
+    for rows, tree in trees:
         best = max(best, 1 + _omega(rows, tree, best - 1))
     return best
+
+
+def _trees(g: MembershipGraph, hoods):
+    """(rows, orbit tree of N(v) under Stab(v), DEPTH levels) per neighborhood."""
+    for hood in hoods:
+        tree = _orbit_tree(
+            g, hood, hood.roots, hood.perms, _full_mask(hood.members.size),
+            (hood.reps, hood.sizes), DEPTH,
+        )
+        yield hood.rows, tree
 
 
 def clique_number(g: MembershipGraph) -> int:
@@ -307,22 +363,27 @@ def clique_number(g: MembershipGraph) -> int:
     """
     if g.n == 0:
         return 0
-    return _clique_number(_neighborhoods(g))
+    return _clique_number(_trees(g, carried_neighborhoods(g)))
 
 
 def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
     """Orbit-weighted maximum-clique total with exact divisibility.
 
-    omega and the counts share one induction of N(v) per W-orbit
-    representative; each level's weighted sum must divide exactly.
+    omega and the counts share one carried N(v) per W-orbit
+    representative; each level's weighted sum must divide exactly. The
+    census keeps those neighborhoods for the sunflower census.
     """
     if g.n == 0:
         return CliqueCensus(omega=0, per_orbit=(), total_maximum_cliques=0)
-    hoods = list(_neighborhoods(g))
-    omega = _clique_number(hoods)
-    per_orbit = tuple((size, _count(rows, tree, omega - 1)) for size, rows, tree in hoods)
+    hoods = tuple(carried_neighborhoods(g))
+    trees = list(_trees(g, hoods))
+    omega = _clique_number(trees)
+    per_orbit = tuple(
+        (hood.orbit_size, _count(rows, tree, omega - 1))
+        for hood, (rows, tree) in zip(hoods, trees)
+    )
     total = _exact_quotient(sum(n * c for n, c in per_orbit), omega, "maximum-clique count")
-    return CliqueCensus(omega=omega, per_orbit=per_orbit, total_maximum_cliques=total)
+    return CliqueCensus(omega, per_orbit, total, hoods)
 
 
 def count_maximal_cliques_by_size(g: MembershipGraph) -> dict[int, int]:
@@ -332,14 +393,13 @@ def count_maximal_cliques_by_size(g: MembershipGraph) -> dict[int, int]:
     of the neighborhood graph, so per-size weighted sums divide by s.
     """
     weighted: Counter = Counter()
-    for size, rep in zip(g.orbit_sizes(), g.orbit_representatives()):
-        nb = g.neighbors(rep)
-        if nb.size == 0:
-            weighted[1] += size
+    for hood in carried_neighborhoods(g):
+        if hood.members.size == 0:
+            weighted[1] += hood.orbit_size
             continue
-        rows = induced_bitrows(g, nb)
-        for s1, cnt in maximal_clique_size_counts(rows, _full_mask(nb.size)).items():
-            weighted[s1 + 1] += size * cnt
+        counts = maximal_clique_size_counts(hood.rows, _full_mask(hood.members.size))
+        for s1, cnt in counts.items():
+            weighted[s1 + 1] += hood.orbit_size * cnt
     return {s: _exact_quotient(w, s, "maximal-clique count") for s, w in sorted(weighted.items())}
 
 

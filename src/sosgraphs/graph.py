@@ -201,24 +201,40 @@ def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
     return [vertex_permutation(keys, reflect_rows(rows, alpha)) for alpha in roots]
 
 
-def stabilizer_orbits(
-    g: MembershipGraph, fixed: list[int], nb: np.ndarray
-) -> tuple[list[int], list[int]]:
-    """Representatives (lowest local indices into nb) and sizes of the
-    orbits of the pointwise stabilizer W_F on nb, in order of
-    representative, where F is the list of vertices fixed.
+def stabilizer_action(
+    g: MembershipGraph, v: int, nb: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The generators of Stab_W(v) acting on nb, as root rows and as
+    permutations of nb.
 
-    The generators are the reflections in the roots orthogonal to every
-    vector of F, one per +- pair (Steinberg); an image outside nb is a
-    hard error.
+    They are the reflections in the positive roots orthogonal to vertex v,
+    one per +- pair (Steinberg); nb must be an invariant, ascending index
+    set, and an image outside it is a hard error.
     """
-    if nb.size == 0:
-        return [], []
     rs = parse_label(g.label)
     positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
-    fixed_vectors = g.vertices.vectors[fixed].astype(np.int64)
-    perp = positive[~(positive @ fixed_vectors.T).any(axis=1)]
-    labels = orbit_labels(reflection_permutations(perp, g.vertices.vectors[nb]), nb.size)
+    roots = positive[~(positive @ g.vertices.vectors[v].astype(np.int64)).astype(bool)]
+    return roots, reflection_permutations(roots, g.vertices.vectors[nb])
+
+
+def restricted_orbits(
+    perms: list[np.ndarray], members: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Representatives (lowest positions in members) and sizes of the
+    orbits of the generator permutations on the ascending index subset
+    members, in order of representative.
+
+    Each permutation is restricted to members through one local index map,
+    with no new lookup; an image outside members is a hard error.
+    """
+    restricted = []
+    if perms:
+        local = np.full(perms[0].size, -1, dtype=np.int64)
+        local[members] = np.arange(members.size)
+        restricted = [local[perm[members]] for perm in perms]
+        if any((perm < 0).any() for perm in restricted):
+            raise GroupActionError("generator image escapes the index subset; it is not invariant")
+    labels = orbit_labels(restricted, members.size)
     return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
 
 
@@ -244,10 +260,14 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     if g.n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), vs.keys()):
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     reps = g.orbit_representatives()
-    rows = transport(
-        reflection_permutations(rs.simple_roots, vs.vectors), reps, [g.neighbors(r) for r in reps]
-    )
+    hoods = [g.neighbors(r) for r in reps]
+    rows = transport(reflection_permutations(rs.simple_roots, vs.vectors), reps, hoods)
     rows.sort(axis=1)
+    if all(h.size == rows.shape[1] for h in hoods):
+        # No row is padded, so the sorted rows already are the edge list;
+        # a keep mask and its copy would double the E8 k=6 peak.
+        indptr = np.arange(g.n + 1, dtype=np.int64) * rows.shape[1]
+        return SOSGraph(vertices=vs, indptr=indptr, indices=rows.reshape(-1))
     keep = rows != np.arange(g.n, dtype=np.int32)[:, None]
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
@@ -298,7 +318,10 @@ def _transported_components(
     the fixed-point loop runs.
     """
     n = g.n
-    seeds = [nb[stabilizer_orbits(g, [r], nb)[0]] for r, nb in zip(reps, hoods)]
+    seeds = [
+        nb[restricted_orbits(stabilizer_action(g, r, nb)[1], np.arange(nb.size))[0]]
+        for r, nb in zip(reps, hoods)
+    ]
     carried = transport(perms, reps, seeds)
     return _pair_components(
         n,

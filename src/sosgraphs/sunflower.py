@@ -17,6 +17,11 @@ when every w in C has the same non-empty core K = supp(v) & supp(w) and
 the petals supp(w) - K are pairwise disjoint. So N(v) splits by K, each
 part keeps only the edges between petal-disjoint neighbors, and the
 (omega-1)-cliques of each part are counted.
+
+No neighborhood is induced again here. Each representative x is g.r for
+its W-representative r, with g read off a Schreier vector of the simple
+reflections, so the clique census's carried N(r), moved by g, is N(x)
+index for index, and each part's adjacency is a slice of r's.
 """
 
 from __future__ import annotations
@@ -27,14 +32,19 @@ import numpy as np
 
 from sosgraphs.clique import (
     CliqueCensus,
+    Neighborhood,
     _exact_quotient,
     bitrows,
     count_cliques_of_size_bitset,
     count_maximum_cliques,
-    induced_bitrows,
 )
-from sosgraphs.graph import MembershipGraph, orbit_labels, reflection_permutations
-from sosgraphs.roots import RootSystem, RootVector, simple_roots_of
+from sosgraphs.graph import (
+    MembershipGraph,
+    orbit_labels,
+    reflection_permutations,
+    schreier_vector,
+)
+from sosgraphs.roots import RootSystem, RootVector, parse_label, simple_roots_of
 from sosgraphs.sos import VertexSet
 
 
@@ -100,32 +110,61 @@ def _support_masks(rows: np.ndarray) -> np.ndarray:
     return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
 
 
-def sunflowers_through(g: MembershipGraph, v: int, omega: int) -> int:
-    """Number of sunflower maximum cliques (of size omega >= 2) containing v."""
-    nb = g.neighbors(v)
-    masks = _support_masks(g.vertices.vectors[np.append(nb, v)])
-    cores = masks[:-1] & masks[-1]
+def _carry(perms: list[np.ndarray], parent: np.ndarray, gen: np.ndarray, x: int, row):
+    """g_x applied to row, where g_x.r = x for the root r of x's tree in the
+    Schreier vector (parent, gen) of perms."""
+    path = []
+    while parent[x] >= 0:
+        path.append(gen[x])
+        x = parent[x]
+    for j in reversed(path):
+        row = perms[j][row]
+    return row
+
+
+def sunflowers_at(masks: np.ndarray, x: int, hood: Neighborhood, images, omega: int) -> int:
+    """Sunflower maximum cliques (of size omega >= 2) containing x.
+
+    images[i] is the neighbour of x that vertex i of hood (x's
+    W-representative's neighborhood) is carried to, so the adjacency of
+    each core part of N(x) is a slice of hood's.
+    """
+    supports = masks[images]
+    cores = supports & masks[x]
     count = 0
     for core in np.unique(cores[cores != 0]).tolist():
-        part = cores == core
-        petals = masks[:-1][part] & ~core
-        disjoint = bitrows((petals[:, None] & petals[None, :]) == 0)
-        rows = [a & b for a, b in zip(induced_bitrows(g, nb[part]), disjoint)]
-        count += count_cliques_of_size_bitset(rows, (1 << len(rows)) - 1, omega - 1)
+        part = np.flatnonzero(cores == core)
+        petals = supports[part] & ~core
+        keep = hood.adjacency[np.ix_(part, part)] & ((petals[:, None] & petals[None, :]) == 0)
+        count += count_cliques_of_size_bitset(bitrows(keep), (1 << part.size) - 1, omega - 1)
     return count
 
 
-def orbit_weighted_sunflowers(g: MembershipGraph, roots, omega: int) -> int:
-    """Sunflower maximum cliques (of size omega >= 2) from one vertex per
-    orbit of the reflections in roots, weighted by orbit size and divided
-    exactly by omega (ArithmeticError otherwise)."""
+def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
+    """(orbit size, lowest vertex x, sunflower maximum cliques through x)
+    per orbit of the reflections in roots, for omega >= 2.
+
+    x = g_x.r for its W-representative r, with g_x read off a Schreier
+    vector of the simple reflections, so N(x) = g_x.N(r) index for index
+    and the census's carried neighborhood of r serves x.
+    """
     labels = perm_orbit_labels(roots, g.vertices)
-    reps = np.unique(labels, return_index=True)[1].tolist()
-    weighted = sum(
-        size * sunflowers_through(g, v, omega)
-        for size, v in zip(np.bincount(labels).tolist(), reps)
-    )
-    return _exact_quotient(weighted, omega, "sunflower count")
+    xs = np.unique(labels, return_index=True)[1].tolist()
+    perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
+    parent, gen, _ = schreier_vector(perms, g.orbit_representatives(), g.n)
+    masks = _support_masks(g.vertices.vectors)
+    for size, x in zip(np.bincount(labels).tolist(), xs):
+        hood = census.neighborhoods[g.orbit_label[x]]
+        images = _carry(perms, parent, gen, x, hood.members)
+        yield size, x, sunflowers_at(masks, x, hood, images, census.omega)
+
+
+def orbit_weighted_sunflowers(g: MembershipGraph, roots, census: CliqueCensus) -> int:
+    """Sunflower maximum cliques from one vertex per orbit of the
+    reflections in roots, weighted by orbit size and divided exactly by
+    omega >= 2 (ArithmeticError otherwise)."""
+    weighted = sum(size * count for size, _, count in sunflowers_by_orbit(g, roots, census))
+    return _exact_quotient(weighted, census.omega, "sunflower count")
 
 
 def count_sunflower_max_cliques(
@@ -142,7 +181,7 @@ def count_sunflower_max_cliques(
     omega = census.omega
     sunflowers = 0
     if omega >= 2:
-        sunflowers = orbit_weighted_sunflowers(g, signed_permutation_roots(rs), omega)
+        sunflowers = orbit_weighted_sunflowers(g, signed_permutation_roots(rs), census)
     return SunflowerCensus(omega, census.total_maximum_cliques, sunflowers)
 
 

@@ -24,6 +24,8 @@ simple reflections alone, round after round, to a fixed point.
 dfs_vertex_sets lists every SOS depth first and counts the sums.
 enumerated_sunflower_census lists every maximum clique through one vertex
 per coordinate-permutation orbit and classifies each by its column profile.
+sunflowers_through counts the sunflower maximum cliques through one vertex
+from its own neighbourhood, induced pair by pair.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from math import comb
 import numpy as np
 
 from sosgraphs.clique import (
+    bitrows,
     clique_number,
     collect_cliques_of_size,
+    count_cliques_of_size_bitset,
     induced_bitrows,
     max_clique_size_bitset,
 )
@@ -45,7 +49,8 @@ from sosgraphs.graph import (
     SOSGraph,
     _pair_components,
     reflection_permutations,
-    stabilizer_orbits,
+    restricted_orbits,
+    stabilizer_action,
 )
 from sosgraphs.roots import (
     KEY_BASE,
@@ -59,7 +64,7 @@ from sosgraphs.roots import (
     sub,
 )
 from sosgraphs.sos import VertexSet, vertex_set
-from sosgraphs.sunflower import perm_orbit_labels
+from sosgraphs.sunflower import _support_masks, perm_orbit_labels
 
 
 def negate(v) -> tuple:
@@ -214,7 +219,8 @@ def two_level_census(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     hoods = []
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        hoods.append((size, induced_bitrows(g, nb), *stabilizer_orbits(g, [v], nb)))
+        perms = stabilizer_action(g, v, nb)[1]
+        hoods.append((size, induced_bitrows(g, nb), *restricted_orbits(perms, np.arange(nb.size))))
     omega = 1
     for _, rows, reps, _ in hoods:
         for w in reps:
@@ -603,3 +609,18 @@ def enumerated_sunflower_census(g, rs) -> tuple[int, int, int]:
         total += size * local.shape[0]
         sunflowers += size * int(ok.sum())
     return omega, _exact(total, omega), _exact(sunflowers, omega)
+
+
+def sunflowers_through(g, v: int, omega: int) -> int:
+    """Number of sunflower maximum cliques (of size omega >= 2) containing v."""
+    nb = g.neighbors(v)
+    masks = _support_masks(g.vertices.vectors[np.append(nb, v)])
+    cores = masks[:-1] & masks[-1]
+    count = 0
+    for core in np.unique(cores[cores != 0]).tolist():
+        part = cores == core
+        petals = masks[:-1][part] & ~core
+        disjoint = bitrows((petals[:, None] & petals[None, :]) == 0)
+        rows = [a & b for a, b in zip(induced_bitrows(g, nb[part]), disjoint)]
+        count += count_cliques_of_size_bitset(rows, (1 << len(rows)) - 1, omega - 1)
+    return count

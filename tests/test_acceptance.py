@@ -240,11 +240,12 @@ def test_criterion5_sunflowers_e8_k4_k7_computed(mgraph):
     rs = build_root_system("E8")
     for (label, k), want in SUNFLOWERS_COMPUTED.items():
         g = mgraph(label, k)
-        census = sunmod.count_sunflower_max_cliques(g, rs)
+        clique_census = cliquemod.count_maximum_cliques(g)
+        census = sunmod.count_sunflower_max_cliques(g, rs, clique_census)
         got = (census.total_maximum_cliques, census.sunflower_cliques,
                census.percentage_str())
         assert got == want, (k, got)
-        plain = sunmod.orbit_weighted_sunflowers(g, plain_permutation_roots(rs), census.omega)
+        plain = sunmod.orbit_weighted_sunflowers(g, plain_permutation_roots(rs), clique_census)
         assert plain == census.sunflower_cliques, k
     _passline("criterion 5 (newly computed sunflower rows, E8 k=4..7, two weightings)")
 

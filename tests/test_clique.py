@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sosgraphs import clique as cliquemod
 from sosgraphs.clique import (
     brute_force_maximum_cliques,
+    carried_neighborhoods,
     clique_number,
     collect_cliques_of_size,
     count_cliques_of_size_bitset,
@@ -20,7 +21,7 @@ from sosgraphs.clique import (
     max_clique_size_bitset,
     maximal_clique_size_counts,
 )
-from sosgraphs.graph import GroupActionError, stabilizer_orbits
+from sosgraphs.graph import GroupActionError, restricted_orbits, stabilizer_action
 from sosgraphs.roots import parse_label
 
 from oracles import (
@@ -279,48 +280,55 @@ def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
     each orbit, which is what the weighting relies on."""
     g = mgraph(label, k)
     omega = clique_number(g)
-    for v in g.orbit_representatives():
-        nb = g.neighbors(v)
+    for v, hood in zip(g.orbit_representatives(), carried_neighborhoods(g)):
+        nb = hood.members
         labels = closure_orbit_labels(
             [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, [v])
         )
-        reps, sizes = stabilizer_orbits(g, [v], nb)
-        assert sum(sizes) == nb.size
-        assert reps == [labels.index(o) for o in range(len(reps))]
-        assert sizes == np.bincount(labels, minlength=len(reps)).tolist()
+        assert sum(hood.sizes) == nb.size
+        assert hood.reps == [labels.index(o) for o in range(len(hood.reps))]
+        assert hood.sizes == np.bincount(labels, minlength=len(hood.reps)).tolist()
         rows = induced_bitrows(g, nb)
         counts = [count_cliques_of_size_bitset(rows, rows[i], omega - 2) for i in range(nb.size)]
-        assert all(counts[i] == counts[reps[labels[i]]] for i in range(nb.size))
+        assert all(counts[i] == counts[hood.reps[labels[i]]] for i in range(nb.size))
 
 
 def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
     g = mgraph("F4", 3)
     nb = g.neighbors(0)
     with pytest.raises(GroupActionError):
-        stabilizer_orbits(g, [0], nb[1:])
+        stabilizer_action(g, 0, nb[1:])
+    perms = stabilizer_action(g, 0, nb)[1]
+    with pytest.raises(GroupActionError):
+        restricted_orbits(perms, np.arange(1, nb.size))
+
+
+def _fixing(g, hood, w):
+    """The Stab(v) generators that also fix the local vertex w."""
+    keep = ~(hood.roots @ g.vertices.vectors[hood.members[w]]).astype(bool)
+    return [perm for perm, kept in zip(hood.perms, keep) if kept]
 
 
 @pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
 def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
-    """W_{v,w}-orbits on C_w = N(v) & N(w) partition C_w exactly as the
-    oracle closure under the reflections fixing v and w does, per-vertex
-    counts are constant on them, and a subset that is not invariant
-    raises."""
+    """W_{v,w}-orbits on C_w = N(v) & N(w), from the Stab(v) permutations
+    restricted to C_w, partition C_w exactly as the oracle closure under
+    the reflections fixing v and w does, per-vertex counts are constant
+    on them, and a subset that is not invariant raises."""
     g = mgraph(label, k)
     omega = clique_number(g)
     refused = 0
-    for v in g.orbit_representatives():
-        nb = g.neighbors(v)
+    for v, hood in zip(g.orbit_representatives(), carried_neighborhoods(g)):
+        nb = hood.members
         rows = induced_bitrows(g, nb)
-        for w in stabilizer_orbits(g, [v], nb)[0]:
-            local = [i for i in range(nb.size) if rows[w] >> i & 1]
+        for w in hood.reps:
+            local = np.array([i for i in range(nb.size) if rows[w] >> i & 1])
             common = nb[local]
-            fixed = [v, int(nb[w])]
             labels = closure_orbit_labels(
                 [tuple(int(x) for x in g.vertices.vectors[u]) for u in common],
-                _stabilizer_maps(g, fixed),
+                _stabilizer_maps(g, [v, int(nb[w])]),
             )
-            reps, sizes = stabilizer_orbits(g, fixed, common)
+            reps, sizes = restricted_orbits(_fixing(g, hood, w), local)
             assert sum(sizes) == common.size
             assert reps == [labels.index(o) for o in range(len(reps))]
             assert sizes == np.bincount(labels, minlength=len(reps)).tolist()
@@ -330,9 +338,63 @@ def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
             assert all(counts[i] == counts[reps[labels[i]]] for i in range(len(local)))
             if sizes and sizes[0] > 1:
                 with pytest.raises(GroupActionError):
-                    stabilizer_orbits(g, fixed, common[1:])
+                    restricted_orbits(_fixing(g, hood, w), local[1:])
                 refused += 1
     assert refused
+
+
+@pytest.mark.parametrize("label,k", [("F4", 1), ("E7", 4), ("E8", 3)])
+def test_restriction_to_a_non_invariant_common_neighborhood_raises(label, k, mgraph):
+    """A Stab(v) generator that moves w maps C_w = N(v) & N(w) onto
+    C_{s.w}; restricted to C_w, its images escape, which must raise."""
+    g = mgraph(label, k)
+    hood = next(carried_neighborhoods(g))
+    escaped = 0
+    for w in hood.reps:
+        local = np.flatnonzero(hood.adjacency[w])
+        for perm in hood.perms:
+            if perm[w] != w and not np.array_equal(np.sort(perm[local]), local):
+                with pytest.raises(GroupActionError):
+                    restricted_orbits([perm], local)
+                escaped += 1
+    assert escaped
+
+
+TIER1_ROWS = sorted(OMEGA)
+DEEP_ROWS = [("E7", 4), *(("E8", k) for k in range(3, 8))]
+
+
+@pytest.mark.parametrize("label,k", [
+    *TIER1_ROWS, *(pytest.param(*row, marks=pytest.mark.slow) for row in DEEP_ROWS),
+])
+def test_carried_rows_match_induced_rows(label, k, mgraph):
+    """Rows carried from one w per Stab(v)-orbit equal the all-pairs
+    induction bit for bit."""
+    g = mgraph(label, k)
+    for hood in carried_neighborhoods(g):
+        assert hood.rows == induced_bitrows(g, hood.members)
+
+
+@pytest.mark.parametrize("label,k", [("F4", 3), ("E6", 3), ("E7", 3), ("E8", 2)])
+def test_census_never_induces_rows(label, k, mgraph, monkeypatch):
+    """With the all-pairs induction refused, the clique, sunflower and
+    maximal-clique censuses still give the pinned values: they read only
+    carried rows."""
+    from sosgraphs import sunflower as sunmod
+
+    from test_acceptance import SUNFLOWERS
+
+    def refuse(*args):
+        raise AssertionError("induced_bitrows called")
+
+    for module in (cliquemod, sunmod):
+        monkeypatch.setattr(module, "induced_bitrows", refuse, raising=False)
+    g = mgraph(label, k)
+    assert count_maximum_cliques(g).total_maximum_cliques == TOTALS[(label, k)]
+    census = sunmod.count_sunflower_max_cliques(g, parse_label(label))
+    assert (census.total_maximum_cliques, census.sunflower_cliques) == SUNFLOWERS[(label, k)][:2]
+    by_size = count_maximal_cliques_by_size(g)
+    assert by_size[OMEGA[(label, k)]] == TOTALS[(label, k)]
 
 
 def test_non_divisible_common_neighborhood_sum_raises(mgraph, monkeypatch):
@@ -351,13 +413,14 @@ def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
     8, 6, 6 with 0, 1, 1 cliques of size 5 in C_w; one more vertex in each
     gives 9*0 + 7*1 + 7*1 = 14, not a multiple of omega - 1 = 6, while
     the W_{v,w} level is left exact."""
-    real = cliquemod.stabilizer_orbits
+    real = cliquemod.restricted_orbits
 
-    def grown(g, fixed, nb):
-        reps, sizes = real(g, fixed, nb)
-        return reps, [s + 1 for s in sizes] if len(fixed) == 1 else sizes
+    def grown(perms, members):
+        reps, sizes = real(perms, members)
+        whole = bool(perms) and members.size == perms[0].size  # all of N(v): Stab(v)
+        return reps, [s + 1 for s in sizes] if whole else sizes
 
-    monkeypatch.setattr(cliquemod, "stabilizer_orbits", grown)
+    monkeypatch.setattr(cliquemod, "restricted_orbits", grown)
     with pytest.raises(ArithmeticError, match="neighborhood clique count"):
         count_maximum_cliques(mgraph("F4", 1))
 

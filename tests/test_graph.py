@@ -133,7 +133,7 @@ def test_components_exact_without_transported_edges(mgraph, monkeypatch):
     reps = g.orbit_representatives()
     hoods = [g.neighbors(v) for v in reps]
     want = propagated_components(g, reps, hoods)
-    monkeypatch.setattr(graphmod, "stabilizer_orbits", lambda g, v, nb: ([], []))
+    monkeypatch.setattr(graphmod, "restricted_orbits", lambda perms, members: ([], []))
     labels = quotient_components(g, reps, hoods)
     assert np.array_equal(labels, want) and np.unique(labels).size == 57
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosgraphs import sunflower as sunmod
-from sosgraphs.clique import brute_force_maximum_cliques, clique_number
+from sosgraphs.clique import brute_force_maximum_cliques, clique_number, count_maximum_cliques
 from sosgraphs.roots import build_root_system, parse_label
 from sosgraphs.sunflower import (
     count_sunflower_max_cliques,
@@ -15,7 +15,7 @@ from sosgraphs.sunflower import (
     is_sunflower,
     perm_orbit_labels,
     signed_permutation_roots,
-    sunflowers_through,
+    sunflowers_by_orbit,
 )
 
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     pairwise_is_sunflower,
     plain_permutation_roots,
     reflect,
+    sunflowers_through,
 )
 from test_acceptance import SUNFLOWERS
 
@@ -257,10 +258,25 @@ def test_pairwise_core_petal_test_matches_column_profile(label, k, mgraph, data)
 def test_non_divisible_sunflower_sum_raises(mgraph, monkeypatch):
     """F4 k=1 has omega 7 and 48 vertices: one extra sunflower per vertex
     adds 48 to the weighted sum, which 7 does not divide."""
-    real = sunmod.sunflowers_through
-    monkeypatch.setattr(sunmod, "sunflowers_through", lambda g, v, omega: real(g, v, omega) + 1)
+    real = sunmod.sunflowers_at
+    monkeypatch.setattr(sunmod, "sunflowers_at", lambda *args: real(*args) + 1)
     with pytest.raises(ArithmeticError, match="sunflower count"):
         count_sunflower_max_cliques(mgraph("F4", 1), build_root_system("F4"))
+
+
+@pytest.mark.parametrize("label,k", sorted(SUNFLOWERS))
+def test_carried_counts_match_induced_oracle(label, k, mgraph):
+    """Per H-representative x, the count from the representative's carried
+    neighborhood, moved to x along the Schreier vector, equals the count
+    from N(x) induced pair by pair."""
+    g = mgraph(label, k)
+    rs = build_root_system(label)
+    census = count_maximum_cliques(g)
+    per_orbit = list(sunflowers_by_orbit(g, signed_permutation_roots(rs), census))
+    assert sum(size for size, _, _ in per_orbit) == g.n
+    assert [count for _, _, count in per_orbit] == [
+        sunflowers_through(g, x, census.omega) for _, x, _ in per_orbit
+    ]
 
 
 def test_sf_constant_on_perm_orbits(mgraph):
