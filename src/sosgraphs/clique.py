@@ -246,15 +246,15 @@ class Neighborhood:
     """N(v) at a W-orbit representative v, with the action of Stab_W(v) on it.
 
     members lists N(v) ascending. roots are the positive roots orthogonal
-    to v and perms their reflections as permutations of members; reps and
-    sizes are the Stab_W(v)-orbits. adjacency (boolean) and rows (bitsets)
-    are the induced graph, in the order of members.
+    to v and perms their reflections as permutations of members, one row
+    per root; reps and sizes are the Stab_W(v)-orbits. adjacency (boolean)
+    and rows (bitsets) are the induced graph, in the order of members.
     """
 
     orbit_size: int
     members: np.ndarray
     roots: np.ndarray
-    perms: list[np.ndarray]
+    perms: np.ndarray
     reps: list[int]
     sizes: list[int]
     adjacency: np.ndarray
@@ -294,7 +294,7 @@ def _orbit_tree(
         child = mask & hood.rows[u]
         if depth > 1:
             keep = np.flatnonzero(~(roots @ g.vertices.vectors[hood.members[u]]).astype(bool))
-            fixing = [perms[j] for j in keep]
+            fixing = perms[keep]
             members = _members(child)
             reps, sizes = restricted_orbits(fixing, members)
             child = _orbit_tree(

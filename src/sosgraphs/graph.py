@@ -21,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from sosgraphs.roots import (
+    GroupActionError,
     RootSystem,
+    component_labels,
     encode_rows,
-    key_index,
+    orbit_labels,
     parse_label,
-    reflect_rows,
+    reflection_permutations,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 
@@ -35,10 +37,6 @@ FORMAT_VERSION = 1
 
 class GraphFileError(IOError):
     """Bad magic, version mismatch, or checksum failure."""
-
-
-class GroupActionError(ValueError):
-    """A generator maps some indexed vertex outside the indexed set."""
 
 
 @dataclass
@@ -109,38 +107,9 @@ class GraphStats:
     isolated_vertex_count: int
 
 
-def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """A generator's action as an index permutation of a sorted key array.
-
-    images holds the generator's image of each indexed row; perm[i] is the
-    position of images[i]. An image outside the set is a hard error, so an
-    injective generator always yields a permutation.
-    """
-    pos = key_index(keys, encode_rows(images))
-    if (pos < 0).any():
-        raise GroupActionError("generator image escapes the vertex set; the set is not closed")
-    return pos
-
-
-def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
-    """Orbit id per index: components of the generator permutations.
-
-    Each generator has finite order, so its forward images alone reach
-    the whole orbit. Orbits are numbered by their lowest index, which is
-    the lex-least vertex of a lex-sorted vertex set.
-    """
-    if not perms:
-        return np.arange(n, dtype=np.int32)
-    indices = np.stack(perms, axis=1).ravel()
-    indptr = np.arange(0, indices.size + 1, len(perms))
-    lowest = _component_labels(n, indptr, indices)
-    return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
-
-
-def schreier_vector(
-    perms: list[np.ndarray], roots, n: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Breadth-first Schreier vector of the generator permutations.
+def schreier_vector(perms, roots, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Breadth-first Schreier vector of the generator permutations, a
+    sequence or a (g, n) array.
 
     A BFS from each root records, for every index x it reaches, its
     parent and the generator mapping the parent to it:
@@ -148,6 +117,7 @@ def schreier_vector(
     Computational Group Theory*, 2005, 4.1). Roots keep parent and gen -1.
     Returns parent, gen and the BFS levels below the roots, in order.
     """
+    perms = np.asarray(perms)
     parent = np.full(n, -1, dtype=np.int64)
     gen = np.full(n, -1, dtype=np.int64)
     reached = np.zeros(n, dtype=bool)
@@ -155,11 +125,10 @@ def schreier_vector(
     reached[level] = True
     levels = []
     while level.size:
-        images, first = np.unique(
-            np.concatenate([perm[level] for perm in perms]), return_index=True
-        )
-        fresh = ~reached[images]
-        images, first = images[fresh], first[fresh]
+        images = perms[:, level].ravel()
+        fresh = np.flatnonzero(~reached[images])
+        images, first = np.unique(images[fresh], return_index=True)
+        first = fresh[first]
         reached[images] = True
         parent[images] = level[first % level.size]
         gen[images] = first // level.size
@@ -169,7 +138,7 @@ def schreier_vector(
     return parent, gen, levels
 
 
-def transport(perms: list[np.ndarray], reps: list[int], carried) -> np.ndarray:
+def transport(perms, reps: list[int], carried) -> np.ndarray:
     """Carry one index row per orbit representative to every vertex of its orbit.
 
     carried[i] is the row of reps[i]. Row x of the (n, width) int32 result
@@ -178,34 +147,23 @@ def transport(perms: list[np.ndarray], reps: list[int], carried) -> np.ndarray:
     level at a time. Short rows are padded with r itself, which arrives at
     x as x: the padding marks self-pairs.
     """
-    n = perms[0].size
-    stacked = np.stack(perms).astype(np.int32)
+    stacked = np.asarray(perms, dtype=np.int32)
+    n = stacked.shape[1]
     out = np.empty((n, max(map(len, carried), default=0)), dtype=np.int32)
     for r, row in zip(reps, carried):
         out[r, : len(row)] = row
         out[r, len(row) :] = r
-    parent, gen, levels = schreier_vector(perms, reps, n)
+    parent, gen, levels = schreier_vector(stacked, reps, n)
     for level in levels:
         out[level] = stacked[gen[level][:, None], out[parent[level]]]
     return out
 
 
-def reflection_permutations(roots, rows: np.ndarray) -> list[np.ndarray]:
-    """The reflections in roots as permutations of lex-sorted rows.
-
-    Each reflection must map the rows onto themselves (SOS sums map to SOS
-    sums); an image outside raises GroupActionError.
-    """
-    rows = rows.astype(np.int64)
-    keys = encode_rows(rows)
-    return [vertex_permutation(keys, reflect_rows(rows, alpha)) for alpha in roots]
-
-
 def stabilizer_action(
     g: MembershipGraph, v: int, nb: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The generators of Stab_W(v) acting on nb, as root rows and as
-    permutations of nb.
+    permutations of nb (one row each).
 
     They are the reflections in the positive roots orthogonal to vertex v,
     one per +- pair (Steinberg); nb must be an invariant, ascending index
@@ -214,12 +172,10 @@ def stabilizer_action(
     rs = parse_label(g.label)
     positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
     roots = positive[~(positive @ g.vertices.vectors[v].astype(np.int64)).astype(bool)]
-    return roots, reflection_permutations(roots, g.vertices.vectors[nb])
+    return roots, reflection_permutations(roots, g.vertices.vectors[nb], g.vertices.keys()[nb])
 
 
-def restricted_orbits(
-    perms: list[np.ndarray], members: np.ndarray
-) -> tuple[list[int], list[int]]:
+def restricted_orbits(perms, members: np.ndarray) -> tuple[list[int], list[int]]:
     """Representatives (lowest positions in members) and sizes of the
     orbits of the generator permutations on the ascending index subset
     members, in order of representative.
@@ -228,7 +184,7 @@ def restricted_orbits(
     with no new lookup; an image outside members is a hard error.
     """
     restricted = []
-    if perms:
+    if len(perms):
         local = np.full(perms[0].size, -1, dtype=np.int64)
         local[members] = np.arange(members.size)
         restricted = [local[perm[members]] for perm in perms]
@@ -261,7 +217,7 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    rows = transport(reflection_permutations(rs.simple_roots, vs.vectors), reps, hoods)
+    rows = transport(vs.reflections(), reps, hoods)
     rows.sort(axis=1)
     if all(h.size == rows.shape[1] for h in hoods):
         # No row is padded, so the sorted rows already are the edge list;
@@ -274,28 +230,6 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     return SOSGraph(vertices=vs, indptr=indptr, indices=rows[keep])
 
 
-def _component_labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Min-label propagation with pointer jumping; exact components."""
-    labels = np.arange(n, dtype=np.int64)
-    if indices.size == 0:
-        return labels
-    deg = np.diff(indptr)
-    nonempty = deg > 0
-    offsets = indptr[:-1][nonempty]
-    while True:
-        row_min = np.minimum.reduceat(labels[indices], offsets)
-        updated = labels.copy()
-        updated[nonempty] = np.minimum(labels[nonempty], row_min)
-        while True:
-            jumped = updated[updated]
-            if np.array_equal(jumped, updated):
-                break
-            updated = jumped
-        if np.array_equal(updated, labels):
-            return labels
-        labels = updated
-
-
 def _pair_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lowest index of each vertex's component in the graph of pairs (a, b)."""
     src = np.concatenate([a, b])
@@ -304,7 +238,7 @@ def _pair_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     # The stable sort measured about twice as fast as the default on these
     # partly presorted pair lists (E8 k=6 quotient: 2.6 s against 4.9 s).
-    return _component_labels(n, indptr, dst[np.argsort(src, kind="stable")])
+    return component_labels(n, indptr, dst[np.argsort(src, kind="stable")])
 
 
 def _transported_components(
@@ -347,7 +281,7 @@ def quotient_components(g: MembershipGraph, reps: list[int], hoods) -> np.ndarra
     representatives' edges), so that test ends the loop without the round.
     """
     n = g.n
-    perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
+    perms = g.vertices.reflections()
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
     every = np.arange(n, dtype=np.int64)
     labels = _transported_components(g, perms, reps, hoods, rep_src)

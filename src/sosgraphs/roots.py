@@ -6,8 +6,18 @@ Doubled inner products are 4x the true inner product; doubled squared
 norms of norm-2 roots equal 8.
 
 Lattice vectors are keyed by an order-preserving int64 codec
-(`encode_rows`, looked up with `key_index`), and `weyl_closure` closes a
-set of vectors under the simple reflections, orbit by orbit.
+(`encode_rows`, one product, looked up with `key_index`). A generator of
+the Weyl group acts on a closed set of rows as an index permutation
+(`reflection_permutations`, the one lookup), and orbits are the
+components of those permutations (`orbit_labels`).
+
+`weyl_closure` closes a set of vectors under the simple reflections in
+one breadth-first search from all seeds together. Reflections are
+involutions, so the distance to the seed set changes by at most one
+under each, and an image of level d lies in level d-1, d or d+1: it is
+looked up in levels d-1 and d only, and the rest form level d+1. The
+search records where every image lands, so it returns the simple
+reflections as permutations of the closed rows at no extra cost.
 """
 
 from __future__ import annotations
@@ -40,6 +50,10 @@ class RootSystemError(ValueError):
     """Unknown label, bad rank, or a vector outside the expected lattice."""
 
 
+class GroupActionError(ValueError):
+    """A generator maps some indexed vertex outside the indexed set."""
+
+
 def dot(v: RootVector, w: RootVector) -> int:
     """Doubled-coordinate dot product (4x the true inner product)."""
     if len(v) != len(w):
@@ -60,19 +74,22 @@ def key_offset(dim: int) -> int:
 
 
 def encode_rows(rows: np.ndarray) -> np.ndarray:
-    """Injective int64 key per row of an (m, dim) int array; numeric order
+    """Injective int64 key per row of an (..., dim) int array; numeric order
     equals lex order of rows. Raises ValueError on a coordinate outside
-    the digit range [-KEY_SHIFT, KEY_BASE - KEY_SHIFT)."""
+    the digit range [-KEY_SHIFT, KEY_BASE - KEY_SHIFT).
+
+    The key is the base-KEY_BASE number with digits row + KEY_SHIFT, one
+    product: rows @ KEY_BASE ** (dim-1 .. 0) + key_offset(dim). Every
+    partial sum stays below KEY_BASE ** dim <= 2 ** 63 in absolute value,
+    so nothing wraps.
+    """
     if rows.size and (rows.min() < -KEY_SHIFT or rows.max() >= KEY_BASE - KEY_SHIFT):
         raise ValueError(
             f"coordinate outside the key digit range [{-KEY_SHIFT}, {KEY_BASE - KEY_SHIFT})"
         )
-    m, dim = rows.shape
-    keys = np.zeros(m, dtype=np.int64)
-    for j in range(dim):
-        keys *= KEY_BASE
-        keys += rows[:, j].astype(np.int64) + KEY_SHIFT
-    return keys
+    dim = rows.shape[-1]
+    weights = KEY_BASE ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return rows.astype(np.int64, copy=False) @ weights + key_offset(dim)
 
 
 def key_index(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -258,51 +275,140 @@ def parse_label(text: str) -> RootSystem:
     raise RootSystemError(f"unknown root system label {text!r}")
 
 
-def reflect_rows(rows: np.ndarray, alpha: RootVector) -> np.ndarray:
-    """Vectorized reflection of lattice vectors (exact int64)."""
-    a = np.asarray(alpha, dtype=np.int64)
-    aa = int(a @ a)
-    num = 2 * (rows.astype(np.int64) @ a)
-    coeff, rem = np.divmod(num, aa)
+def reflect_rows(rows: np.ndarray, roots) -> np.ndarray:
+    """Images of (m, dim) lattice rows under the reflection in each of
+    roots, one product for all: a (len(roots), m, dim) int64 array.
+
+    The Cartan coefficients 2<x, a>/<a, a> must be integers
+    (RootSystemError otherwise), so the images are exact.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    a = np.asarray(roots, dtype=np.int64).reshape(-1, rows.shape[1])
+    coeff, rem = np.divmod(2 * (a @ rows.T), (a * a).sum(axis=1)[:, None])
     if rem.any():
         raise RootSystemError("vector outside the root lattice")
-    return rows - coeff[:, None] * a[None, :]
+    images = coeff[:, :, None] * a[:, None, :]
+    return np.subtract(rows, images, out=images)
 
 
-def weyl_closure(seeds: np.ndarray, simple_roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Generators' actions as index permutations of a sorted key array.
+
+    images holds each generator's image of the indexed rows, (m, dim) for
+    one generator or (g, m, dim) for g; perm[..., i] is the position of
+    images[..., i, :]. An image outside the set is a hard error, so an
+    injective generator always yields a permutation.
+    """
+    pos = key_index(keys, encode_rows(images))
+    if (pos < 0).any():
+        raise GroupActionError("generator image escapes the vertex set; the set is not closed")
+    return pos
+
+
+def reflection_permutations(roots, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+    """The reflections in roots as permutations of lex-sorted rows: a
+    (len(roots), n) int32 array.
+
+    keys, when given, are the rows' keys. Each reflection must map the
+    rows onto themselves (SOS sums map to SOS sums); an image outside
+    raises GroupActionError. The roots are taken one at a time: all at
+    once, the int64 images of the 8 H-roots on the E8 k=7 vertex set alone
+    would be 35 MB.
+    """
+    if keys is None:
+        keys = encode_rows(rows)
+    perms = np.empty((len(roots), len(keys)), dtype=np.int32)
+    for i, alpha in enumerate(roots):
+        perms[i] = vertex_permutation(keys, reflect_rows(rows, alpha)[0])
+    return perms
+
+
+def component_labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Min-label propagation with pointer jumping; exact components."""
+    labels = np.arange(n, dtype=np.int64)
+    if indices.size == 0:
+        return labels
+    deg = np.diff(indptr)
+    nonempty = deg > 0
+    offsets = indptr[:-1][nonempty]
+    while True:
+        row_min = np.minimum.reduceat(labels[indices], offsets)
+        updated = labels.copy()
+        updated[nonempty] = np.minimum(labels[nonempty], row_min)
+        while True:
+            jumped = updated[updated]
+            if np.array_equal(jumped, updated):
+                break
+            updated = jumped
+        if np.array_equal(updated, labels):
+            return labels
+        labels = updated
+
+
+def orbit_labels(perms, n: int) -> np.ndarray:
+    """Orbit id per index: components of the generator permutations, a
+    sequence or a (g, n) array.
+
+    Each generator has finite order, so its forward images alone reach
+    the whole orbit. Orbits are numbered by their lowest index, which is
+    the lex-least vertex of a lex-sorted vertex set.
+    """
+    if len(perms) == 0:
+        return np.arange(n, dtype=np.int32)
+    indices = np.stack(perms, axis=1).ravel()
+    indptr = np.arange(0, indices.size + 1, len(perms))
+    lowest = component_labels(n, indptr, indices)
+    return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
+
+
+def weyl_closure(
+    seeds: np.ndarray, simple_roots
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closure of the seed rows under the reflections in simple_roots.
 
-    Returns the lex-sorted rows, their keys and an orbit id per row,
-    numbered by lowest row. Each orbit is a breadth-first search from its
-    lowest seed not yet reached; reflections are involutions, so an image
-    of BFS level d lies in level d-1, d or d+1, and a new level is checked
-    only against the two before it.
+    Returns the lex-sorted rows, their keys, an orbit id per row numbered
+    by lowest row, and the simple reflections as a (rank, n) int32 array
+    of row permutations.
+
+    One breadth-first search starts from all seeds at once, and each level
+    is reflected by every simple root in one product. Level d holds the
+    rows at distance d from the seed set in the graph of the reflections.
+    They are involutions, so that graph is undirected and s.x lies at
+    distance d-1, d or d+1 when x lies at d: an image of level d is found
+    in level d-1 or d, or else belongs to level d+1. Every image is
+    recorded where it lands, which is the reflection's permutation, and
+    the orbits are the components of those permutations (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1).
     """
     seed_rows = np.asarray(seeds, dtype=np.int64)
-    seed_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
-    seed_rows = seed_rows[first]
-    reached = np.zeros(seed_keys.size, dtype=bool)
+    level_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
+    level_rows = seed_rows[first]
     # Empty heads keep the concatenations below valid when there are no seeds.
-    rows, keys, sizes = [seed_rows[:0]], [seed_keys[:0]], []
-    for start in range(seed_keys.size):
-        if reached[start]:
-            continue
-        before = seed_keys[:0]
-        level_rows, level_keys = seed_rows[start : start + 1], seed_keys[start : start + 1]
-        sizes.append(0)
-        while level_keys.size:
-            rows.append(level_rows)
-            keys.append(level_keys)
-            sizes[-1] += level_keys.size
-            reached |= key_index(level_keys, seed_keys) >= 0
-            images = np.concatenate([reflect_rows(level_rows, alpha) for alpha in simple_roots])
-            image_keys, first = np.unique(encode_rows(images), return_index=True)
-            fresh = (key_index(before, image_keys) < 0) & (key_index(level_keys, image_keys) < 0)
-            before = level_keys
-            level_rows, level_keys = images[first[fresh]], image_keys[fresh]
+    rows, keys = [level_rows[:0]], [level_keys[:0]]
+    targets = [np.empty((len(simple_roots), 0), dtype=np.int32)]
+    before, start = level_keys[:0], 0  # the level before and its first global index
+    while level_keys.size:
+        rows.append(level_rows)
+        keys.append(level_keys)
+        here = start + before.size
+        nxt = here + level_keys.size
+        images = reflect_rows(level_rows, simple_roots)
+        image_keys = encode_rows(images)
+        in_before = key_index(before, image_keys)
+        in_level = key_index(level_keys, image_keys)
+        fresh = (in_before < 0) & (in_level < 0)
+        new_keys, new_first, new_pos = np.unique(
+            image_keys[fresh], return_index=True, return_inverse=True
+        )
+        target = np.where(in_before >= 0, start + in_before, here + in_level)
+        target[fresh] = nxt + new_pos
+        targets.append(target.astype(np.int32))
+        before, start = level_keys, here
+        level_rows, level_keys = images[fresh][new_first], new_keys
     keys = np.concatenate(keys)
     order = np.argsort(keys)
-    orbit = np.repeat(np.arange(len(sizes)), sizes)[order]
-    lowest = np.unique(orbit, return_index=True)[1]
-    orbit = np.unique(lowest[orbit], return_inverse=True)[1].astype(np.int32)
-    return np.concatenate(rows)[order], keys[order], orbit
+    position = np.empty(order.size, dtype=np.int32)
+    position[order] = np.arange(order.size)
+    perms = position[np.concatenate(targets, axis=1)[:, order]]
+    rows = np.concatenate(rows)[order]
+    return rows, keys[order], orbit_labels(perms, order.size), perms

@@ -13,9 +13,16 @@ a in S over the k-SOS S whose sum lies in a W-orbit O gives
     k |O| mult(O) = sum over theta of |W theta| sum_{y in O} c_theta(y),
 
 where c_theta(y) is the number of (k-1)-SOS T with theta + sum(T) = y. The
-division is exact or the vertex set is wrong (ArithmeticError). The
-closure labels the W-orbits as it goes, and the vertex set keeps those
-labels for the graph views.
+division is exact or the vertex set is wrong (ArithmeticError).
+
+The closure is one breadth-first search from all seeds together, level by
+level. A simple reflection s is an involution, so the distance of s.x to
+the seed set differs from that of x by at most one: an image of level d
+lies in level d-1, d or d+1, and looking it up in levels d-1 and d
+decides where it lands. Recording that place for every image gives each
+simple reflection as a permutation of the vertices, and the W-orbits are
+the components of those permutations. The vertex set keeps both, the
+orbit ids and the (rank, n) permutations, for the graph views.
 
 The gamma graph is the vertex set itself: two vertices are adjacent when
 their difference is again a vertex (`VertexSet.adjacent`).
@@ -33,6 +40,8 @@ from sosgraphs.roots import (
     encode_rows,
     key_index,
     key_offset,
+    parse_label,
+    reflection_permutations,
     weyl_closure,
 )
 
@@ -52,6 +61,7 @@ class VertexSet:
     multiplicity: np.ndarray  # (n,) int64
     orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
     _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _reflections: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -65,6 +75,18 @@ class VertexSet:
         if self._keys is None:
             object.__setattr__(self, "_keys", encode_rows(self.vectors))
         return self._keys
+
+    def reflections(self) -> np.ndarray:
+        """The simple reflections as a (rank, n) int32 array of row
+        permutations: entry [s, i] is the index of the image of vectors[i]
+        under simple reflection s. Kept from the closure, or looked up once
+        for a set not closed here."""
+        if self._reflections is None:
+            perms = reflection_permutations(
+                parse_label(self.label).simple_roots, self.vectors, self.keys()
+            )
+            object.__setattr__(self, "_reflections", perms)
+        return self._reflections
 
     def sos_count(self) -> int:
         return int(self.multiplicity.sum())
@@ -112,7 +134,8 @@ def _seeds(rs: RootSystem, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     adj = _so_adjacency(rs)
     norms = (roots * roots).sum(axis=1)
     out = []
-    for norm in np.unique(norms):
+    # A set, not np.unique: a plain np.unique imports numpy.ma.
+    for norm in sorted(set(norms.tolist())):
         of_length = np.flatnonzero(norms == norm)
         theta = of_length[-1]
         partners = np.flatnonzero(adj[theta])
@@ -133,7 +156,9 @@ def _seeds(rs: RootSystem, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
 def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
     """V_k as the W-orbit closure of the seeds, multiplicities per W-orbit."""
     seeds = _seeds(rs, k)
-    rows, keys, orbit = weyl_closure(np.concatenate([s for _, s, _ in seeds]), rs.simple_roots)
+    rows, keys, orbit, perms = weyl_closure(
+        np.concatenate([s for _, s, _ in seeds]), rs.simple_roots
+    )
     orbit_sizes = np.bincount(orbit)
     weighted = np.zeros(orbit_sizes.size, dtype=np.int64)
     for length_size, seed_rows, counts in seeds:
@@ -146,7 +171,7 @@ def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
         )
     return VertexSet(
         label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit],
-        orbit=orbit, _keys=keys,
+        orbit=orbit, _keys=keys, _reflections=perms,
     )
 
 

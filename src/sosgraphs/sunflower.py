@@ -44,7 +44,7 @@ from sosgraphs.graph import (
     reflection_permutations,
     schreier_vector,
 )
-from sosgraphs.roots import RootSystem, RootVector, parse_label, simple_roots_of
+from sosgraphs.roots import RootSystem, RootVector, simple_roots_of
 from sosgraphs.sos import VertexSet
 
 
@@ -110,7 +110,7 @@ def _support_masks(rows: np.ndarray) -> np.ndarray:
     return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
 
 
-def _carry(perms: list[np.ndarray], parent: np.ndarray, gen: np.ndarray, x: int, row):
+def _carry(perms: np.ndarray, parent: np.ndarray, gen: np.ndarray, x: int, row):
     """g_x applied to row, where g_x.r = x for the root r of x's tree in the
     Schreier vector (parent, gen) of perms."""
     path = []
@@ -132,7 +132,8 @@ def sunflowers_at(masks: np.ndarray, x: int, hood: Neighborhood, images, omega: 
     supports = masks[images]
     cores = supports & masks[x]
     count = 0
-    for core in np.unique(cores[cores != 0]).tolist():
+    # A set, not np.unique: a plain np.unique imports numpy.ma.
+    for core in sorted(set(cores[cores != 0].tolist())):
         part = np.flatnonzero(cores == core)
         petals = supports[part] & ~core
         keep = hood.adjacency[np.ix_(part, part)] & ((petals[:, None] & petals[None, :]) == 0)
@@ -150,7 +151,7 @@ def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
     """
     labels = perm_orbit_labels(roots, g.vertices)
     xs = np.unique(labels, return_index=True)[1].tolist()
-    perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
+    perms = g.vertices.reflections()
     parent, gen, _ = schreier_vector(perms, g.orbit_representatives(), g.n)
     masks = _support_masks(g.vertices.vectors)
     for size, x in zip(np.bincount(labels).tolist(), xs):

@@ -9,6 +9,9 @@ SOS listed depth first, and the sunflower test on pairwise support
 intersections.
 closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
+horner_keys is the key codec digit by digit, one dimension at a time.
+orbitwise_closure closes the seeds one W-orbit at a time, a breadth-first
+search from each seed not yet reached, and labels the orbits as it goes.
 pivot_clique_count counts the t-cliques of a bitset graph by pivoted
 recursion (a leaf with p optional pivots adds C(p, t - h)).
 single_level_census is the one-level orbit reduction: one vertex per
@@ -61,6 +64,7 @@ from sosgraphs.roots import (
     key_index,
     key_offset,
     parse_label,
+    reflect_rows,
     sub,
 )
 from sosgraphs.sos import VertexSet, vertex_set
@@ -130,6 +134,51 @@ def closure(seeds, maps) -> set:
                     fresh.append(image)
         frontier = fresh
     return seen
+
+
+def horner_keys(rows) -> np.ndarray:
+    """The int64 key of each row of an (m, dim) array, by Horner's rule."""
+    rows = np.asarray(rows, dtype=np.int64)
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(rows.shape[1]):
+        keys *= KEY_BASE
+        keys += rows[:, j] + KEY_SHIFT
+    return keys
+
+
+def orbitwise_closure(seeds, simple_roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closure of the seed rows under the reflections in simple_roots:
+    lex-sorted rows, their keys and an orbit id per row numbered by lowest
+    row. Each orbit is a breadth-first search from its lowest seed not yet
+    reached, and a new level is checked against the two before it.
+    """
+    seed_rows = np.asarray(seeds, dtype=np.int64)
+    seed_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
+    seed_rows = seed_rows[first]
+    reached = np.zeros(seed_keys.size, dtype=bool)
+    rows, keys, sizes = [seed_rows[:0]], [seed_keys[:0]], []
+    for start in range(seed_keys.size):
+        if reached[start]:
+            continue
+        before = seed_keys[:0]
+        level_rows, level_keys = seed_rows[start : start + 1], seed_keys[start : start + 1]
+        sizes.append(0)
+        while level_keys.size:
+            rows.append(level_rows)
+            keys.append(level_keys)
+            sizes[-1] += level_keys.size
+            reached |= key_index(level_keys, seed_keys) >= 0
+            images = np.concatenate([reflect_rows(level_rows, [a])[0] for a in simple_roots])
+            image_keys, first = np.unique(encode_rows(images), return_index=True)
+            fresh = (key_index(before, image_keys) < 0) & (key_index(level_keys, image_keys) < 0)
+            before = level_keys
+            level_rows, level_keys = images[first[fresh]], image_keys[fresh]
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    orbit = np.repeat(np.arange(len(sizes)), sizes)[order]
+    lowest = np.unique(orbit, return_index=True)[1]
+    orbit = np.unique(lowest[orbit], return_inverse=True)[1].astype(np.int32)
+    return np.concatenate(rows)[order], keys[order], orbit
 
 
 def closure_orbit_labels(rows, maps) -> list[int]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -254,3 +257,32 @@ def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["path"].startswith(str(explicit))
     assert not (tmp_path / "env").exists()
+
+
+_IMPORTS_NUMPY_MA = """
+import contextlib, io, sys
+import numpy
+if 'numpy.ma' in sys.modules:
+    print('preloaded')
+    raise SystemExit
+from sosgraphs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(['cliques', '--system', 'E7', '--k', '3'])
+    main(['sunflowers', '--system', 'F4', '--k', '3'])
+    main(['table', 'parameters', '--systems', 'E6', '--k-range', '2'])
+print('numpy.ma' in sys.modules)
+"""
+
+
+def test_census_rows_do_not_import_numpy_ma(cli_cache):
+    """A plain np.unique imports numpy.ma (about 10-24 ms), which would land
+    in the first row of every process; the census rows never call one."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_NUMPY_MA], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    if done.stdout.strip() == "preloaded":
+        pytest.skip("importing numpy alone loads numpy.ma here")
+    assert done.stdout.strip() == "False"

@@ -417,7 +417,7 @@ def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
 
     def grown(perms, members):
         reps, sizes = real(perms, members)
-        whole = bool(perms) and members.size == perms[0].size  # all of N(v): Stab(v)
+        whole = len(perms) > 0 and members.size == perms[0].size  # all of N(v): Stab(v)
         return reps, [s + 1 for s in sizes] if whole else sizes
 
     monkeypatch.setattr(cliquemod, "restricted_orbits", grown)

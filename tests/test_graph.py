@@ -7,27 +7,27 @@ from sosgraphs import graph as graphmod
 from sosgraphs.graph import (
     GraphFileError,
     GraphStats,
-    GroupActionError,
     SOSGraph,
     build_gamma,
     deserialize,
     file_checksum,
-    orbit_labels,
     quotient_components,
-    reflection_permutations,
     schreier_vector,
     serialize,
     stats,
     to_dot,
-    vertex_permutation,
     weyl_orbit_labels,
 )
 from sosgraphs.roots import (
+    GroupActionError,
     build_root_system,
     encode_rows,
     key_index,
+    orbit_labels,
     parse_label,
     reflect_rows,
+    reflection_permutations,
+    vertex_permutation,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 
@@ -124,6 +124,46 @@ def test_components_match_propagation_oracle(label, k, mgraph, monkeypatch):
     have = stats(g)
     monkeypatch.setattr(graphmod, "quotient_components", propagated_components)
     assert have == stats(g)
+
+
+@pytest.mark.parametrize("label,k", [("G2", 1), ("F4", 3), ("E7", 3), ("E8", 2)])
+def test_census_reads_the_closure_reflections(label, k, monkeypatch):
+    """On a freshly closed vertex set, stats, build_gamma and the sunflower
+    census look up no simple-reflection permutation: they read the ones
+    the closure recorded, and still give the pinned values."""
+    from sosgraphs import roots as rootsmod
+    from sosgraphs import sos as sosmod
+    from sosgraphs import sunflower as sunmod
+    from sosgraphs.sunflower import count_sunflower_max_cliques
+
+    from test_acceptance import SUNFLOWERS
+
+    rs = parse_label(label)
+    simple = np.asarray(rs.simple_roots)
+    real = rootsmod.reflection_permutations
+    lookups = []
+
+    def counted(roots, *args):
+        if np.array_equal(np.asarray(roots).reshape(-1, simple.shape[1]), simple):
+            lookups.append(label)
+        return real(roots, *args)
+
+    for module in (rootsmod, sosmod, graphmod, sunmod):
+        monkeypatch.setattr(module, "reflection_permutations", counted)
+    monkeypatch.setattr(sosmod, "_VCACHE", {})
+    n, m, dmin, dmax, cc = TIER1[(label, k)]
+    s = stats(graphmod.membership_graph(rs, k))
+    assert (s.n, s.m, s.min_degree, s.max_degree, s.component_count) == (n, m, dmin, dmax, cc)
+    g = build_gamma(rs, k)
+    assert g.edge_count == m and stats(g) == s
+    census = count_sunflower_max_cliques(g, rs)
+    assert (census.total_maximum_cliques, census.sunflower_cliques) == SUNFLOWERS[(label, k)][:2]
+    assert lookups == []
+    # The probe does see a lookup: a set not closed here builds its own.
+    unclosed = VertexSet(label=g.label, k=k, vectors=g.vertices.vectors,
+                         multiplicity=g.vertices.multiplicity)
+    assert np.array_equal(unclosed.reflections(), g.vertices.reflections())
+    assert lookups == [label]
 
 
 def test_components_exact_without_transported_edges(mgraph, monkeypatch):
@@ -311,12 +351,11 @@ def test_orbit_closure_extends_beyond_seeds():
     maps = [partial(reflect, alpha) for alpha in e6.simple_roots]
     assert len(closure([e6.roots[0]], maps)) == 72
     rows = np.array(e6.roots, dtype=np.int64)
-    perms = [vertex_permutation(encode_rows(rows), reflect_rows(rows, a)) for a in e6.simple_roots]
+    perms = vertex_permutation(encode_rows(rows), reflect_rows(rows, e6.simple_roots))
     assert np.bincount(orbit_labels(perms, len(rows))).tolist() == [72]
     seed = rows[:1]
     with pytest.raises(GroupActionError, match="escapes"):
-        for alpha in e6.simple_roots:
-            vertex_permutation(encode_rows(seed), reflect_rows(seed, alpha))
+        vertex_permutation(encode_rows(seed), reflect_rows(seed, e6.simple_roots))
 
 
 @pytest.mark.parametrize("label,k", sorted(TIER1))

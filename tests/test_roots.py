@@ -9,19 +9,31 @@ from hypothesis import strategies as st
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
+    MAX_AMBIENT_DIM,
     RootSystemError,
     build_root_system,
     dot,
     encode_rows,
     parse_label,
+    reflection_permutations,
     sub,
     weyl_closure,
 )
 from sosgraphs.graph import weyl_orbit_labels
-from sosgraphs.sos import VertexSet, vertex_set
+from sosgraphs.sos import VertexSet, _seeds, vertex_set
 
-from oracles import as_tuples, closure, closure_orbit_labels, negate, reflect, strongly_orthogonal
+from oracles import (
+    as_tuples,
+    closure,
+    closure_orbit_labels,
+    horner_keys,
+    negate,
+    orbitwise_closure,
+    reflect,
+    strongly_orthogonal,
+)
 from test_acceptance import TIER1
+from test_sos import ORACLE_ROWS, SLOW_ORACLE_ROWS
 
 EXPECTED = {
     "G2": (12, 2, 3, 6, 2),
@@ -191,25 +203,59 @@ def test_orbit_closure_e7_level4():
 def test_weyl_closure_matches_closure_oracle(label, k, picks):
     rs = parse_label(label)
     seeds = vertex_set(rs, k).vectors[picks]
-    rows, keys, orbit = weyl_closure(seeds, rs.simple_roots)
+    rows, keys, orbit, _ = weyl_closure(seeds, rs.simple_roots)
     want = sorted(closure([tuple(int(x) for x in row) for row in seeds], _weyl_maps(rs)))
     assert [tuple(row) for row in rows.tolist()] == want
     assert np.array_equal(keys, encode_rows(rows))
     assert orbit.tolist() == closure_orbit_labels(want, _weyl_maps(rs))
 
 
+@pytest.mark.parametrize("label,k", ORACLE_ROWS + SLOW_ORACLE_ROWS)
+def test_weyl_closure_matches_orbitwise_oracle(label, k):
+    """The one search from all seeds gives the rows, keys and orbits of
+    one search per orbit, and the permutations it records are the
+    reflections looked up on the closed rows."""
+    rs = parse_label(label)
+    seeds = np.concatenate([rows for _, rows, _ in _seeds(rs, k)])
+    rows, keys, orbit, perms = weyl_closure(seeds, rs.simple_roots)
+    want_rows, want_keys, want_orbit = orbitwise_closure(seeds, rs.simple_roots)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(orbit, want_orbit)
+    assert perms.dtype == np.int32 and perms.shape == (rs.rank, len(rows))
+    assert np.array_equal(perms, reflection_permutations(rs.simple_roots, rows))
+
+
 @pytest.mark.parametrize("label,k", TIER1)
 def test_weyl_closure_orbits_match_weyl_orbit_labels(label, k):
     rs = parse_label(label)
     vs = vertex_set(rs, k)
-    rows, _, orbit = weyl_closure(vs.vectors, rs.simple_roots)
+    rows, _, orbit, _ = weyl_closure(vs.vectors, rs.simple_roots)
     assert np.array_equal(rows, vs.vectors)
     assert np.array_equal(orbit, weyl_orbit_labels(rs, vs))
 
 
 def test_weyl_closure_of_nothing_is_empty():
-    rows, keys, orbit = weyl_closure(np.empty((0, 8), dtype=np.int64), parse_label("E8").simple_roots)
+    e8 = parse_label("E8")
+    rows, keys, orbit, perms = weyl_closure(np.empty((0, 8), dtype=np.int64), e8.simple_roots)
     assert rows.shape == (0, 8) and keys.size == 0 and orbit.size == 0
+    assert perms.shape == (8, 0)
+
+
+def test_weyl_closure_rejects_a_seed_off_the_lattice():
+    """(1, 0, ..., 0) has half-integral Cartan coefficients on E8."""
+    seed = np.zeros((1, 8), dtype=np.int64)
+    seed[0, 0] = 1
+    with pytest.raises(RootSystemError, match="lattice"):
+        weyl_closure(seed, parse_label("E8").simple_roots)
+
+
+def test_weyl_closure_rejects_an_orbit_leaving_the_key_range():
+    """88 e1 is in range, but a sign change takes it to -88."""
+    seed = np.zeros((1, 8), dtype=np.int64)
+    seed[0, 0] = 88
+    with pytest.raises(ValueError, match="digit range"):
+        weyl_closure(seed, parse_label("E8").simple_roots)
 
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E8"])
@@ -242,6 +288,22 @@ def test_encode_rows_rejects_coordinates_outside_the_digit_range():
         with pytest.raises(ValueError, match="digit range"):
             encode_rows(np.array([[0, 0], [0, bad]]))
     assert encode_rows(np.empty((0, 3), dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_AMBIENT_DIM + 1))
+def test_encode_rows_matches_horner_at_the_digit_extremes(dim):
+    """Rows of the extreme digits -32 and 95 (and one 0) at every
+    dimension: the one-product keys equal Horner's rule, so no partial sum
+    wraps, and stay strictly increasing on lex-sorted rows."""
+    lo, hi = -KEY_SHIFT, KEY_BASE - KEY_SHIFT - 1
+    digits = [lo, 0, hi] if dim < 6 else [lo, hi]
+    rows = np.array(list(itertools.product(digits, repeat=dim)), dtype=np.int64)
+    keys = encode_rows(rows)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, horner_keys(rows))
+    assert (np.diff(keys) > 0).all()
+    assert keys[0] == 0 and keys[-1] == KEY_BASE**dim - 1
+    assert np.array_equal(encode_rows(rows.astype(np.int32)), keys)
 
 
 @given(st.sampled_from(["G2", "F4", "E6", "E7", "E8"]), st.data())

@@ -10,6 +10,7 @@ from sosgraphs.roots import (
     build_root_system,
     encode_rows,
     parse_label,
+    reflection_permutations,
 )
 from sosgraphs.sos import strong_orthogonality_graph, vertex_set
 
@@ -236,6 +237,24 @@ def test_keys_are_encoded_once():
     fresh = sosmod.VertexSet(label=vs.label, k=vs.k, vectors=vs.vectors, multiplicity=vs.multiplicity)
     assert fresh.keys() is fresh.keys()
     assert np.array_equal(fresh.keys(), vs.keys())
+
+
+@pytest.mark.parametrize("label,k", [("G2", 1), ("E7", 4), ("D6", 3), ("E8", 9)])
+def test_reflections_are_kept_from_the_closure(label, k):
+    """The closure's simple-reflection permutations are kept as one
+    (rank, n) int32 array; a set built elsewhere looks them up once, and
+    both equal the lookup on the rows."""
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    perms = vs.reflections()
+    assert perms is vs.reflections()
+    assert perms.dtype == np.int32 and perms.shape == (rs.rank, len(vs))
+    assert np.array_equal(perms, reflection_permutations(rs.simple_roots, vs.vectors))
+    fresh = sosmod.VertexSet(
+        label=vs.label, k=vs.k, vectors=vs.vectors, multiplicity=vs.multiplicity
+    )
+    assert fresh.reflections() is fresh.reflections()
+    assert np.array_equal(fresh.reflections(), perms)
 
 
 @pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 2), ("E6", 2)])
