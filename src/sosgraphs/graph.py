@@ -27,6 +27,7 @@ from sosgraphs.roots import (
     encode_rows,
     orbit_labels,
     parse_label,
+    positive_roots,
     reflection_permutations,
 )
 from sosgraphs.sos import VertexSet, vertex_set
@@ -169,8 +170,7 @@ def stabilizer_action(
     one per +- pair (Steinberg); nb must be an invariant, ascending index
     set, and an image outside it is a hard error.
     """
-    rs = parse_label(g.label)
-    positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
+    positive = positive_roots(parse_label(g.label))
     roots = positive[~(positive @ g.vertices.vectors[v].astype(np.int64)).astype(bool)]
     return roots, reflection_permutations(roots, g.vertices.vectors[nb], g.vertices.keys()[nb])
 

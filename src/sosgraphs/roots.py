@@ -6,18 +6,20 @@ Doubled inner products are 4x the true inner product; doubled squared
 norms of norm-2 roots equal 8.
 
 Lattice vectors are keyed by an order-preserving int64 codec
-(`encode_rows`, one product, looked up with `key_index`). A generator of
-the Weyl group acts on a closed set of rows as an index permutation
-(`reflection_permutations`, the one lookup), and orbits are the
+(`encode_rows`, one product, looked up with `key_index`). Keys are affine
+in the rows, so the key of a reflected row x - <x, a^v> a is key(x) minus
+<x, a^v> times a fixed number per root: a generator of the Weyl group acts
+on a closed set of rows as an index permutation found by one lookup of
+those image keys (`reflection_permutations`), and orbits are the
 components of those permutations (`orbit_labels`).
 
-`weyl_closure` closes a set of vectors under the simple reflections in
-one breadth-first search from all seeds together. Reflections are
-involutions, so the distance to the seed set changes by at most one
-under each, and an image of level d lies in level d-1, d or d+1: it is
-looked up in levels d-1 and d only, and the rest form level d+1. The
-search records where every image lands, so it returns the simple
-reflections as permutations of the closed rows at no extra cost.
+`weyl_closure` closes a set of vectors under the simple reflections one
+W-orbit at a time. The closed fundamental chamber is a fundamental domain,
+so each orbit has one dominant vertex, reached from any of its vertices by
+reflecting in the least simple root with a negative Cartan integer. The
+orbit is walked down from there along the reverse of that descent, which
+produces every vertex once and needs no lookup; the Cartan integers it
+carries give the simple reflections as permutations of the closed rows.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def dot(v: RootVector, w: RootVector) -> int:
     if len(v) != len(w):
         raise RootSystemError(f"dimension mismatch: {len(v)} vs {len(w)}")
     return sum(a * b for a, b in zip(v, w))
-
-
-def sub(v: RootVector, w: RootVector) -> RootVector:
-    return tuple(a - b for a, b in zip(v, w))
 
 
 def key_offset(dim: int) -> int:
@@ -195,13 +193,20 @@ def simple_roots_of(roots) -> tuple[RootVector, ...]:
     roots not expressible as a sum of two lex-positive roots.
 
     Any valid base generates the Weyl group, which is all the base is used
-    for; the lex functional makes the choice reproducible.
+    for; the lex functional makes the choice reproducible. Keys are affine
+    in the rows and preserve lex order, so the positive roots are the keys
+    above key(0), and key(a) + key(b) - key(0) is the key of a + b while
+    its digits stay in range (root coordinates lie in [-16, 16]): one
+    lookup of every pairwise sum finds the decomposable roots.
     """
-    positive = {r for r in roots if r > tuple([0] * len(r))}
-    return tuple(sorted(
-        alpha for alpha in positive
-        if not any(sub(alpha, beta) in positive for beta in positive if beta != alpha)
-    ))
+    rows = np.array(sorted(set(roots)), dtype=np.int64)
+    off = key_offset(rows.shape[1])
+    keys = encode_rows(rows)
+    positive, keys = rows[keys > off], keys[keys > off]
+    sums = key_index(keys, keys[:, None] + keys[None, :] - off)
+    decomposable = np.zeros(keys.size, dtype=bool)
+    decomposable[sums[sums >= 0]] = True
+    return tuple(map(tuple, positive[~decomposable].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -275,34 +280,64 @@ def parse_label(text: str) -> RootSystem:
     raise RootSystemError(f"unknown root system label {text!r}")
 
 
-def reflect_rows(rows: np.ndarray, roots) -> np.ndarray:
-    """Images of (m, dim) lattice rows under the reflection in each of
-    roots, one product for all: a (len(roots), m, dim) int64 array.
+@lru_cache(maxsize=None)
+def positive_roots(rs: RootSystem) -> np.ndarray:
+    """The lex-positive roots of rs, the upper half of the sorted roots, as
+    one read-only (|R|/2, dim) int64 array built once per root system."""
+    positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
+    positive.flags.writeable = False
+    return positive
 
-    The Cartan coefficients 2<x, a>/<a, a> must be integers
-    (RootSystemError otherwise), so the images are exact.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    a = np.asarray(roots, dtype=np.int64).reshape(-1, rows.shape[1])
-    coeff, rem = np.divmod(2 * (a @ rows.T), (a * a).sum(axis=1)[:, None])
+
+def _cartan_integers(rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """<x, a^v> = 2<x, a>/<a, a> for every root a (a row of roots) and
+    every row x: a (len(roots), m) int64 array. A non-integral value means
+    x is off the lattice, and raises RootSystemError."""
+    coeff, rem = np.divmod(2 * (roots @ rows.T), (roots * roots).sum(axis=1)[:, None])
     if rem.any():
         raise RootSystemError("vector outside the root lattice")
-    images = coeff[:, :, None] * a[:, None, :]
-    return np.subtract(rows, images, out=images)
+    return coeff
 
 
-def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Generators' actions as index permutations of a sorted key array.
+def _check_norms(rows: np.ndarray) -> None:
+    """Refuse rows whose images under reflections could leave the key digit
+    range. Reflections preserve norms and |x_i| <= |x|, so while every
+    doubled norm is below KEY_SHIFT each image digit stays in
+    (-KEY_SHIFT, KEY_SHIFT), and its key follows from key arithmetic."""
+    if rows.size and np.einsum("ij,ij->i", rows, rows, dtype=np.int64).max() >= KEY_SHIFT**2:
+        raise ValueError(
+            f"a row of norm {KEY_SHIFT} or more could reflect out of the key digit range"
+        )
 
-    images holds each generator's image of the indexed rows, (m, dim) for
-    one generator or (g, m, dim) for g; perm[..., i] is the position of
-    images[..., i, :]. An image outside the set is a hard error, so an
-    injective generator always yields a permutation.
+
+# Image keys per lookup, at most (256 KB of int64): the roots are taken a
+# block at a time, so the Cartan integers and image keys of many roots over
+# a large vertex set never sit in memory at once.
+_LOOKUP_BATCH = 1 << 15
+
+
+def _image_permutations(keys: np.ndarray, roots: np.ndarray, coeff_of) -> np.ndarray:
+    """The reflections in roots as permutations of the sorted keys: a
+    (len(roots), n) int32 array. coeff_of(lo, hi) gives the Cartan
+    integers <x, roots[i]^v> of every keyed row x for lo <= i < hi, as a
+    (hi - lo, n) array.
+
+    Keys are affine in the rows, so key(x - c a) = key(x) - c * (a . w)
+    with w the KEY_BASE powers, and no image row is built. The callers
+    have checked the norms, so every image key is the key of the image.
+    An image outside the keys raises GroupActionError.
     """
-    pos = key_index(keys, encode_rows(images))
-    if (pos < 0).any():
-        raise GroupActionError("generator image escapes the vertex set; the set is not closed")
-    return pos
+    weights = KEY_BASE ** np.arange(roots.shape[1] - 1, -1, -1, dtype=np.int64)
+    root_keys = roots @ weights
+    perms = np.empty((len(roots), keys.size), dtype=np.int32)
+    step = max(1, _LOOKUP_BATCH // max(keys.size, 1))
+    for lo in range(0, len(roots), step):
+        hi = lo + step
+        pos = key_index(keys, keys - coeff_of(lo, hi) * root_keys[lo:hi, None])
+        if (pos < 0).any():
+            raise GroupActionError("generator image escapes the vertex set; the set is not closed")
+        perms[lo:hi] = pos
+    return perms
 
 
 def reflection_permutations(roots, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
@@ -311,16 +346,15 @@ def reflection_permutations(roots, rows: np.ndarray, keys: np.ndarray | None = N
 
     keys, when given, are the rows' keys. Each reflection must map the
     rows onto themselves (SOS sums map to SOS sums); an image outside
-    raises GroupActionError. The roots are taken one at a time: all at
-    once, the int64 images of the 8 H-roots on the E8 k=7 vertex set alone
-    would be 35 MB.
+    raises GroupActionError. The images are never built: their keys come
+    from the rows' keys and Cartan integers (`_image_permutations`).
     """
+    rows = np.asarray(rows)
     if keys is None:
         keys = encode_rows(rows)
-    perms = np.empty((len(roots), len(keys)), dtype=np.int32)
-    for i, alpha in enumerate(roots):
-        perms[i] = vertex_permutation(keys, reflect_rows(rows, alpha)[0])
-    return perms
+    _check_norms(rows)
+    roots = np.asarray(roots, dtype=np.int64).reshape(-1, rows.shape[1])
+    return _image_permutations(keys, roots, lambda lo, hi: _cartan_integers(rows, roots[lo:hi]))
 
 
 def component_labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -361,54 +395,128 @@ def orbit_labels(perms, n: int) -> np.ndarray:
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
 
+# The walk carries each vertex x as one int16 state row: x, then its Cartan
+# integers <x, a_j^v>. The norm guard keeps |x_i| < 32 and the Cartan
+# integers below 64 in magnitude, so no product below leaves int16.
+
+
+def _dominant(state: list[int], dim: int, gens: list) -> tuple[list[int], int]:
+    """The state of the dominant vertex of x's W-orbit, and the number of
+    steps down to it: reflect in the least simple root whose Cartan integer
+    is negative until none is. Each step removes one positive root from
+    those with <x, a> < 0, so the step count is their number (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.6-1.12).
+
+    gens[j] is a_j followed by the Cartan matrix row <a_j, a_i^v>, so s_j
+    moves both parts of a state by <x, a_j^v> times gens[j].
+    """
+    steps = 0
+    while True:
+        j = next((j for j, c in enumerate(state[dim:]) if c < 0), None)
+        if j is None:
+            return state, steps
+        c = state[dim + j]
+        state = [a - c * b for a, b in zip(state, gens[j])]
+        steps += 1
+
+
+def _antipodal_depth(lam: list[int], dim: int, gens: list) -> int | None:
+    """L, the depth of the orbit below its dominant vertex lam, when -lam
+    lies in the orbit; None otherwise. -lam descends to lam exactly when it
+    is in the orbit, and it is the lowest vertex, so its descent takes L
+    steps: the positive roots not orthogonal to lam."""
+    top, steps = _dominant([-a for a in lam], dim, gens)
+    return steps if top == lam else None
+
+
+def _children(level: np.ndarray, dim: int, gens: np.ndarray) -> np.ndarray:
+    """The next level of the walk down an orbit, as state rows.
+
+    s_j.x has Cartan integers coeff[x] - coeff[x, j] * <a_j, a_i^v>. Its
+    parent in the descent of `_dominant` is s_j applied to it again when
+    its least negative Cartan integer is at j; so s_j.x is a child of x
+    exactly when <x, a_j^v> > 0 and that holds, and every vertex has one
+    parent.
+    """
+    coeff = level[:, dim:]
+    after = coeff[:, None, :] - coeff[:, :, None] * gens[:, dim:]  # after[x, j] of s_j.x
+    x, j = np.nonzero((coeff > 0) & ((after < 0).argmax(axis=2) == np.arange(len(gens))))
+    return level[x] - coeff[x, j, None] * gens[j]
+
+
+def _walk_orbit(lam: list[int], depth: int | None, dim: int, gens: np.ndarray) -> np.ndarray:
+    """The state rows of lam's W-orbit, level by level down the descent
+    tree from the dominant vertex lam.
+
+    depth is L when -lam is in the orbit (`_antipodal_depth`). Then
+    x -> -x maps level d onto level L - d, so only the levels d <= L // 2
+    are walked and the rest are their negatives.
+    """
+    levels = [np.array([lam], dtype=np.int16)]
+    while depth is None or len(levels) <= depth // 2:
+        level = _children(levels[-1], dim, gens)
+        if not len(level):
+            break
+        levels.append(level)
+    if depth is not None:
+        levels += [-level for level in levels[: depth - depth // 2]]
+    return np.concatenate(levels)
+
+
 def weyl_closure(
     seeds: np.ndarray, simple_roots
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closure of the seed rows under the reflections in simple_roots.
+    """Closure of the seed rows under the reflections in simple_roots, a
+    base of the root system.
 
     Returns the lex-sorted rows, their keys, an orbit id per row numbered
     by lowest row, and the simple reflections as a (rank, n) int32 array
     of row permutations.
 
-    One breadth-first search starts from all seeds at once, and each level
-    is reflected by every simple root in one product. Level d holds the
-    rows at distance d from the seed set in the graph of the reflections.
-    They are involutions, so that graph is undirected and s.x lies at
-    distance d-1, d or d+1 when x lies at d: an image of level d is found
-    in level d-1 or d, or else belongs to level d+1. Every image is
-    recorded where it lands, which is the reflection's permutation, and
-    the orbits are the components of those permutations (Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1).
+    The closed fundamental chamber is a fundamental domain (Humphreys,
+    1.12), so each orbit has one dominant vertex. Each orbit is walked
+    down from it (`_walk_orbit`) once, starting at a seed not yet reached;
+    no level is deduplicated or looked up. The Cartan integers the walk
+    carries give every image key by key arithmetic, so each simple
+    reflection's permutation is one lookup (`_image_permutations`).
     """
     seed_rows = np.asarray(seeds, dtype=np.int64)
-    level_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
-    level_rows = seed_rows[first]
+    dim = seed_rows.shape[1]
+    simple = np.asarray(simple_roots, dtype=np.int64).reshape(-1, dim)
+    seed_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
+    seed_rows = seed_rows[first]
+    # Every walked row has its seed's norm, so this bounds every row and
+    # image digit, and keeps the walk's states within int16.
+    _check_norms(seed_rows)
+    seed_states = np.hstack([seed_rows, _cartan_integers(seed_rows, simple).T]).tolist()
+    gens = np.hstack([simple, _cartan_integers(simple, simple).T]).astype(np.int16)
+    gens_list = gens.tolist()
+    reached = np.zeros(seed_keys.size, dtype=bool)
     # Empty heads keep the concatenations below valid when there are no seeds.
-    rows, keys = [level_rows[:0]], [level_keys[:0]]
-    targets = [np.empty((len(simple_roots), 0), dtype=np.int32)]
-    before, start = level_keys[:0], 0  # the level before and its first global index
-    while level_keys.size:
-        rows.append(level_rows)
-        keys.append(level_keys)
-        here = start + before.size
-        nxt = here + level_keys.size
-        images = reflect_rows(level_rows, simple_roots)
-        image_keys = encode_rows(images)
-        in_before = key_index(before, image_keys)
-        in_level = key_index(level_keys, image_keys)
-        fresh = (in_before < 0) & (in_level < 0)
-        new_keys, new_first, new_pos = np.unique(
-            image_keys[fresh], return_index=True, return_inverse=True
-        )
-        target = np.where(in_before >= 0, start + in_before, here + in_level)
-        target[fresh] = nxt + new_pos
-        targets.append(target.astype(np.int32))
-        before, start = level_keys, here
-        level_rows, level_keys = images[fresh][new_first], new_keys
+    states, keys = [np.empty((0, gens.shape[1]), dtype=np.int16)], [seed_keys[:0]]
+    for start in range(seed_keys.size):
+        if reached[start]:
+            continue
+        lam, _ = _dominant(seed_states[start], dim, gens_list)
+        members = _walk_orbit(lam, _antipodal_depth(lam, dim, gens_list), dim, gens)
+        member_keys = encode_rows(members[:, :dim])
+        hit = key_index(seed_keys, member_keys)
+        reached[hit[hit >= 0]] = True
+        states.append(members)
+        keys.append(member_keys)
+    sizes = [k.size for k in keys[1:]]
     keys = np.concatenate(keys)
     order = np.argsort(keys)
-    position = np.empty(order.size, dtype=np.int32)
+    position = np.empty(order.size, dtype=np.int64)
     position[order] = np.arange(order.size)
-    perms = position[np.concatenate(targets, axis=1)[:, order]]
-    rows = np.concatenate(rows)[order]
-    return rows, keys[order], orbit_labels(perms, order.size), perms
+    bounds = np.cumsum([0] + sizes)
+    lowest = [position[a:b].min() for a, b in zip(bounds[:-1], bounds[1:])]
+    number = np.empty(len(sizes), dtype=np.int32)
+    number[np.argsort(lowest)] = np.arange(len(sizes))
+    orbit = np.repeat(number, sizes)[order]
+    keys = keys[order]
+    states = np.concatenate(states)[order]
+    rows = states[:, :dim].astype(np.int64)
+    return rows, keys, orbit, _image_permutations(
+        keys, simple, lambda lo, hi: states[:, dim + lo : dim + hi].T
+    )

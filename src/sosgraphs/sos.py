@@ -15,14 +15,11 @@ a in S over the k-SOS S whose sum lies in a W-orbit O gives
 where c_theta(y) is the number of (k-1)-SOS T with theta + sum(T) = y. The
 division is exact or the vertex set is wrong (ArithmeticError).
 
-The closure is one breadth-first search from all seeds together, level by
-level. A simple reflection s is an involution, so the distance of s.x to
-the seed set differs from that of x by at most one: an image of level d
-lies in level d-1, d or d+1, and looking it up in levels d-1 and d
-decides where it lands. Recording that place for every image gives each
-simple reflection as a permutation of the vertices, and the W-orbits are
-the components of those permutations. The vertex set keeps both, the
-orbit ids and the (rank, n) permutations, for the graph views.
+The closure walks each W-orbit once, down from its dominant vertex
+(`roots.weyl_closure`), and returns the simple reflections as
+permutations of the vertices, with the W-orbits as their components. The
+vertex set keeps both, the orbit ids and the (rank, n) permutations, for
+the graph views.
 
 The gamma graph is the vertex set itself: two vertices are adjacent when
 their difference is again a vertex (`VertexSet.adjacent`).

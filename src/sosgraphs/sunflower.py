@@ -27,6 +27,7 @@ index for index, and each part's adjacency is a slice of r's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,10 +91,12 @@ def is_sunflower(vectors) -> SunflowerVerdict:
     return SunflowerVerdict(is_sunflower=ok, core=core if ok else frozenset(), column_profile=profile)
 
 
+@lru_cache(maxsize=None)
 def signed_permutation_roots(rs: RootSystem) -> tuple[RootVector, ...]:
     """Generators of H: the simple roots of the subsystem of roots whose
     reflections are signed coordinate permutations (one non-zero
-    coordinate, or two of equal absolute value)."""
+    coordinate, or two of equal absolute value). Computed once per root
+    system."""
     return simple_roots_of(
         alpha for alpha in rs.roots
         if len({abs(x) for x in alpha if x}) == 1 and sum(1 for x in alpha if x) <= 2

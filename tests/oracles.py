@@ -2,7 +2,7 @@
 
 strongly_orthogonal is the pairwise definition (neither sum nor
 difference is a root) that sos.strong_orthogonality_graph is checked
-against; negate and add are its tuple helpers.
+against; negate, add and sub are its tuple helpers.
 reflect, as_tuples, enumerate_sos and pairwise_is_sunflower are the plain
 tuple-level definitions: one reflection, a vertex set as tuples, every
 SOS listed depth first, and the sunflower test on pairwise support
@@ -10,6 +10,10 @@ intersections.
 closure_orbit_labels closes each vertex under the generators with plain
 Python tuples and a dict, with no keys and no searchsorted.
 horner_keys is the key codec digit by digit, one dimension at a time.
+reflect_rows builds the image rows of a reflection, vertex_permutation
+looks images up, and lookup_permutations does both per root: the
+reflections as permutations with every image row built.
+pairwise_simple_roots finds a base by testing every pair of positive roots.
 orbitwise_closure closes the seeds one W-orbit at a time, a breadth-first
 search from each seed not yet reached, and labels the orbits as it goes.
 pivot_clique_count counts the t-cliques of a bitset graph by pivoted
@@ -51,21 +55,19 @@ from sosgraphs.graph import (
     GraphStats,
     SOSGraph,
     _pair_components,
-    reflection_permutations,
     restricted_orbits,
     stabilizer_action,
 )
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
+    GroupActionError,
     RootSystemError,
     dot,
     encode_rows,
     key_index,
     key_offset,
     parse_label,
-    reflect_rows,
-    sub,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 from sosgraphs.sunflower import _support_masks, perm_orbit_labels
@@ -77,6 +79,10 @@ def negate(v) -> tuple:
 
 def add(v, w) -> tuple:
     return tuple(a + b for a, b in zip(v, w))
+
+
+def sub(v, w) -> tuple:
+    return tuple(a - b for a, b in zip(v, w))
 
 
 def strongly_orthogonal(rs, alpha, beta) -> bool:
@@ -144,6 +150,57 @@ def horner_keys(rows) -> np.ndarray:
         keys *= KEY_BASE
         keys += rows[:, j] + KEY_SHIFT
     return keys
+
+
+def reflect_rows(rows: np.ndarray, roots) -> np.ndarray:
+    """Images of (m, dim) lattice rows under the reflection in each of
+    roots, one product for all: a (len(roots), m, dim) int64 array.
+
+    The Cartan coefficients 2<x, a>/<a, a> must be integers
+    (RootSystemError otherwise), so the images are exact.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    a = np.asarray(roots, dtype=np.int64).reshape(-1, rows.shape[1])
+    coeff, rem = np.divmod(2 * (a @ rows.T), (a * a).sum(axis=1)[:, None])
+    if rem.any():
+        raise RootSystemError("vector outside the root lattice")
+    images = coeff[:, :, None] * a[:, None, :]
+    return np.subtract(rows, images, out=images)
+
+
+def vertex_permutation(keys: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Generators' actions as index permutations of a sorted key array.
+
+    images holds each generator's image of the indexed rows, (m, dim) for
+    one generator or (g, m, dim) for g; perm[..., i] is the position of
+    images[..., i, :]. An image outside the set is a hard error, so an
+    injective generator always yields a permutation.
+    """
+    pos = key_index(keys, encode_rows(images))
+    if (pos < 0).any():
+        raise GroupActionError("generator image escapes the vertex set; the set is not closed")
+    return pos
+
+
+def lookup_permutations(roots, rows) -> np.ndarray:
+    """The reflections in roots as a (len(roots), n) int32 array of
+    permutations of the lex-sorted rows: every image row built, encoded
+    and looked up."""
+    keys = encode_rows(np.asarray(rows))
+    perms = np.empty((len(roots), len(keys)), dtype=np.int32)
+    for i, alpha in enumerate(roots):
+        perms[i] = vertex_permutation(keys, reflect_rows(rows, alpha)[0])
+    return perms
+
+
+def pairwise_simple_roots(roots) -> tuple[tuple[int, ...], ...]:
+    """The lex-positive roots that are not a sum of two lex-positive roots,
+    sorted, by testing every pair of tuples."""
+    positive = {r for r in roots if r > tuple([0] * len(r))}
+    return tuple(sorted(
+        alpha for alpha in positive
+        if not any(sub(alpha, beta) in positive for beta in positive if beta != alpha)
+    ))
 
 
 def orbitwise_closure(seeds, simple_roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -431,7 +488,7 @@ def propagated_components(g, reps: list[int], hoods) -> np.ndarray:
     changing (up to 61 rounds on the census rows).
     """
     n = g.n
-    perms = reflection_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
+    perms = lookup_permutations(parse_label(g.label).simple_roots, g.vertices.vectors)
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
     every = np.arange(n, dtype=np.int64)
     labels = every

@@ -14,6 +14,7 @@ from sosgraphs.graph import (
     quotient_components,
     schreier_vector,
     serialize,
+    stabilizer_action,
     stats,
     to_dot,
     weyl_orbit_labels,
@@ -21,13 +22,10 @@ from sosgraphs.graph import (
 from sosgraphs.roots import (
     GroupActionError,
     build_root_system,
-    encode_rows,
     key_index,
     orbit_labels,
     parse_label,
-    reflect_rows,
     reflection_permutations,
-    vertex_permutation,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 
@@ -344,6 +342,18 @@ def test_census_on_deserialized_graph(tmp_path, gamma):
     assert (census.total_maximum_cliques, census.sunflower_cliques) == (4320, 0)
 
 
+@pytest.mark.parametrize("label,k", [("F4", 1), ("E7", 4), ("E8", 3)])
+def test_stabilizer_permutations_match_lookup_oracle(label, k, mgraph):
+    """At every W-representative v, the Stab_W(v) reflections on N(v) from
+    key arithmetic equal those from building and looking up every image."""
+    g = mgraph(label, k)
+    for v in g.orbit_representatives():
+        nb = g.neighbors(v)
+        roots, perms = stabilizer_action(g, v, nb)
+        assert len(roots) and perms.shape == (len(roots), nb.size)
+        assert np.array_equal(perms, oracles.lookup_permutations(roots, g.vertices.vectors[nb]))
+
+
 def test_orbit_closure_extends_beyond_seeds():
     """Closure of one root reaches its full reflection orbit; the primitive
     gives that orbit on the closed set and refuses the seed alone."""
@@ -351,11 +361,10 @@ def test_orbit_closure_extends_beyond_seeds():
     maps = [partial(reflect, alpha) for alpha in e6.simple_roots]
     assert len(closure([e6.roots[0]], maps)) == 72
     rows = np.array(e6.roots, dtype=np.int64)
-    perms = vertex_permutation(encode_rows(rows), reflect_rows(rows, e6.simple_roots))
+    perms = reflection_permutations(e6.simple_roots, rows)
     assert np.bincount(orbit_labels(perms, len(rows))).tolist() == [72]
-    seed = rows[:1]
     with pytest.raises(GroupActionError, match="escapes"):
-        vertex_permutation(encode_rows(seed), reflect_rows(seed, e6.simple_roots))
+        reflection_permutations(e6.simple_roots, rows[:1])
 
 
 @pytest.mark.parametrize("label,k", sorted(TIER1))
@@ -382,12 +391,15 @@ def test_key_index_positions_or_minus_one():
 
 
 def test_vertex_permutation_rejects_escaping_images():
-    keys = encode_rows(np.array([[0, 1], [1, 0]]))
-    assert vertex_permutation(keys, np.array([[1, 0], [0, 1]])).tolist() == [1, 0]
+    """The reflection in (2, -2) swaps the coordinates: a permutation of
+    {(0, 2), (2, 0)}, but it takes (4, 0) out of {(0, 2), (4, 0)} and
+    (2, 0) out of the set holding it alone."""
+    swap = [(2, -2)]
+    assert reflection_permutations(swap, np.array([[0, 2], [2, 0]])).tolist() == [[1, 0]]
     with pytest.raises(GroupActionError):
-        vertex_permutation(keys, np.array([[1, 0], [2, 0]]))
+        reflection_permutations(swap, np.array([[0, 2], [4, 0]]))
     with pytest.raises(GroupActionError):
-        vertex_permutation(keys[:0], np.array([[1, 0]]))
+        reflection_permutations(swap, np.array([[2, 0]]))
 
 
 def test_largest_key_dimension_builds():

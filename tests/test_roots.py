@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosgraphs import roots as rootsmod
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
@@ -15,25 +16,30 @@ from sosgraphs.roots import (
     dot,
     encode_rows,
     parse_label,
+    positive_roots,
     reflection_permutations,
-    sub,
+    simple_roots_of,
     weyl_closure,
 )
 from sosgraphs.graph import weyl_orbit_labels
 from sosgraphs.sos import VertexSet, _seeds, vertex_set
+from sosgraphs.sunflower import signed_permutation_roots
 
 from oracles import (
     as_tuples,
     closure,
     closure_orbit_labels,
     horner_keys,
+    lookup_permutations,
     negate,
     orbitwise_closure,
+    pairwise_simple_roots,
     reflect,
     strongly_orthogonal,
+    sub,
 )
 from test_acceptance import TIER1
-from test_sos import ORACLE_ROWS, SLOW_ORACLE_ROWS
+from test_sos import FIXTURES, ORACLE_ROWS, SLOW_ORACLE_ROWS
 
 EXPECTED = {
     "G2": (12, 2, 3, 6, 2),
@@ -223,7 +229,7 @@ def test_weyl_closure_matches_orbitwise_oracle(label, k):
     assert np.array_equal(keys, want_keys)
     assert np.array_equal(orbit, want_orbit)
     assert perms.dtype == np.int32 and perms.shape == (rs.rank, len(rows))
-    assert np.array_equal(perms, reflection_permutations(rs.simple_roots, rows))
+    assert np.array_equal(perms, lookup_permutations(rs.simple_roots, rows))
 
 
 @pytest.mark.parametrize("label,k", TIER1)
@@ -251,11 +257,142 @@ def test_weyl_closure_rejects_a_seed_off_the_lattice():
 
 
 def test_weyl_closure_rejects_an_orbit_leaving_the_key_range():
-    """88 e1 is in range, but a sign change takes it to -88."""
+    """88 e1 is in range, but a sign change takes it to -88: its norm, far
+    above 32, is refused before the walk."""
     seed = np.zeros((1, 8), dtype=np.int64)
     seed[0, 0] = 88
     with pytest.raises(ValueError, match="digit range"):
         weyl_closure(seed, parse_label("E8").simple_roots)
+
+
+def _seed_rows(rs, k):
+    return np.concatenate([rows for _, rows, _ in _seeds(rs, k)])
+
+
+def _record_depths(monkeypatch):
+    """Patch _antipodal_depth to record (dominant vertex, depth) per orbit."""
+    real, seen = rootsmod._antipodal_depth, []
+
+    def recorded(lam, *args):
+        seen.append((lam, real(lam, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(rootsmod, "_antipodal_depth", recorded)
+    return seen
+
+
+HALVED_ROWS = [
+    (label, k)
+    for label in ["G2", "F4", "E7", "D4", "D5", "D6"]
+    for k in range(1, parse_label(label).max_sos_size + 1)
+] + [("E8", 1), ("E8", 2), ("E8", 3)] + [
+    pytest.param("E8", k, marks=pytest.mark.slow) for k in range(4, 9)
+]
+
+
+@pytest.mark.parametrize("label,k", HALVED_ROWS)
+def test_halved_walk_matches_full_walk_and_orbitwise_oracle(label, k, monkeypatch):
+    """Every orbit of these rows holds -lam, so only half its levels are
+    walked; the result equals the walk of every level and one search per
+    orbit, and the depth is the number of positive roots not orthogonal
+    to lam."""
+    rs = parse_label(label)
+    seeds = _seed_rows(rs, k)
+    depths = _record_depths(monkeypatch)
+    halved = weyl_closure(seeds, rs.simple_roots)
+    assert depths and all(depth is not None for _, depth in depths)
+    for lam, depth in depths:
+        assert depth == np.count_nonzero(positive_roots(rs) @ np.array(lam[: rs.ambient_dim]))
+    monkeypatch.setattr(rootsmod, "_antipodal_depth", lambda *args: None)
+    full = weyl_closure(seeds, rs.simple_roots)
+    want = orbitwise_closure(seeds, rs.simple_roots)
+    for have in (halved, full):
+        for got, expected in zip(have, want):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert np.array_equal(have[3], halved[3])
+
+
+def test_orbits_without_their_negatives_take_the_full_walk(monkeypatch):
+    """E6 and A4 orbits that do not hold -lam are walked to the bottom and
+    still equal the oracle: E8 roots that are neither E6 roots nor
+    orthogonal to E6 (E6 orbits of 27), and in A4 the permutations of e1,
+    e1 + e2 and 2e1 + e2 - e5, beside a root, whose orbit is halved."""
+    e6, e8 = parse_label("E6"), parse_label("E8")
+    inside = np.asarray(e6.roots)
+    a4_seeds = [(2, 0, 0, 0, 0), (2, 2, 0, 0, 0), (4, 2, 0, 0, -2), (2, -2, 0, 0, 0)]
+    outside = [r for r in e8.roots if r not in set(e6.roots) and (inside @ np.array(r)).any()]
+    for rs, seeds, halved in [
+        (e6, np.array(outside[::7]), 0), (parse_label("A4"), np.array(a4_seeds), 1)
+    ]:
+        depths = _record_depths(monkeypatch)
+        have = weyl_closure(seeds, rs.simple_roots)
+        assert sum(depth is not None for _, depth in depths) == halved < len(depths)
+        want = orbitwise_closure(seeds, rs.simple_roots)
+        for got, expected in zip(have, want):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(have[3], lookup_permutations(rs.simple_roots, have[0]))
+    assert sorted(np.bincount(have[2]).tolist()) == [5, 10, 20, 60]  # S5 on the coordinates
+
+
+@pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 4), ("E8", 1), ("E8", 3)])
+def test_weyl_closure_lookups_do_not_grow_with_depth(label, k, monkeypatch):
+    """One lookup per orbit marks the seeds it reaches and one per simple
+    root gives the permutations; no level is looked up (E8 k=1 has 58)."""
+    rs = parse_label(label)
+    real, calls = rootsmod.key_index, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rootsmod, "key_index", counted)
+    _, _, orbit, _ = weyl_closure(_seed_rows(rs, k), rs.simple_roots)
+    assert len(calls) <= orbit.max() + 1 + rs.rank + 1
+
+
+@pytest.mark.parametrize("label,k", ORACLE_ROWS)
+def test_image_key_permutations_match_lookup_oracle(label, k):
+    """Permutations from key arithmetic equal those from building, encoding
+    and looking up every image row, both the closure's and the lookup's."""
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    want = lookup_permutations(rs.simple_roots, vs.vectors)
+    assert np.array_equal(reflection_permutations(rs.simple_roots, vs.vectors), want)
+    assert np.array_equal(vs.reflections(), want)
+
+
+def test_reflection_permutations_refuse_rows_of_norm_32():
+    """(24, 24, 0, ...) has doubled norm 33.9: its image keys could leave the
+    digit range, so it is refused before any lookup, and so is a closure
+    from it; ten times a root, (20, 20, 0, ...) of norm 28.3, is taken."""
+    e8 = parse_label("E8")
+    big = np.array([[24, 24, 0, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="norm"):
+        reflection_permutations(e8.simple_roots, big)
+    with pytest.raises(ValueError, match="norm"):
+        weyl_closure(big, e8.simple_roots)
+    near = np.array([[20, 20, 0, 0, 0, 0, 0, 0]])
+    rows = weyl_closure(near, e8.simple_roots)[0]
+    assert len(rows) == 240 and np.array_equal(
+        reflection_permutations(e8.simple_roots, rows), lookup_permutations(e8.simple_roots, rows)
+    )
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8", *FIXTURES])
+def test_simple_roots_match_pairwise_oracle(label):
+    """The keyed base equals the pairwise one, for the system and for the
+    subsystem H of signed coordinate permutations, each computed once."""
+    rs = parse_label(label)
+    assert simple_roots_of(rs.roots) == pairwise_simple_roots(rs.roots) == rs.simple_roots
+    signed = [
+        a for a in rs.roots if len({abs(x) for x in a if x}) == 1 and sum(1 for x in a if x) <= 2
+    ]
+    assert simple_roots_of(signed) == pairwise_simple_roots(signed)
+    assert signed_permutation_roots(rs) is signed_permutation_roots(rs)
+    assert signed_permutation_roots(rs) == pairwise_simple_roots(signed)
+    positive = positive_roots(rs)
+    assert positive is positive_roots(rs) and not positive.flags.writeable
+    assert [tuple(r) for r in positive.tolist()] == sorted(r for r in rs.roots if r > (0,) * len(r))
 
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E8"])
