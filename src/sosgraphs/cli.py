@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -345,7 +346,11 @@ def _add_cache_dir(parser: argparse.ArgumentParser):
     parser.add_argument("--cache-dir", default=None, help=f"graph cache (or ${CACHE_ENV})")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: building
+    the six subcommands costs about a millisecond, as much as a small
+    census row."""
     parser = argparse.ArgumentParser(prog="sosgraphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -393,8 +398,11 @@ def main(argv=None) -> int:
     p.add_argument("--cache-dir", default=None, help="ignored: tables read no graph file")
     _add_out(p)
     p.set_defaults(func=cmd_table)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (RootSystemError, OSError, ValueError) as exc:

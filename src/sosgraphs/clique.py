@@ -3,13 +3,14 @@
 The census repeats one step. Vertices of one Weyl orbit lie in equally
 many maximum cliques, so only one representative v per W-orbit is
 solved, weighted by orbit size; the weighted sum divides exactly by
-omega. By Steinberg's fixed-point theorem (Steinberg 1964; Humphreys,
-*Reflection Groups and Coxeter Groups*, 1.12) the pointwise stabilizer
-W_F of a set F of vectors is generated by the reflections in the roots
-orthogonal to all of them, and it acts by graph automorphisms on their
-common neighborhood. So below v the same step recurses on a candidate
-set S (first N(v), with F = [v]): one representative u per W_F-orbit O
-on S, then S & N(u) with F + [u], down to DEPTH levels, where
+omega. v is the orbit's dominant vertex, and then Stab_W(v) is the
+parabolic subgroup W_J generated by the simple reflections fixing v
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1.12); it acts by
+graph automorphisms on N(v). So below v the same step recurses on a
+candidate set S (first N(v), with J as above): one representative u per
+W_J-orbit O on S, its J-dominant vertex, then S & N(u) under the
+stabilizer of u in W_J, which is W_J' for J' the j in J with
+<u, a_j> = 0, down to DEPTH levels, where
 
     omega(S) = 1 + max_O omega(S & N(u_O))
     #t-cliques of S = sum_O |O| * #(t-1)-cliques of S & N(u_O) / t
@@ -18,13 +19,13 @@ and every division is exact too. Counting cliques of size exactly
 omega-1 (rather than maximal ones) stays correct when maximal clique
 sizes are mixed.
 
-One group action per W-representative serves every level. The Stab_W(v)
-generators become permutations of N(v) once (`Neighborhood`). Adjacency
-rows are computed at one w per Stab_W(v)-orbit and carried to the rest
-of N(v) along a Schreier vector, N(h.w) = h.N(w) for h fixing v. Each
-W_F below is generated by the subset of those reflections that fix F,
-so its permutations of S are restrictions of the same ones, with no new
-lookup.
+One group action per W-representative serves every level: the kept
+simple-reflection permutations in J, restricted to N(v) once
+(`Neighborhood`). Adjacency rows are computed at one w per
+Stab_W(v)-orbit and carried to the rest of N(v) down the descent forest,
+N(h.w) = h.N(w) for h fixing v. Each W_J' below is generated by a subset
+of J, so its permutations of S are restrictions of the same ones, and
+its orbits are the trees of its descent forest, with no lookup.
 
 All subgraph work runs on Python-int bitset rows: candidate-set
 intersection is one AND, so branch-and-bound, counting and enumeration
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, restricted_orbits, stabilizer_action, transport
+from sosgraphs.graph import MembershipGraph, descent_forest, parabolic_action, restrict, transport
 
 DEFAULT_BRUTE_FORCE_BOUND = 750
 _ENUM_BATCH = 65_536
@@ -243,18 +244,21 @@ def _members(mask: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Neighborhood:
-    """N(v) at a W-orbit representative v, with the action of Stab_W(v) on it.
+    """N(v) at a dominant W-orbit representative v, with the action of
+    Stab_W(v) = W_J on it.
 
-    members lists N(v) ascending. roots are the positive roots orthogonal
-    to v and perms their reflections as permutations of members, one row
-    per root; reps and sizes are the Stab_W(v)-orbits. adjacency (boolean)
-    and rows (bitsets) are the induced graph, in the order of members.
+    members lists N(v) ascending. perms are the simple reflections in J as
+    permutations of positions in members, one row each, and pairing[x, i]
+    is <members[x], a_j> for the i-th j in J. reps (the roots of the
+    descent forest, J-dominant) and sizes are the Stab_W(v)-orbits.
+    adjacency (boolean) and rows (bitsets) are the induced graph, in the
+    order of members.
     """
 
     orbit_size: int
     members: np.ndarray
-    roots: np.ndarray
     perms: np.ndarray
+    pairing: np.ndarray
     reps: list[int]
     sizes: list[int]
     adjacency: np.ndarray
@@ -264,42 +268,46 @@ class Neighborhood:
 def carried_neighborhoods(g: MembershipGraph):
     """One Neighborhood per W-orbit, in orbit order.
 
-    Adjacency rows are computed at one w per Stab_W(v)-orbit and carried
-    to the rest of N(v) along a Schreier vector of the local permutations
-    (`transport`), since N(h.w) = h.N(w) for h fixing v.
+    Adjacency rows are computed at one w per Stab_W(v)-orbit, its
+    J-dominant vertex, and carried to the rest of N(v) down the descent
+    forest of the local permutations (`transport`), since N(h.w) = h.N(w)
+    for h fixing v.
     """
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        roots, perms = stabilizer_action(g, v, nb)
-        reps, sizes = restricted_orbits(perms, np.arange(nb.size))
+        perms, pairing = parabolic_action(g, v, nb)
+        forest = descent_forest(perms, pairing)
+        reps = forest.roots
         adjacency = g.vertices.adjacent(nb[reps][:, None], nb[None, :])
-        if len(reps) < nb.size:
-            carried = transport(perms, reps, [np.flatnonzero(row) for row in adjacency])
+        if reps.size < nb.size:
+            carried = transport(perms, forest, reps, [np.flatnonzero(row) for row in adjacency])
             adjacency = np.zeros((nb.size, nb.size), dtype=bool)
             adjacency[np.arange(nb.size)[:, None], carried] = True
             np.fill_diagonal(adjacency, False)  # the padding of short rows
-        yield Neighborhood(size, nb, roots, perms, reps, sizes, adjacency, bitrows(adjacency))
+        yield Neighborhood(
+            size, nb, perms, pairing, reps.tolist(), forest.sizes().tolist(), adjacency,
+            bitrows(adjacency),
+        )
 
 
-def _orbit_tree(
-    g: MembershipGraph, hood: Neighborhood, roots, perms, mask: int, orbits, depth: int
-):
-    """One (|O|, child) per orbit O of the generators (roots, perms) on the
-    candidate mask S over hood.members; orbits holds the lowest vertex u
-    and the size of each. The child is S & N(u) at depth 1, and above that
-    its own tree under the generators also orthogonal to u, which fix u.
-    Their permutations on S & N(u) are restrictions of perms."""
+def _orbit_tree(hood: Neighborhood, gens: np.ndarray, mask: int, orbits, depth: int):
+    """One (|O|, child) per orbit O of W_gens on the candidate mask S over
+    hood.members, gens indexing hood.perms; orbits holds the gens-dominant
+    vertex u and the size of each. The child is S & N(u) at depth 1, and
+    above that its own tree under Stab(u) in W_gens, which is generated by
+    the gens orthogonal to u (Humphreys, 1.12). Their permutations on
+    S & N(u) are restrictions of hood.perms."""
     tree = []
     for u, n_o in zip(*orbits):
         child = mask & hood.rows[u]
         if depth > 1:
-            keep = np.flatnonzero(~(roots @ g.vertices.vectors[hood.members[u]]).astype(bool))
-            fixing = perms[keep]
+            fixing = gens[hood.pairing[u, gens] == 0]
             members = _members(child)
-            reps, sizes = restricted_orbits(fixing, members)
-            child = _orbit_tree(
-                g, hood, roots[keep], fixing, child, (members[reps].tolist(), sizes), depth - 1
+            forest = descent_forest(
+                restrict(hood.perms[fixing], members), hood.pairing[np.ix_(members, fixing)]
             )
+            orbits_below = (members[forest.roots].tolist(), forest.sizes().tolist())
+            child = _orbit_tree(hood, fixing, child, orbits_below, depth - 1)
         tree.append((n_o, child))
     return tree
 
@@ -344,14 +352,12 @@ def _clique_number(trees) -> int:
     return best
 
 
-def _trees(g: MembershipGraph, hoods):
+def _trees(hoods):
     """(rows, orbit tree of N(v) under Stab(v), DEPTH levels) per neighborhood."""
     for hood in hoods:
-        tree = _orbit_tree(
-            g, hood, hood.roots, hood.perms, _full_mask(hood.members.size),
-            (hood.reps, hood.sizes), DEPTH,
-        )
-        yield hood.rows, tree
+        gens = np.arange(len(hood.perms))
+        full = _full_mask(hood.members.size)
+        yield hood.rows, _orbit_tree(hood, gens, full, (hood.reps, hood.sizes), DEPTH)
 
 
 def clique_number(g: MembershipGraph) -> int:
@@ -363,7 +369,7 @@ def clique_number(g: MembershipGraph) -> int:
     """
     if g.n == 0:
         return 0
-    return _clique_number(_trees(g, carried_neighborhoods(g)))
+    return _clique_number(_trees(carried_neighborhoods(g)))
 
 
 def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
@@ -376,7 +382,7 @@ def count_maximum_cliques(g: MembershipGraph) -> CliqueCensus:
     if g.n == 0:
         return CliqueCensus(omega=0, per_orbit=(), total_maximum_cliques=0)
     hoods = tuple(carried_neighborhoods(g))
-    trees = list(_trees(g, hoods))
+    trees = list(_trees(hoods))
     omega = _clique_number(trees)
     per_orbit = tuple(
         (hood.orbit_size, _count(rows, tree, omega - 1))

@@ -4,12 +4,19 @@ A graph is its vertex set (`VertexSet.adjacent` is the edge test), plus
 the CSR edge list where that list is the product.
 
 W acts by automorphisms, so everything here starts from the
-neighbourhoods at one vertex per W-orbit. Degrees are read there, and the
-components are the finest W-invariant equivalence containing the edges
-at those vertices. The explicit edge list (`build_gamma`) carries each
-representative's neighbourhood to every vertex of its orbit along a
-Schreier vector, N(g.r) = g.N(r) (`transport`); it serves the graph file,
-DOT export and the isomorphism checks.
+neighbourhoods at one vertex per W-orbit, its highest index, which is
+its dominant vertex. Degrees are read there, and the components are the
+finest W-invariant equivalence containing the edges at those vertices.
+
+All group work comes from the simple reflections the vertex set keeps.
+Stab_W(v) of a dominant v is generated by the simple reflections fixing
+v (`parabolic_action`), and the descent of every index toward its
+orbit's dominant vertex (`descent_forest`) gives the orbits, their
+sizes and a Schreier vector at once, with no lookup and no search. The
+explicit edge list (`build_gamma`) carries each representative's
+neighbourhood down that forest to every vertex of its orbit,
+N(g.r) = g.N(r) (`transport`); it serves the graph file, DOT export and
+the isomorphism checks.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from sosgraphs.roots import (
     encode_rows,
     orbit_labels,
     parse_label,
-    positive_roots,
     reflection_permutations,
 )
 from sosgraphs.sos import VertexSet, vertex_set
@@ -72,8 +78,10 @@ class MembershipGraph:
         return np.bincount(self.orbit_label).tolist()
 
     def orbit_representatives(self) -> list[int]:
-        """Lowest vertex index within each orbit label."""
-        return np.unique(self.orbit_label, return_index=True)[1].tolist()
+        """Highest vertex index within each orbit label, in orbit order: the
+        lex-max vertex, which is the dominant one (`DescentForest`)."""
+        labels = self.orbit_label
+        return (labels.size - 1 - np.unique(labels[::-1], return_index=True)[1]).tolist()
 
     def neighbors(self, v: int) -> np.ndarray:
         hit = self.vertices.adjacent(v, slice(None))
@@ -108,90 +116,140 @@ class GraphStats:
     isolated_vertex_count: int
 
 
-def schreier_vector(perms, roots, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Breadth-first Schreier vector of the generator permutations, a
-    sequence or a (g, n) array.
+@dataclass(frozen=True)
+class DescentForest:
+    """Every index's descent toward the dominant vertex of its orbit.
 
-    A BFS from each root records, for every index x it reaches, its
-    parent and the generator mapping the parent to it:
-    perms[gen[x]][parent[x]] == x (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, 4.1). Roots keep parent and gen -1.
-    Returns parent, gen and the BFS levels below the roots, in order.
+    For generators s_j acting as permutations with pairings <x, a_j>,
+    parent[x] = s_j.x and gen[x] = j for the least j with <x, a_j> < 0;
+    both are -1 at the roots, which pair with no generator negatively: the
+    dominant vertices, one per orbit (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 1.12). s_j.x = x + |c| a_j with a_j lex-positive, so
+    every parent lies higher in lex order than its child, and each root is
+    the highest index of its orbit. (parent, gen) is a Schreier vector:
+    x = s_gen[x].parent[x]. root and depth, the steps down from the root,
+    come from pointer jumping.
     """
-    perms = np.asarray(perms)
-    parent = np.full(n, -1, dtype=np.int64)
-    gen = np.full(n, -1, dtype=np.int64)
-    reached = np.zeros(n, dtype=bool)
-    level = np.asarray(roots, dtype=np.int64)
-    reached[level] = True
-    levels = []
-    while level.size:
-        images = perms[:, level].ravel()
-        fresh = np.flatnonzero(~reached[images])
-        images, first = np.unique(images[fresh], return_index=True)
-        first = fresh[first]
-        reached[images] = True
-        parent[images] = level[first % level.size]
-        gen[images] = first // level.size
-        level = images
-        if level.size:
-            levels.append(level)
-    return parent, gen, levels
+
+    parent: np.ndarray
+    gen: np.ndarray
+    root: np.ndarray
+    depth: np.ndarray
+
+    @property
+    def roots(self) -> np.ndarray:
+        """The roots, ascending: one representative per orbit."""
+        return np.flatnonzero(self.gen < 0)
+
+    def sizes(self) -> np.ndarray:
+        """Orbit size per root, in the order of roots."""
+        return np.bincount(self.root, minlength=self.root.size)[self.roots]
+
+    def levels(self) -> list[np.ndarray]:
+        """The indices at depth 1, 2, ..., each level ascending."""
+        order = np.argsort(self.depth, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.depth))[:-1])[1:]
 
 
-def transport(perms, reps: list[int], carried) -> np.ndarray:
-    """Carry one index row per orbit representative to every vertex of its orbit.
-
-    carried[i] is the row of reps[i]. Row x of the (n, width) int32 result
-    is g_x applied to the row of x's representative r, where g_x.r = x is
-    read off a Schreier vector of the generator permutations, one BFS
-    level at a time. Short rows are padded with r itself, which arrives at
-    x as x: the padding marks self-pairs.
+def descent_forest(perms: np.ndarray, pairing: np.ndarray) -> DescentForest:
+    """The descent forest of generators given as a (g, m) array of
+    permutations of 0..m-1 and an (m, g) array of pairings <x, a_j> (any
+    positive multiple of them). A step that does not rise in index means
+    the permutations are not the reflections the pairings describe, and
+    raises GroupActionError.
     """
-    stacked = np.asarray(perms, dtype=np.int32)
-    n = stacked.shape[1]
-    out = np.empty((n, max(map(len, carried), default=0)), dtype=np.int32)
+    m = pairing.shape[0]
+    below = pairing < 0
+    x = np.flatnonzero(below.any(axis=1))
+    gen = np.full(m, -1, dtype=np.int64)
+    parent = np.full(m, -1, dtype=np.int64)
+    if x.size:
+        gen[x] = below[x].argmax(axis=1)
+        parent[x] = perms[gen[x], x]
+    if (parent[x] <= x).any():
+        raise GroupActionError("a descent step does not rise in lex order; not a reflection")
+    root = np.arange(m, dtype=np.int64)
+    root[x] = parent[x]
+    depth = np.zeros(m, dtype=np.int64)
+    depth[x] = 1
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return DescentForest(parent, gen, root, depth)
+        depth += depth[root]
+        root = up
+
+
+def weyl_forest(vertices: VertexSet) -> DescentForest:
+    """The descent forest of the simple reflections the vertex set keeps.
+
+    Its roots are the dominant vertices; a forest without exactly one root
+    per recorded W-orbit raises GroupActionError.
+    """
+    simple = np.asarray(parse_label(vertices.label).simple_roots, dtype=np.int32)
+    forest = descent_forest(vertices.reflections(), vertices.vectors @ simple.T)
+    orbit = vertices.orbit
+    orbits = int(orbit.max()) + 1 if orbit.size else 0
+    if forest.roots.size != orbits or not np.array_equal(orbit[forest.root], orbit):
+        raise GroupActionError("the descent forest does not have one root per W-orbit")
+    return forest
+
+
+# Int32 entries per carried block: each block's two temporaries stay at
+# 1 MB, where the widest E8 k=6 level, 1,621 rows of 2,710, took 17.6 MB each.
+_CARRY_BLOCK = 1 << 18
+
+
+def transport(perms: np.ndarray, forest: DescentForest, reps, carried) -> np.ndarray:
+    """Carry one index row per forest root down to every index of its tree.
+
+    perms are the generators as a (g, m) array of permutations and carried[i]
+    is the row of reps[i]; reps must be the forest's roots. Row x of the
+    (m, width) int32 result is g_x applied to the row of its root r, where
+    g_x.r = x is read off the forest, one level at a time in blocks of
+    rows. Short rows are padded with r itself, which arrives at x as x:
+    the padding marks self-pairs.
+    """
+    if not np.array_equal(np.sort(reps), forest.roots):
+        raise ValueError("carried rows must sit at the forest roots")
+    width = max(map(len, carried), default=0)
+    out = np.empty((forest.root.size, width), dtype=np.int32)
     for r, row in zip(reps, carried):
         out[r, : len(row)] = row
         out[r, len(row) :] = r
-    parent, gen, levels = schreier_vector(stacked, reps, n)
-    for level in levels:
-        out[level] = stacked[gen[level][:, None], out[parent[level]]]
+    step = max(1, _CARRY_BLOCK // max(width, 1))
+    for level in forest.levels():
+        for lo in range(0, level.size, step):
+            rows = level[lo : lo + step]
+            out[rows] = perms[forest.gen[rows][:, None], out[forest.parent[rows]]]
     return out
 
 
-def stabilizer_action(
-    g: MembershipGraph, v: int, nb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The generators of Stab_W(v) acting on nb, as root rows and as
-    permutations of nb (one row each).
+def restrict(perms: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (g, n) permutations restricted to the ascending index subset
+    members, as permutations of positions in members, through one local
+    index map; an image outside members raises GroupActionError."""
+    local = np.full(perms.shape[1], -1, dtype=np.int64)
+    local[members] = np.arange(members.size)
+    restricted = local[perms[:, members]]
+    if (restricted < 0).any():
+        raise GroupActionError("generator image escapes the index subset; it is not invariant")
+    return restricted
 
-    They are the reflections in the positive roots orthogonal to vertex v,
-    one per +- pair (Steinberg); nb must be an invariant, ascending index
-    set, and an image outside it is a hard error.
+
+def parabolic_action(g: MembershipGraph, v: int, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stab_W(v) acting on the invariant ascending index set nb, for a
+    dominant vertex v: the parabolic subgroup W_J, J the simple roots
+    orthogonal to v (Humphreys, 1.12).
+
+    Returns J's kept reflections as a (|J|, |nb|) array of permutations of
+    positions in nb, and the (|nb|, |J|) pairings <w, a_j>, w in nb; an
+    image outside nb raises GroupActionError.
     """
-    positive = positive_roots(parse_label(g.label))
-    roots = positive[~(positive @ g.vertices.vectors[v].astype(np.int64)).astype(bool)]
-    return roots, reflection_permutations(roots, g.vertices.vectors[nb], g.vertices.keys()[nb])
-
-
-def restricted_orbits(perms, members: np.ndarray) -> tuple[list[int], list[int]]:
-    """Representatives (lowest positions in members) and sizes of the
-    orbits of the generator permutations on the ascending index subset
-    members, in order of representative.
-
-    Each permutation is restricted to members through one local index map,
-    with no new lookup; an image outside members is a hard error.
-    """
-    restricted = []
-    if len(perms):
-        local = np.full(perms[0].size, -1, dtype=np.int64)
-        local[members] = np.arange(members.size)
-        restricted = [local[perm[members]] for perm in perms]
-        if any((perm < 0).any() for perm in restricted):
-            raise GroupActionError("generator image escapes the index subset; it is not invariant")
-    labels = orbit_labels(restricted, members.size)
-    return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
+    simple = np.asarray(parse_label(g.label).simple_roots, dtype=np.int32)
+    vectors = g.vertices.vectors
+    gens = np.flatnonzero(simple @ vectors[v] == 0)
+    return restrict(g.vertices.reflections()[gens], nb), vectors[nb] @ simple[gens].T
 
 
 def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
@@ -217,7 +275,7 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    rows = transport(vs.reflections(), reps, hoods)
+    rows = transport(vs.reflections(), weyl_forest(vs), reps, hoods)
     rows.sort(axis=1)
     if all(h.size == rows.shape[1] for h in hoods):
         # No row is padded, so the sorted rows already are the edge list;
@@ -242,21 +300,20 @@ def _pair_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _transported_components(
-    g: MembershipGraph, perms: list[np.ndarray], reps: list[int], hoods, rep_src
+    g: MembershipGraph, perms: np.ndarray, reps: list[int], hoods, rep_src
 ) -> np.ndarray:
     """Lowest index per component of the representatives' edges plus, at
     every vertex x = g_x.r, the edges x ~ g_x.w_j: one neighbour w_j per
-    Stab_W(r)-orbit of N(r), carried along a Schreier vector of r's orbit.
+    Stab_W(r)-orbit of N(r), carried down the descent forest.
 
     A helper of its own, so that its n x (seeds) array is freed before
     the fixed-point loop runs.
     """
     n = g.n
     seeds = [
-        nb[restricted_orbits(stabilizer_action(g, r, nb)[1], np.arange(nb.size))[0]]
-        for r, nb in zip(reps, hoods)
+        nb[descent_forest(*parabolic_action(g, r, nb)).roots] for r, nb in zip(reps, hoods)
     ]
-    carried = transport(perms, reps, seeds)
+    carried = transport(perms, weyl_forest(g.vertices), reps, seeds)
     return _pair_components(
         n,
         np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), carried.shape[1])]),

@@ -280,15 +280,6 @@ def parse_label(text: str) -> RootSystem:
     raise RootSystemError(f"unknown root system label {text!r}")
 
 
-@lru_cache(maxsize=None)
-def positive_roots(rs: RootSystem) -> np.ndarray:
-    """The lex-positive roots of rs, the upper half of the sorted roots, as
-    one read-only (|R|/2, dim) int64 array built once per root system."""
-    positive = np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
-    positive.flags.writeable = False
-    return positive
-
-
 def _cartan_integers(rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """<x, a^v> = 2<x, a>/<a, a> for every root a (a row of roots) and
     every row x: a (len(roots), m) int64 array. A non-integral value means

@@ -104,13 +104,24 @@ def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:
     """Boolean adjacency over rs.roots: edges join strongly orthogonal pairs.
 
     Neither the sum nor the difference is a root, and beta is not +-alpha.
+    When <alpha, beta> > 0 and beta != alpha, alpha - beta is a root, and
+    alpha + beta when it is negative and beta != -alpha (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, 9.4), so only
+    orthogonal pairs qualify. Their sum and difference have norm
+    |alpha|^2 + |beta|^2, so they are looked up only where that is a root
+    norm (F4's short pairs).
     """
-    keys = encode_rows(np.asarray(rs.roots, dtype=np.int64))
+    roots = np.asarray(rs.roots, dtype=np.int64)
+    gram = roots @ roots.T
+    norms = gram.diagonal()
+    adj = gram == 0
+    i, j = np.nonzero(adj & np.isin(norms[:, None] + norms[None, :], norms))
+    keys = encode_rows(roots)
     off = key_offset(rs.ambient_dim)
-    sums = keys[:, None] + keys[None, :] - off
-    diffs = keys[:, None] - keys[None, :] + off
-    adj = (key_index(keys, sums) < 0) & (key_index(keys, diffs) < 0)
-    adj &= (diffs != off) & (sums != off)  # beta == alpha, beta == -alpha
+    hit = (key_index(keys, keys[i] + keys[j] - off) >= 0) | (
+        key_index(keys, keys[i] - keys[j] + off) >= 0
+    )
+    adj[i[hit], j[hit]] = False
     return adj
 
 

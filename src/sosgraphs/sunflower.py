@@ -19,9 +19,10 @@ part keeps only the edges between petal-disjoint neighbors, and the
 (omega-1)-cliques of each part are counted.
 
 No neighborhood is induced again here. Each representative x is g.r for
-its W-representative r, with g read off a Schreier vector of the simple
-reflections, so the clique census's carried N(r), moved by g, is N(x)
-index for index, and each part's adjacency is a slice of r's.
+its W-representative r, the dominant vertex, with g read off the descent
+forest of the simple reflections, so the clique census's carried N(r),
+moved by g, is N(x) index for index, and each part's adjacency is a
+slice of r's.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from sosgraphs.clique import (
     count_maximum_cliques,
 )
 from sosgraphs.graph import (
+    DescentForest,
     MembershipGraph,
     orbit_labels,
     reflection_permutations,
-    schreier_vector,
+    weyl_forest,
 )
 from sosgraphs.roots import RootSystem, RootVector, simple_roots_of
 from sosgraphs.sos import VertexSet
@@ -113,13 +115,13 @@ def _support_masks(rows: np.ndarray) -> np.ndarray:
     return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
 
 
-def _carry(perms: np.ndarray, parent: np.ndarray, gen: np.ndarray, x: int, row):
+def _carry(perms: np.ndarray, forest: DescentForest, x: int, row):
     """g_x applied to row, where g_x.r = x for the root r of x's tree in the
-    Schreier vector (parent, gen) of perms."""
+    descent forest of perms."""
     path = []
-    while parent[x] >= 0:
-        path.append(gen[x])
-        x = parent[x]
+    while forest.gen[x] >= 0:
+        path.append(forest.gen[x])
+        x = forest.parent[x]
     for j in reversed(path):
         row = perms[j][row]
     return row
@@ -148,18 +150,18 @@ def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
     """(orbit size, lowest vertex x, sunflower maximum cliques through x)
     per orbit of the reflections in roots, for omega >= 2.
 
-    x = g_x.r for its W-representative r, with g_x read off a Schreier
-    vector of the simple reflections, so N(x) = g_x.N(r) index for index
+    x = g_x.r for its W-representative r, with g_x read off the descent
+    forest of the simple reflections, so N(x) = g_x.N(r) index for index
     and the census's carried neighborhood of r serves x.
     """
     labels = perm_orbit_labels(roots, g.vertices)
     xs = np.unique(labels, return_index=True)[1].tolist()
     perms = g.vertices.reflections()
-    parent, gen, _ = schreier_vector(perms, g.orbit_representatives(), g.n)
+    forest = weyl_forest(g.vertices)
     masks = _support_masks(g.vertices.vectors)
     for size, x in zip(np.bincount(labels).tolist(), xs):
         hood = census.neighborhoods[g.orbit_label[x]]
-        images = _carry(perms, parent, gen, x, hood.members)
+        images = _carry(perms, forest, x, hood.members)
         yield size, x, sunflowers_at(masks, x, hood, images, census.omega)
 
 

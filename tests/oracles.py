@@ -13,6 +13,12 @@ horner_keys is the key codec digit by digit, one dimension at a time.
 reflect_rows builds the image rows of a reflection, vertex_permutation
 looks images up, and lookup_permutations does both per root: the
 reflections as permutations with every image row built.
+all_pairs_so_graph looks up the sum and difference of every pair of roots.
+positive_roots, stabilizer_action, restricted_labels and restricted_orbits
+give Stab_W(v) as the reflections in every positive root orthogonal to v,
+each image looked up, and its orbits as components of those permutations.
+schreier_vector and bfs_transport carry rows along a breadth-first
+Schreier vector.
 pairwise_simple_roots finds a base by testing every pair of positive roots.
 orbitwise_closure closes the seeds one W-orbit at a time, a breadth-first
 search from each seed not yet reached, and labels the orbits as it goes.
@@ -51,13 +57,7 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import (
-    GraphStats,
-    SOSGraph,
-    _pair_components,
-    restricted_orbits,
-    stabilizer_action,
-)
+from sosgraphs.graph import GraphStats, SOSGraph, _pair_components
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
@@ -67,7 +67,9 @@ from sosgraphs.roots import (
     encode_rows,
     key_index,
     key_offset,
+    orbit_labels,
     parse_label,
+    reflection_permutations,
 )
 from sosgraphs.sos import VertexSet, vertex_set
 from sosgraphs.sunflower import _support_masks, perm_orbit_labels
@@ -191,6 +193,103 @@ def lookup_permutations(roots, rows) -> np.ndarray:
     for i, alpha in enumerate(roots):
         perms[i] = vertex_permutation(keys, reflect_rows(rows, alpha)[0])
     return perms
+
+
+def all_pairs_so_graph(rs) -> np.ndarray:
+    """Strong orthogonality over rs.roots with alpha + beta and alpha - beta
+    looked up for every pair of roots: a boolean adjacency matrix."""
+    keys = encode_rows(np.asarray(rs.roots, dtype=np.int64))
+    off = key_offset(rs.ambient_dim)
+    sums = keys[:, None] + keys[None, :] - off
+    diffs = keys[:, None] - keys[None, :] + off
+    adj = (key_index(keys, sums) < 0) & (key_index(keys, diffs) < 0)
+    adj &= (diffs != off) & (sums != off)  # beta == alpha, beta == -alpha
+    return adj
+
+
+def positive_roots(rs) -> np.ndarray:
+    """The lex-positive roots of rs, the upper half of the sorted roots, as
+    an (|R|/2, dim) int64 array."""
+    return np.asarray(rs.roots[len(rs.roots) // 2 :], dtype=np.int64)
+
+
+def stabilizer_action(g, v: int, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of Stab_W(v) acting on nb, as root rows and as
+    permutations of nb (one row each): the reflections in every positive
+    root orthogonal to vertex v (Steinberg), each image looked up by key.
+    nb must be an invariant, ascending index set."""
+    positive = positive_roots(parse_label(g.label))
+    roots = positive[~(positive @ g.vertices.vectors[v].astype(np.int64)).astype(bool)]
+    return roots, reflection_permutations(roots, g.vertices.vectors[nb], g.vertices.keys()[nb])
+
+
+def restricted_labels(perms, members: np.ndarray) -> np.ndarray:
+    """Orbit id per position in the ascending index subset members, under
+    the generator permutations restricted to it, numbered by lowest
+    position: components of the permutations."""
+    restricted = []
+    if len(perms):
+        local = np.full(perms[0].size, -1, dtype=np.int64)
+        local[members] = np.arange(members.size)
+        restricted = [local[perm[members]] for perm in perms]
+        if any((perm < 0).any() for perm in restricted):
+            raise GroupActionError("generator image escapes the index subset; it is not invariant")
+    return orbit_labels(restricted, members.size)
+
+
+def restricted_orbits(perms, members: np.ndarray) -> tuple[list[int], list[int]]:
+    """Representatives (lowest positions in members) and sizes of the
+    orbits of the generator permutations on members, in order of
+    representative."""
+    labels = restricted_labels(perms, members)
+    return np.unique(labels, return_index=True)[1].tolist(), np.bincount(labels).tolist()
+
+
+def schreier_vector(perms, roots, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Breadth-first Schreier vector of the generator permutations, a
+    sequence or a (g, n) array.
+
+    A BFS from each root records, for every index x it reaches, its
+    parent and the generator mapping the parent to it:
+    perms[gen[x]][parent[x]] == x (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, 4.1). Roots keep parent and gen -1.
+    Returns parent, gen and the BFS levels below the roots, in order.
+    """
+    perms = np.asarray(perms)
+    parent = np.full(n, -1, dtype=np.int64)
+    gen = np.full(n, -1, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    level = np.asarray(roots, dtype=np.int64)
+    reached[level] = True
+    levels = []
+    while level.size:
+        images = perms[:, level].ravel()
+        fresh = np.flatnonzero(~reached[images])
+        images, first = np.unique(images[fresh], return_index=True)
+        first = fresh[first]
+        reached[images] = True
+        parent[images] = level[first % level.size]
+        gen[images] = first // level.size
+        level = images
+        if level.size:
+            levels.append(level)
+    return parent, gen, levels
+
+
+def bfs_transport(perms, reps, carried) -> np.ndarray:
+    """Row x is g_x applied to the row of x's representative r, with
+    g_x.r = x read off the breadth-first Schreier vector from reps; short
+    rows are padded with r itself."""
+    stacked = np.asarray(perms)
+    n = stacked.shape[1]
+    out = np.empty((n, max(map(len, carried), default=0)), dtype=np.int32)
+    for r, row in zip(reps, carried):
+        out[r, : len(row)] = row
+        out[r, len(row) :] = r
+    parent, gen, levels = schreier_vector(stacked, reps, n)
+    for level in levels:
+        out[level] = stacked[gen[level][:, None], out[parent[level]]]
+    return out
 
 
 def pairwise_simple_roots(roots) -> tuple[tuple[int, ...], ...]:

@@ -83,6 +83,25 @@ def test_table_rejects_empty_systems(cli_cache, capsys, systems):
     assert err == "error: --systems: no system given\n"
 
 
+def test_parser_is_built_once_and_reused(cli_cache, capsys):
+    """After a usage error, calls of two subcommands in the same process
+    print what fresh calls print, and the parser is built once."""
+    from sosgraphs import cli
+
+    calls = [("cliques", "--system", "F4", "--k", "2"),
+             ("table", "parameters", "--systems", "G2", "--format", "json")]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as usage:
+        main(["cliques", "--system", "F4"])
+    assert usage.value.code == 2 and "--k" in capsys.readouterr().err
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_stats_output(cli_cache, capsys, tmp_path):
     dot = tmp_path / "f4k4.dot"
     code, out, _ = run(capsys, "stats", "--system", "F4", "--k", "4", "--dot", str(dot))

@@ -21,7 +21,7 @@ from sosgraphs.clique import (
     max_clique_size_bitset,
     maximal_clique_size_counts,
 )
-from sosgraphs.graph import GroupActionError, restricted_orbits, stabilizer_action
+from sosgraphs.graph import GroupActionError, descent_forest, parabolic_action, restrict
 from sosgraphs.roots import parse_label
 
 from oracles import (
@@ -30,7 +30,9 @@ from oracles import (
     enumerate_max_cliques_through,
     pivot_clique_count,
     reflect,
+    restricted_labels,
     single_level_census,
+    stabilizer_action,
     two_level_census,
 )
 
@@ -286,27 +288,64 @@ def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
             [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, [v])
         )
         assert sum(hood.sizes) == nb.size
-        assert hood.reps == [labels.index(o) for o in range(len(hood.reps))]
-        assert hood.sizes == np.bincount(labels, minlength=len(hood.reps)).tolist()
+        assert hood.reps == _highest(labels)
+        assert hood.sizes == [labels.count(labels[w]) for w in hood.reps]
         rows = induced_bitrows(g, nb)
         counts = [count_cliques_of_size_bitset(rows, rows[i], omega - 2) for i in range(nb.size)]
-        assert all(counts[i] == counts[hood.reps[labels[i]]] for i in range(nb.size))
+        rep_of = {labels[w]: w for w in hood.reps}
+        assert all(counts[i] == counts[rep_of[labels[i]]] for i in range(nb.size))
+
+
+def _highest(labels) -> list[int]:
+    """The highest position of each orbit label, ascending."""
+    return sorted({label: i for i, label in enumerate(labels)}.values())
+
+
+def _forest_labels(forest) -> list[int]:
+    """Orbit id per position from the forest roots, numbered by lowest position."""
+    ids: dict = {}
+    return [ids.setdefault(r, len(ids)) for r in forest.root.tolist()]
 
 
 def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
     g = mgraph("F4", 3)
-    nb = g.neighbors(0)
+    v = g.orbit_representatives()[0]
+    nb = g.neighbors(v)
     with pytest.raises(GroupActionError):
-        stabilizer_action(g, 0, nb[1:])
-    perms = stabilizer_action(g, 0, nb)[1]
+        parabolic_action(g, v, nb[1:])
+    perms = parabolic_action(g, v, nb)[0]
     with pytest.raises(GroupActionError):
-        restricted_orbits(perms, np.arange(1, nb.size))
+        restrict(perms, np.arange(1, nb.size))
 
 
-def _fixing(g, hood, w):
-    """The Stab(v) generators that also fix the local vertex w."""
-    keep = ~(hood.roots @ g.vertices.vectors[hood.members[w]]).astype(bool)
-    return [perm for perm, kept in zip(hood.perms, keep) if kept]
+def _fixing(hood, w):
+    """The positions in hood.perms of the Stab(v) generators that also fix
+    the local vertex w."""
+    return np.flatnonzero(hood.pairing[w] == 0)
+
+
+def _forest_on(hood, gens, local):
+    """The descent forest of the generators gens of hood on the positions local."""
+    return descent_forest(restrict(hood.perms[gens], local), hood.pairing[np.ix_(local, gens)])
+
+
+@pytest.mark.parametrize("label,k", sorted(OMEGA))
+def test_parabolic_orbits_match_orthogonal_root_orbits(label, k, mgraph):
+    """At every W-representative v, the W_J-orbits on N(v) are the orbits
+    of the reflections in all positive roots orthogonal to v; at each
+    W_J-representative w, the W_J'-orbits on N(v) & N(w) are those of the
+    positive roots orthogonal to v and w (the pointwise stabilizer)."""
+    g = mgraph(label, k)
+    for v, hood in zip(g.orbit_representatives(), carried_neighborhoods(g)):
+        nb = hood.members
+        roots, perms = stabilizer_action(g, v, nb)
+        forest = descent_forest(hood.perms, hood.pairing)
+        assert _forest_labels(forest) == restricted_labels(perms, np.arange(nb.size)).tolist()
+        for w in hood.reps:
+            local = np.flatnonzero(hood.adjacency[w])
+            pointwise = perms[(roots @ g.vertices.vectors[nb[w]]) == 0]
+            want = restricted_labels(pointwise, local).tolist()
+            assert _forest_labels(_forest_on(hood, _fixing(hood, w), local)) == want
 
 
 @pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
@@ -328,17 +367,18 @@ def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
                 [tuple(int(x) for x in g.vertices.vectors[u]) for u in common],
                 _stabilizer_maps(g, [v, int(nb[w])]),
             )
-            reps, sizes = restricted_orbits(_fixing(g, hood, w), local)
+            forest = _forest_on(hood, _fixing(hood, w), local)
+            reps, sizes = forest.roots.tolist(), forest.sizes().tolist()
             assert sum(sizes) == common.size
-            assert reps == [labels.index(o) for o in range(len(reps))]
-            assert sizes == np.bincount(labels, minlength=len(reps)).tolist()
+            assert reps == _highest(labels)
+            assert sizes == [labels.count(labels[u]) for u in reps]
             counts = [
                 count_cliques_of_size_bitset(rows, rows[w] & rows[u], omega - 3) for u in local
             ]
-            assert all(counts[i] == counts[reps[labels[i]]] for i in range(len(local)))
-            if sizes and sizes[0] > 1:
+            assert all(counts[i] == counts[forest.root[i]] for i in range(len(local)))
+            if local.size and labels.count(labels[0]) > 1:
                 with pytest.raises(GroupActionError):
-                    restricted_orbits(_fixing(g, hood, w), local[1:])
+                    restrict(hood.perms[_fixing(hood, w)], local[1:])
                 refused += 1
     assert refused
 
@@ -355,7 +395,7 @@ def test_restriction_to_a_non_invariant_common_neighborhood_raises(label, k, mgr
         for perm in hood.perms:
             if perm[w] != w and not np.array_equal(np.sort(perm[local]), local):
                 with pytest.raises(GroupActionError):
-                    restricted_orbits([perm], local)
+                    restrict(perm[None], local)
                 escaped += 1
     assert escaped
 
@@ -410,17 +450,16 @@ def test_non_divisible_common_neighborhood_sum_raises(mgraph, monkeypatch):
 
 def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
     """F4 k=1: omega 7. At the first vertex the Stab(v)-orbits have sizes
-    8, 6, 6 with 0, 1, 1 cliques of size 5 in C_w; one more vertex in each
-    gives 9*0 + 7*1 + 7*1 = 14, not a multiple of omega - 1 = 6, while
-    the W_{v,w} level is left exact."""
-    real = cliquemod.restricted_orbits
+    6 and 8 with 1 and 0 cliques of size 5 in C_w; one more vertex in each
+    gives 7*1 + 9*0 = 7, not a multiple of omega - 1 = 6, while the
+    W_{v,w} level is left exact."""
+    real = cliquemod.carried_neighborhoods
 
-    def grown(perms, members):
-        reps, sizes = real(perms, members)
-        whole = len(perms) > 0 and members.size == perms[0].size  # all of N(v): Stab(v)
-        return reps, [s + 1 for s in sizes] if whole else sizes
+    def grown(g):
+        for hood in real(g):
+            yield dataclasses.replace(hood, sizes=[s + 1 for s in hood.sizes])
 
-    monkeypatch.setattr(cliquemod, "restricted_orbits", grown)
+    monkeypatch.setattr(cliquemod, "carried_neighborhoods", grown)
     with pytest.raises(ArithmeticError, match="neighborhood clique count"):
         count_maximum_cliques(mgraph("F4", 1))
 

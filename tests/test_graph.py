@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -9,14 +10,16 @@ from sosgraphs.graph import (
     GraphStats,
     SOSGraph,
     build_gamma,
+    descent_forest,
     deserialize,
     file_checksum,
+    parabolic_action,
     quotient_components,
-    schreier_vector,
     serialize,
-    stabilizer_action,
     stats,
     to_dot,
+    transport,
+    weyl_forest,
     weyl_orbit_labels,
 )
 from sosgraphs.roots import (
@@ -39,6 +42,7 @@ from oracles import (
     reflect,
 )
 from test_acceptance import TIER2
+from test_sos import ORACLE_ROWS
 
 # (|V|, |E|, min deg, max deg, components) rows
 TIER1 = {
@@ -83,12 +87,15 @@ def test_quotient_stats_match_csr_oracle(label, k, gamma, mgraph, pairwise_gamma
     "label,k", sorted(TIER1) + [pytest.param("E8", 6, marks=pytest.mark.slow)]
 )
 def test_schreier_vector_spans_each_orbit_from_its_representative(label, k, mgraph):
-    """The recorded reflection maps each vertex's parent to it, the BFS of
-    each orbit starts at its representative, and every vertex is reached."""
+    """The descent forest is a Schreier vector: the recorded reflection
+    maps each vertex's parent to it, each orbit's tree hangs from its
+    representative, every vertex is reached, and the levels list each
+    vertex once, one level below its parent."""
     g = mgraph(label, k)
     perms = reflection_permutations(parse_label(label).simple_roots, g.vertices.vectors)
     reps = g.orbit_representatives()
-    parent, gen, levels = schreier_vector(perms, reps, g.n)
+    forest = weyl_forest(g.vertices)
+    parent, gen, levels = forest.parent, forest.gen, forest.levels()
     assert (parent[reps] == -1).all() and (gen[reps] == -1).all()
     below = np.concatenate([np.empty(0, dtype=np.int64), *levels])
     assert np.array_equal(np.sort(np.concatenate([reps, below])), np.arange(g.n))
@@ -102,6 +109,73 @@ def test_schreier_vector_spans_each_orbit_from_its_representative(label, k, mgra
         root[level] = root[parent[level]]
         seen[level] = True
     assert np.array_equal(root, np.asarray(reps)[g.orbit_label])
+    assert np.array_equal(root, forest.root)
+
+
+@pytest.mark.parametrize("label,k", ORACLE_ROWS)
+def test_descent_forest_roots_are_the_dominant_highest_vertices(label, k):
+    """The forest has one root per W-orbit, the orbit's highest index,
+    with no negative Cartan integer; each vertex lies as many levels down
+    as there are positive roots it pairs negatively with."""
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    forest = weyl_forest(vs)
+    roots = forest.roots
+    highest = [int(np.flatnonzero(vs.orbit == o).max()) for o in range(int(vs.orbit.max()) + 1)]
+    assert np.bincount(vs.orbit[roots]).tolist() == [1] * len(highest)
+    assert sorted(highest) == roots.tolist()
+    assert (vs.vectors[roots] @ np.asarray(rs.simple_roots).T >= 0).all()
+    negative = (vs.vectors @ oracles.positive_roots(rs).T < 0).sum(axis=1)
+    assert np.array_equal(forest.depth, negative)
+    assert np.array_equal(forest.sizes(), np.bincount(vs.orbit)[vs.orbit[roots]])
+
+
+def test_perturbed_reflection_breaks_the_descent_forest():
+    """A simple reflection swapped at two vertices either sends a descent
+    step down in lex order or into another W-orbit; both raise."""
+    vs = vertex_set(parse_label("E7"), 3)
+    forest = weyl_forest(vs)
+    perms = vs.reflections()
+
+    def swapped(x, z):
+        """s_j, j the descent generator of x, with the images of x and z swapped."""
+        bad = perms.copy()
+        j = forest.gen[x]
+        bad[j, [x, z]] = bad[j, [z, x]]
+        return dataclasses.replace(vs, _reflections=bad), j
+
+    x = int(np.flatnonzero(forest.gen >= 0).max())
+    bad, j = swapped(x, int(perms[forest.gen[x]].argmin()))  # x now steps down to vertex 0
+    with pytest.raises(GroupActionError, match="does not rise"):
+        weyl_forest(bad)
+    j = forest.gen[0]
+    other = [r for r in forest.roots if vs.orbit[r] != vs.orbit[0] and perms[j, r] > 0][0]
+    bad, _ = swapped(0, other)  # vertex 0 now steps into another orbit
+    with pytest.raises(GroupActionError, match="one root per W-orbit"):
+        weyl_forest(bad)
+
+
+@pytest.mark.parametrize("label,k", sorted(TIER1))
+def test_forest_transport_matches_bfs_oracle(label, k, mgraph):
+    """Rows carried down the descent forest, over the vertex set and over
+    each N(v) under Stab(v), are the rows carried along the breadth-first
+    Schreier vector, as sets."""
+    g = mgraph(label, k)
+    perms = g.vertices.reflections()
+    reps = g.orbit_representatives()
+    hoods = [g.neighbors(r) for r in reps]
+    have = transport(perms, weyl_forest(g.vertices), reps, hoods)
+    want = oracles.bfs_transport(perms, reps, hoods)
+    assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
+    for r, nb in zip(reps, hoods):
+        local, pairing = parabolic_action(g, r, nb)
+        forest = descent_forest(local, pairing)
+        rows = [np.flatnonzero(g.vertices.adjacent(nb[w], nb)) for w in forest.roots]
+        have = transport(local, forest, forest.roots, rows)
+        want = oracles.bfs_transport(local, forest.roots, rows)
+        assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
+    with pytest.raises(ValueError, match="forest roots"):
+        transport(perms, weyl_forest(g.vertices), np.arange(len(reps)) + 1, hoods)
 
 
 QUOTIENT_ROWS = sorted(TIER1) + [
@@ -165,23 +239,26 @@ def test_census_reads_the_closure_reflections(label, k, monkeypatch):
 
 
 def test_components_exact_without_transported_edges(mgraph, monkeypatch):
-    """With no stabilizer seeds the fixed-point loop alone still finds the
-    57 components of E7 k=3, so no answer rests on the transport."""
+    """With no transported stabilizer seeds the fixed-point loop alone
+    still finds the 57 components of E7 k=3, so no answer rests on the
+    transport."""
     g = mgraph("E7", 3)
     reps = g.orbit_representatives()
     hoods = [g.neighbors(v) for v in reps]
     want = propagated_components(g, reps, hoods)
-    monkeypatch.setattr(graphmod, "restricted_orbits", lambda perms, members: ([], []))
+    monkeypatch.setattr(
+        graphmod, "transport", lambda perms, forest, reps, carried: np.empty((g.n, 0), np.int32)
+    )
     labels = quotient_components(g, reps, hoods)
     assert np.array_equal(labels, want) and np.unique(labels).size == 57
 
 
 def test_odd_weighted_degree_sum_raises():
-    """One orbit of 3 vertices whose representative has degree 1."""
+    """One orbit of 3 vertices whose representative, the highest, has degree 1."""
     vs = VertexSet(label="G2", k=1, vectors=np.zeros((3, 3), dtype=np.int32),
                    multiplicity=np.ones(3, dtype=np.int64), orbit=np.zeros(3, dtype=np.int32))
-    g = SOSGraph(vertices=vs, indptr=np.array([0, 1, 2, 2]),
-                 indices=np.array([1, 0], dtype=np.int32))
+    g = SOSGraph(vertices=vs, indptr=np.array([0, 0, 1, 2]),
+                 indices=np.array([2, 1], dtype=np.int32))
     with pytest.raises(ArithmeticError, match="odd"):
         stats(g)
 
@@ -344,14 +421,19 @@ def test_census_on_deserialized_graph(tmp_path, gamma):
 
 @pytest.mark.parametrize("label,k", [("F4", 1), ("E7", 4), ("E8", 3)])
 def test_stabilizer_permutations_match_lookup_oracle(label, k, mgraph):
-    """At every W-representative v, the Stab_W(v) reflections on N(v) from
-    key arithmetic equal those from building and looking up every image."""
+    """At every W-representative v, the generators of Stab_W(v) are the
+    simple reflections orthogonal to v, and their kept permutations
+    restricted to N(v) equal those from building and looking up every
+    image; the pairings are the inner products."""
     g = mgraph(label, k)
+    simple = np.asarray(parse_label(label).simple_roots)
     for v in g.orbit_representatives():
         nb = g.neighbors(v)
-        roots, perms = stabilizer_action(g, v, nb)
+        perms, pairing = parabolic_action(g, v, nb)
+        roots = simple[simple @ g.vertices.vectors[v] == 0]
         assert len(roots) and perms.shape == (len(roots), nb.size)
         assert np.array_equal(perms, oracles.lookup_permutations(roots, g.vertices.vectors[nb]))
+        assert np.array_equal(pairing, g.vertices.vectors[nb] @ roots.T)
 
 
 def test_orbit_closure_extends_beyond_seeds():

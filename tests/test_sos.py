@@ -14,7 +14,15 @@ from sosgraphs.roots import (
 )
 from sosgraphs.sos import strong_orthogonality_graph, vertex_set
 
-from oracles import as_tuples, dfs_vertex_sets, enumerate_sos, negate, reflect, strongly_orthogonal
+from oracles import (
+    all_pairs_so_graph,
+    as_tuples,
+    dfs_vertex_sets,
+    enumerate_sos,
+    negate,
+    reflect,
+    strongly_orthogonal,
+)
 
 # |V| column of the census table
 VCOUNT = {
@@ -191,6 +199,14 @@ ORACLE_ROWS = [
     for k in range(1, parse_label(label).max_sos_size + 1)
 ] + [("E8", 1), ("E8", 2), ("E8", 3)]
 SLOW_ORACLE_ROWS = [pytest.param("E8", k, marks=pytest.mark.slow) for k in range(4, 9)]
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8", *FIXTURES])
+def test_strong_orthogonality_graph_matches_all_pairs_lookup(label):
+    """Looking up sums and differences of orthogonal pairs alone gives the
+    graph that looking them up for every pair gives."""
+    rs = parse_label(label)
+    assert np.array_equal(strong_orthogonality_graph(rs), all_pairs_so_graph(rs))
 
 
 @pytest.mark.parametrize("label,k", ORACLE_ROWS + SLOW_ORACLE_ROWS)
