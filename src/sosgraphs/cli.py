@@ -279,14 +279,19 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return bounds
 
 
-def _table_rows(args):
+def _table_rows(args) -> list:
+    """(root system, k) per row; k above a system's max SOS size is
+    skipped, and a range that leaves no row at all is an error."""
     lo, hi = _parse_k_range(args.k_range)
     if not args.systems:
         raise ValueError("--systems: no system given")
-    for label in args.systems:
-        rs = parse_label(label)
-        for k in range(lo, min(hi, rs.max_sos_size) + 1):
-            yield rs, k
+    systems = [parse_label(label) for label in args.systems]
+    rows = [(rs, k) for rs in systems for k in range(lo, min(hi, rs.max_sos_size) + 1)]
+    if not rows:
+        sizes = ", ".join(f"{rs.label} {rs.max_sos_size}" for rs in systems)
+        raise ValueError(f"--k-range {args.k_range!r}: no row, every k exceeds the max SOS size "
+                         f"({sizes})")
+    return rows
 
 
 def cmd_table(args) -> int:

@@ -14,15 +14,26 @@ to omega times the total, and that division must be exact.
 
 Once v is fixed the condition is pairwise: {v} + C is a sunflower exactly
 when every w in C has the same non-empty core K = supp(v) & supp(w) and
-the petals supp(w) - K are pairwise disjoint. So N(v) splits by K, each
-part keeps only the edges between petal-disjoint neighbors, and the
-(omega-1)-cliques of each part are counted.
+the petals supp(w) - K are pairwise disjoint. So the sunflowers through v
+are the (omega-1)-cliques of the petal-compatible graph P_v: the
+neighbours with a non-empty core, u ~ w when they are adjacent, share
+their core and have disjoint petals. No clique of P_v crosses two cores.
+
+P_v is counted the way the clique census counts N(v). v is the lex-least
+vertex of its H-orbit, so Stab_H(v) is generated by the simple
+reflections of H orthogonal to v (Humphreys, *Reflection Groups and
+Coxeter Groups*, 1.12); it fixes v and supp(v), so it acts on P_v. One u
+per Stab_H(v)-orbit O gives
+
+    #(omega-1)-cliques(P_v) = sum_O |O| * #(omega-2)-cliques(N_P(u)) / (omega-1)
+
+and that division must be exact too.
 
 No neighborhood is induced again here. Each representative x is g.r for
 its W-representative r, the dominant vertex, with g read off the descent
 forest of the simple reflections, so the clique census's carried N(r),
-moved by g, is N(x) index for index, and each part's adjacency is a
-slice of r's.
+moved by g, is N(x) index for index. Each N_P(u) is r's carried row of u,
+masked, and only its own small adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from sosgraphs.clique import (
 from sosgraphs.graph import (
     DescentForest,
     MembershipGraph,
+    descent_forest,
     orbit_labels,
     reflection_permutations,
     weyl_forest,
@@ -127,23 +139,53 @@ def _carry(perms: np.ndarray, forest: DescentForest, x: int, row):
     return row
 
 
-def sunflowers_at(masks: np.ndarray, x: int, hood: Neighborhood, images, omega: int) -> int:
-    """Sunflower maximum cliques (of size omega >= 2) containing x.
+def _stabilizer_forest(base: np.ndarray, x_row, rows: np.ndarray, keys) -> DescentForest:
+    """Stab(x) acting on the key-sorted invariant rows, for x the lex-least
+    vertex of its orbit under the reflections in base: the descent forest
+    of the roots of base orthogonal to x.
+
+    x is lex-least, so <x, a> <= 0 for every positive root a (else s_a.x
+    would be lower), and -x is dominant; its stabilizer is then the
+    parabolic subgroup generated by those simple reflections (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.12). An image outside the
+    rows raises GroupActionError.
+    """
+    fixing = base[base @ x_row == 0]
+    return descent_forest(reflection_permutations(fixing, rows, keys), rows @ fixing.T)
+
+
+def sunflowers_at(
+    g: MembershipGraph, base: np.ndarray, masks: np.ndarray, x: int, hood: Neighborhood,
+    images, omega: int,
+) -> int:
+    """Sunflower maximum cliques (of size omega >= 2) containing x, the
+    lowest vertex of its orbit under the reflections in base: the
+    (omega-1)-cliques of P_x, counted at one u per Stab(x)-orbit, with
+    exact division.
 
     images[i] is the neighbour of x that vertex i of hood (x's
-    W-representative's neighborhood) is carried to, so the adjacency of
-    each core part of N(x) is a slice of hood's.
+    W-representative's neighborhood) is carried to, so hood's row i,
+    masked, is N_P(images[i]).
     """
     supports = masks[images]
     cores = supports & masks[x]
-    count = 0
-    # A set, not np.unique: a plain np.unique imports numpy.ma.
-    for core in sorted(set(cores[cores != 0].tolist())):
-        part = np.flatnonzero(cores == core)
-        petals = supports[part] & ~core
-        keep = hood.adjacency[np.ix_(part, part)] & ((petals[:, None] & petals[None, :]) == 0)
-        count += count_cliques_of_size_bitset(bitrows(keep), (1 << part.size) - 1, omega - 1)
-    return count
+    part = np.flatnonzero(cores)
+    if omega == 2:
+        return int(part.size)
+    part = part[np.argsort(images[part])]
+    ids = images[part]
+    vectors = g.vertices.vectors
+    forest = _stabilizer_forest(base, vectors[x], vectors[ids], g.vertices.keys()[ids])
+    weighted = 0
+    for u, n_o in zip(part[forest.roots].tolist(), forest.sizes().tolist()):
+        # w is u's neighbour in P_x exactly when it meets supp(u) | supp(x)
+        # in u's core alone.
+        core = cores[u]
+        hit = np.flatnonzero(hood.adjacency[u] & ((supports & (supports[u] | masks[x])) == core))
+        petals = supports[hit] & ~core
+        keep = hood.adjacency[hit][:, hit] & ((petals[:, None] & petals[None, :]) == 0)
+        weighted += n_o * count_cliques_of_size_bitset(bitrows(keep), (1 << hit.size) - 1, omega - 2)
+    return _exact_quotient(weighted, omega - 1, "clique count of P_x under Stab(x)")
 
 
 def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
@@ -159,10 +201,12 @@ def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
     perms = g.vertices.reflections()
     forest = weyl_forest(g.vertices)
     masks = _support_masks(g.vertices.vectors)
+    base = np.array(simple_roots_of(map(tuple, roots)) if len(roots) else (), dtype=np.int64)
+    base = base.reshape(-1, g.vertices.dim)
     for size, x in zip(np.bincount(labels).tolist(), xs):
         hood = census.neighborhoods[g.orbit_label[x]]
         images = _carry(perms, forest, x, hood.members)
-        yield size, x, sunflowers_at(masks, x, hood, images, census.omega)
+        yield size, x, sunflowers_at(g, base, masks, x, hood, images, census.omega)
 
 
 def orbit_weighted_sunflowers(g: MembershipGraph, roots, census: CliqueCensus) -> int:

@@ -39,6 +39,8 @@ enumerated_sunflower_census lists every maximum clique through one vertex
 per coordinate-permutation orbit and classifies each by its column profile.
 sunflowers_through counts the sunflower maximum cliques through one vertex
 from its own neighbourhood, induced pair by pair.
+core_first_sunflowers counts them core first: the omega-cliques of the
+graph of vertices containing a core K whose pairwise supports meet in K.
 """
 
 from __future__ import annotations
@@ -829,3 +831,64 @@ def sunflowers_through(g, v: int, omega: int) -> int:
         rows = [a & b for a, b in zip(induced_bitrows(g, nb[part]), disjoint)]
         count += count_cliques_of_size_bitset(rows, (1 << len(rows)) - 1, omega - 1)
     return count
+
+
+def _signed_permutation_reflections(rs) -> list:
+    """Every positive root whose reflection is a signed coordinate
+    permutation: one non-zero coordinate, or two of equal absolute value."""
+    return [alpha for alpha in rs.roots[len(rs.roots) // 2 :]
+            if len({abs(x) for x in alpha if x}) == 1 and sum(1 for x in alpha if x) <= 2]
+
+
+def core_first_sunflowers(g, rs) -> int:
+    """Sunflower maximum cliques counted core first, with no petal masks.
+
+    A family is a sunflower with core K exactly when every pairwise
+    support intersection is K, so the sunflower omega-cliques with core K
+    are the omega-cliques of G_K: the vertices whose support contains K,
+    with a ~ b when they are adjacent and supp(a) & supp(b) == K. The
+    subsets K are grouped by the coordinate permutations the signed
+    permutation reflections induce, and G_K is counted at one vertex per
+    orbit of the reflections that fix K setwise, weighted by orbit size and
+    divided exactly by omega; every count is `pivot_clique_count`.
+    """
+    omega = clique_number(g)
+    if omega < 2:
+        return 0
+    dim = rs.ambient_dim
+    reflections = _signed_permutation_reflections(rs)
+    units = [tuple(2 * (i == j) for j in range(dim)) for i in range(dim)]
+    coordinate_maps = [
+        [next(j for j, x in enumerate(reflect(alpha, unit)) if x) for unit in units]
+        for alpha in reflections
+    ]
+
+    def image(perm, core: int) -> int:
+        return sum(1 << perm[i] for i in range(dim) if core >> i & 1)
+
+    vectors, keys = g.vertices.vectors, g.vertices.keys()
+    masks = _support_masks(vectors)
+    seen: set = set()
+    total = 0
+    for core in range(1, 1 << dim):
+        if core in seen:
+            continue
+        orbit = closure([core], [lambda c, p=p: image(p, c) for p in coordinate_maps])
+        seen |= orbit
+        members = np.flatnonzero((masks & core) == core)
+        if members.size < omega:
+            continue
+        fixing = [a for a, p in zip(reflections, coordinate_maps) if image(p, core) == core]
+        labels = orbit_labels(
+            reflection_permutations(fixing, vectors[members], keys[members]), members.size
+        )
+        weighted = 0
+        for size, pos in zip(np.bincount(labels).tolist(), np.unique(labels, return_index=True)[1]):
+            v = members[pos]
+            nb = g.neighbors(v)
+            nb = nb[(masks[nb] & masks[v]) == core]
+            meets = masks[nb][:, None] & masks[nb][None, :]
+            rows = [a & b for a, b in zip(induced_bitrows(g, nb), bitrows(meets == core))]
+            weighted += size * pivot_clique_count(rows, (1 << nb.size) - 1, omega - 1)
+        total += len(orbit) * _exact(weighted, omega)
+    return total

@@ -76,6 +76,21 @@ def test_table_rejects_bad_k_range(cli_cache, capsys, k_range):
     assert err.startswith(f"error: --k-range {k_range!r}: ")
 
 
+def test_table_rejects_a_range_with_no_row(cli_cache, capsys):
+    code, out, err = run(capsys, "table", "sunflowers", "--systems", "E6,F4", "--k-range", "5")
+    assert code == 1 and out == ""
+    assert err == ("error: --k-range '5': no row, every k exceeds the max SOS size "
+                   "(E6 4, F4 4)\n")
+
+
+def test_table_clips_a_partly_covered_range_silently(cli_cache, capsys):
+    code, out, err = run(capsys, "table", "cliques", "--systems", "G2,F4", "--k-range", "2-8")
+    assert code == 0 and err == ""
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["G2", "2"], ["F4", "2"], ["F4", "3"], ["F4", "4"],
+    ]
+
+
 @pytest.mark.parametrize("systems", [",,", ""])
 def test_table_rejects_empty_systems(cli_cache, capsys, systems):
     code, out, err = run(capsys, "table", "parameters", "--systems", systems)

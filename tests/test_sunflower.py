@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from sosgraphs import sunflower as sunmod
 from sosgraphs.clique import brute_force_maximum_cliques, clique_number, count_maximum_cliques
-from sosgraphs.roots import build_root_system, parse_label
+from sosgraphs.graph import DescentForest
+from sosgraphs.roots import (
+    build_root_system,
+    orbit_labels,
+    parse_label,
+    reflection_permutations,
+    simple_roots_of,
+)
 from sosgraphs.sunflower import (
     count_sunflower_max_cliques,
     count_sunflowers_direct,
@@ -22,6 +29,7 @@ from oracles import (
     as_tuples,
     closure,
     closure_orbit_labels,
+    core_first_sunflowers,
     enumerate_max_cliques_through,
     enumerated_sunflower_census,
     pairwise_is_sunflower,
@@ -29,7 +37,7 @@ from oracles import (
     reflect,
     sunflowers_through,
 )
-from test_acceptance import SUNFLOWERS
+from test_acceptance import SUNFLOWERS, SUNFLOWERS_COMPUTED
 
 # (cliques, sunflowers, printed percentage)
 SUNFLOWER_ROWS = {
@@ -264,11 +272,37 @@ def test_non_divisible_sunflower_sum_raises(mgraph, monkeypatch):
         count_sunflower_max_cliques(mgraph("F4", 1), build_root_system("F4"))
 
 
-@pytest.mark.parametrize("label,k", sorted(SUNFLOWERS))
+class _EnlargedFirstOrbit(DescentForest):
+    def sizes(self):
+        sizes = super().sizes().copy()
+        sizes[:1] += 1
+        return sizes
+
+
+def test_non_divisible_stabilizer_sum_raises(mgraph, monkeypatch):
+    """Only the Stab(x) level is broken: its first orbit is counted once too
+    often. At E6 k=1 (omega 5) that leaves a weighted sum of 22 at the
+    first representative, which 4 does not divide."""
+    real = sunmod.descent_forest
+    monkeypatch.setattr(
+        sunmod, "descent_forest", lambda *args: _EnlargedFirstOrbit(**vars(real(*args)))
+    )
+    with pytest.raises(ArithmeticError, match=r"clique count of P_x under Stab\(x\) 22 "):
+        count_sunflower_max_cliques(mgraph("E6", 1), build_root_system("E6"))
+
+
+# Every pinned sunflower row, the newly computed E8 k=4..7 ones among the slow tests.
+PINNED_ROWS = [
+    *sorted(SUNFLOWERS),
+    *(pytest.param(*row, marks=pytest.mark.slow) for row in sorted(SUNFLOWERS_COMPUTED)),
+]
+
+
+@pytest.mark.parametrize("label,k", PINNED_ROWS)
 def test_carried_counts_match_induced_oracle(label, k, mgraph):
     """Per H-representative x, the count from the representative's carried
-    neighborhood, moved to x along the Schreier vector, equals the count
-    from N(x) induced pair by pair."""
+    neighborhood, moved to x along the Schreier vector and reduced by
+    Stab(x), equals the count from N(x) induced pair by pair."""
     g = mgraph(label, k)
     rs = build_root_system(label)
     census = count_maximum_cliques(g)
@@ -277,6 +311,45 @@ def test_carried_counts_match_induced_oracle(label, k, mgraph):
     assert [count for _, _, count in per_orbit] == [
         sunflowers_through(g, x, census.omega) for _, x, _ in per_orbit
     ]
+
+
+def _same_partition(a, b) -> bool:
+    pairs = set(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
+    return len(pairs) == len(set(np.asarray(a).tolist())) == len(set(np.asarray(b).tolist()))
+
+
+@pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 4), ("E8", 3)])
+@pytest.mark.parametrize("group", ["signed", "plain"])
+def test_stabilizer_orbits_match_every_orthogonal_root(label, k, group, mgraph):
+    """At every representative x, the orbits on the neighbours with a
+    non-empty core from the base roots orthogonal to x equal the orbits of
+    the reflections in every positive root of the subsystem orthogonal to
+    x (Steinberg), the subsystem closed here with tuples."""
+    g = mgraph(label, k)
+    rs = build_root_system(label)
+    roots = signed_permutation_roots(rs) if group == "signed" else plain_permutation_roots(rs)
+    subsystem = closure(roots, [partial(reflect, alpha) for alpha in roots])
+    zero = (0,) * rs.ambient_dim
+    positive = np.array(sorted(r for r in subsystem if r > zero), dtype=np.int64)
+    base = np.array(simple_roots_of(roots), dtype=np.int64)
+    vectors, keys = g.vertices.vectors, g.vertices.keys()
+    masks = sunmod._support_masks(vectors)
+    labels = perm_orbit_labels(roots, g.vertices)
+    for x in np.unique(labels, return_index=True)[1]:
+        nb = g.neighbors(x)
+        part = nb[(masks[nb] & masks[x]) != 0]
+        forest = sunmod._stabilizer_forest(base, vectors[x], vectors[part], keys[part])
+        orthogonal = positive[positive @ vectors[x] == 0]
+        perms = reflection_permutations(orthogonal, vectors[part], keys[part])
+        assert _same_partition(forest.root, orbit_labels(perms, part.size)), x
+
+
+@pytest.mark.parametrize("label,k", PINNED_ROWS)
+def test_core_first_oracle_matches_pins(label, k, mgraph):
+    """Counting core K first and the vertex second, with the pivoted
+    counter, gives every pinned sunflower count."""
+    want = {**SUNFLOWERS, **SUNFLOWERS_COMPUTED}[(label, k)][1]
+    assert core_first_sunflowers(mgraph(label, k), build_root_system(label)) == want
 
 
 def test_sf_constant_on_perm_orbits(mgraph):
