@@ -313,9 +313,10 @@ def test_carried_counts_match_induced_oracle(label, k, mgraph):
     ]
 
 
-def _same_partition(a, b) -> bool:
-    pairs = set(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
-    return len(pairs) == len(set(np.asarray(a).tolist())) == len(set(np.asarray(b).tolist()))
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two labellings of the same indices name the same classes."""
+    a, b = a.tolist(), b.tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
 
 
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 4), ("E8", 3)])
