@@ -20,7 +20,6 @@ import numpy as np
 
 from sosgraphs import clique as cliquemod
 from sosgraphs import graph as graphmod
-from sosgraphs import iso as isomod
 from sosgraphs import sunflower as sunmod
 from sosgraphs.roots import RootSystemError, parse_label
 
@@ -167,6 +166,10 @@ def cmd_sunflowers(args) -> int:
 
 def _verification_checks():
     """The structural suite, every check exact, on graphs with no edge list."""
+    # Imported here: only `verify` needs it, and every other command would
+    # pay for compiling it where no bytecode is cached.
+    from sosgraphs import iso as isomod
+
     e6, e7, e8 = parse_label("E6"), parse_label("E7"), parse_label("E8")
 
     def graph(label: str, k: int) -> graphmod.MembershipGraph:

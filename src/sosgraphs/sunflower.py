@@ -19,15 +19,20 @@ are the (omega-1)-cliques of the petal-compatible graph P_v: the
 neighbours with a non-empty core, u ~ w when they are adjacent, share
 their core and have disjoint petals. No clique of P_v crosses two cores.
 
-P_v is counted the way the clique census counts N(v). v is the lex-least
-vertex of its H-orbit, so Stab_H(v) is generated by the simple
-reflections of H orthogonal to v (Humphreys, *Reflection Groups and
-Coxeter Groups*, 1.12); it fixes v and supp(v), so it acts on P_v. One u
-per Stab_H(v)-orbit O gives
+P_v is counted the way the clique census counts N(v). v is the
+H-dominant vertex of its H-orbit, its highest index, so Stab_H(v) is
+generated by the simple reflections of H orthogonal to v (Humphreys,
+*Reflection Groups and Coxeter Groups*, 1.12); it fixes v and supp(v), so
+it acts on P_v. One u per Stab_H(v)-orbit O gives
 
     #(omega-1)-cliques(P_v) = sum_O |O| * #(omega-2)-cliques(N_P(u)) / (omega-1)
 
 and that division must be exact too.
+
+H acts through the simple reflections the vertex set keeps. Every simple
+root of H is a simple root of W but at most one, which is looked up once
+per vertex set, so the H-orbits, their sizes and every Stab_H(v) come
+from descent forests with no lookup per representative.
 
 No neighborhood is induced again here. Each representative x is g.r for
 its W-representative r, the dominant vertex, with g read off the descent
@@ -57,9 +62,10 @@ from sosgraphs.graph import (
     descent_forest,
     orbit_labels,
     reflection_permutations,
+    restrict,
     weyl_forest,
 )
-from sosgraphs.roots import RootSystem, RootVector, simple_roots_of
+from sosgraphs.roots import RootSystem, RootVector, parse_label, simple_roots_of
 from sosgraphs.sos import VertexSet
 
 
@@ -122,6 +128,36 @@ def perm_orbit_labels(roots, vertices: VertexSet) -> np.ndarray:
     return orbit_labels(reflection_permutations(roots, vertices.vectors), len(vertices))
 
 
+@lru_cache(maxsize=None)
+def _split_base(label: str, roots: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A base of the reflections in roots as a read-only (b, dim) int64
+    array, the simple roots of W first, and for each of those the row of
+    W's simple reflections that it is."""
+    rs = parse_label(label)
+    simple = {root: j for j, root in enumerate(rs.simple_roots)}
+    base = sorted(simple_roots_of(roots) if roots else (), key=lambda a: a not in simple)
+    kept = np.array([simple[a] for a in base if a in simple], dtype=np.int64)
+    base = np.array(base, dtype=np.int64).reshape(-1, rs.ambient_dim)
+    base.flags.writeable = kept.flags.writeable = False
+    return base, kept
+
+
+def base_action(vertices: VertexSet, roots) -> tuple[np.ndarray, np.ndarray]:
+    """A base of the reflections in roots, as a (b, dim) int64 array, and
+    its reflections as a (b, n) int32 array of vertex permutations.
+
+    A base root that is a simple root of W takes the row the vertex set
+    keeps; only the others are looked up, in one `reflection_permutations`
+    call. An image outside the vertices raises GroupActionError.
+    """
+    base, kept = _split_base(vertices.label, tuple(map(tuple, roots)))
+    perms = vertices.reflections()[kept]
+    if kept.size < len(base):
+        extra = reflection_permutations(base[kept.size :], vertices.vectors, vertices.keys())
+        perms = np.concatenate([perms, extra])
+    return base, perms
+
+
 def _support_masks(rows: np.ndarray) -> np.ndarray:
     """Support of each row as a bit mask over the coordinates."""
     return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
@@ -139,29 +175,30 @@ def _carry(perms: np.ndarray, forest: DescentForest, x: int, row):
     return row
 
 
-def _stabilizer_forest(base: np.ndarray, x_row, rows: np.ndarray, keys) -> DescentForest:
-    """Stab(x) acting on the key-sorted invariant rows, for x the lex-least
-    vertex of its orbit under the reflections in base: the descent forest
-    of the roots of base orthogonal to x.
+def stabilizer_forest(
+    vectors: np.ndarray, base: np.ndarray, perms: np.ndarray, x: int, ids: np.ndarray
+) -> DescentForest:
+    """Stab(x) acting on the invariant ascending index set ids, for x a
+    dominant vertex of the reflections in base (perms, as vertex
+    permutations): the descent forest of the base roots orthogonal to x.
 
-    x is lex-least, so <x, a> <= 0 for every positive root a (else s_a.x
-    would be lower), and -x is dominant; its stabilizer is then the
+    x pairs with no base root negatively, so its stabilizer is the
     parabolic subgroup generated by those simple reflections (Humphreys,
-    *Reflection Groups and Coxeter Groups*, 1.12). An image outside the
-    rows raises GroupActionError.
+    *Reflection Groups and Coxeter Groups*, 1.12). An image outside ids
+    raises GroupActionError (`restrict`).
     """
-    fixing = base[base @ x_row == 0]
-    return descent_forest(reflection_permutations(fixing, rows, keys), rows @ fixing.T)
+    fixing = base @ vectors[x] == 0
+    return descent_forest(restrict(perms[fixing], ids), vectors[ids] @ base[fixing].T)
 
 
 def sunflowers_at(
-    g: MembershipGraph, base: np.ndarray, masks: np.ndarray, x: int, hood: Neighborhood,
-    images, omega: int,
+    g: MembershipGraph, base: np.ndarray, perms: np.ndarray, masks: np.ndarray, x: int,
+    hood: Neighborhood, images, omega: int,
 ) -> int:
     """Sunflower maximum cliques (of size omega >= 2) containing x, the
-    lowest vertex of its orbit under the reflections in base: the
-    (omega-1)-cliques of P_x, counted at one u per Stab(x)-orbit, with
-    exact division.
+    dominant vertex of its orbit under the reflections in base (perms, as
+    vertex permutations): the (omega-1)-cliques of P_x, counted at one u
+    per Stab(x)-orbit, with exact division.
 
     images[i] is the neighbour of x that vertex i of hood (x's
     W-representative's neighborhood) is carried to, so hood's row i,
@@ -173,15 +210,15 @@ def sunflowers_at(
     if omega == 2:
         return int(part.size)
     part = part[np.argsort(images[part])]
-    ids = images[part]
-    vectors = g.vertices.vectors
-    forest = _stabilizer_forest(base, vectors[x], vectors[ids], g.vertices.keys()[ids])
+    forest = stabilizer_forest(g.vertices.vectors, base, perms, x, images[part])
     weighted = 0
     for u, n_o in zip(part[forest.roots].tolist(), forest.sizes().tolist()):
         # w is u's neighbour in P_x exactly when it meets supp(u) | supp(x)
         # in u's core alone.
         core = cores[u]
         hit = np.flatnonzero(hood.adjacency[u] & ((supports & (supports[u] | masks[x])) == core))
+        if hit.size < omega - 2:
+            continue  # N_P(u) holds no (omega-2)-clique
         petals = supports[hit] & ~core
         keep = hood.adjacency[hit][:, hit] & ((petals[:, None] & petals[None, :]) == 0)
         weighted += n_o * count_cliques_of_size_bitset(bitrows(keep), (1 << hit.size) - 1, omega - 2)
@@ -189,24 +226,25 @@ def sunflowers_at(
 
 
 def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
-    """(orbit size, lowest vertex x, sunflower maximum cliques through x)
-    per orbit of the reflections in roots, for omega >= 2.
+    """(orbit size, dominant vertex x, sunflower maximum cliques through x)
+    per orbit of the reflections in roots, for omega >= 2, in order of x.
 
-    x = g_x.r for its W-representative r, with g_x read off the descent
-    forest of the simple reflections, so N(x) = g_x.N(r) index for index
-    and the census's carried neighborhood of r serves x.
+    The orbits are the trees of the descent forest of a base of roots, and
+    x, a tree's root, is the highest index of its orbit. x = g_x.r for its
+    W-representative r, with g_x read off the descent forest of the simple
+    reflections, so N(x) = g_x.N(r) index for index and the census's
+    carried neighborhood of r serves x.
     """
-    labels = perm_orbit_labels(roots, g.vertices)
-    xs = np.unique(labels, return_index=True)[1].tolist()
+    vectors = g.vertices.vectors
+    base, hperms = base_action(g.vertices, roots)
+    hforest = descent_forest(hperms, vectors @ base.T)
     perms = g.vertices.reflections()
     forest = weyl_forest(g.vertices)
-    masks = _support_masks(g.vertices.vectors)
-    base = np.array(simple_roots_of(map(tuple, roots)) if len(roots) else (), dtype=np.int64)
-    base = base.reshape(-1, g.vertices.dim)
-    for size, x in zip(np.bincount(labels).tolist(), xs):
+    masks = _support_masks(vectors)
+    for size, x in zip(hforest.sizes().tolist(), hforest.roots.tolist()):
         hood = census.neighborhoods[g.orbit_label[x]]
         images = _carry(perms, forest, x, hood.members)
-        yield size, x, sunflowers_at(g, base, masks, x, hood, images, census.omega)
+        yield size, x, sunflowers_at(g, base, hperms, masks, x, hood, images, census.omega)
 
 
 def orbit_weighted_sunflowers(g: MembershipGraph, roots, census: CliqueCensus) -> int:

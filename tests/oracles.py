@@ -41,6 +41,8 @@ sunflowers_through counts the sunflower maximum cliques through one vertex
 from its own neighbourhood, induced pair by pair.
 core_first_sunflowers counts them core first: the omega-cliques of the
 graph of vertices containing a core K whose pairwise supports meet in K.
+lookup_stabilizer_forest gives Stab(x) on a set of rows as the descent
+forest of the base roots orthogonal to x, every image looked up by key.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import GraphStats, SOSGraph, _pair_components
+from sosgraphs.graph import DescentForest, GraphStats, SOSGraph, _pair_components, descent_forest
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
@@ -816,6 +818,21 @@ def enumerated_sunflower_census(g, rs) -> tuple[int, int, int]:
         total += size * local.shape[0]
         sunflowers += size * int(ok.sum())
     return omega, _exact(total, omega), _exact(sunflowers, omega)
+
+
+def lookup_stabilizer_forest(base: np.ndarray, x_row, rows: np.ndarray, keys) -> DescentForest:
+    """Stab(x) acting on the key-sorted invariant rows, for x a dominant or
+    lex-least vertex of its orbit under the reflections in base: the
+    descent forest of the roots of base orthogonal to x, their reflections
+    looked up over the rows.
+
+    Either way x or -x pairs with no base root negatively, so its
+    stabilizer is the parabolic subgroup generated by those simple
+    reflections (Humphreys, *Reflection Groups and Coxeter Groups*, 1.12).
+    An image outside the rows raises GroupActionError.
+    """
+    fixing = base[base @ x_row == 0]
+    return descent_forest(reflection_permutations(fixing, rows, keys), rows @ fixing.T)
 
 
 def sunflowers_through(g, v: int, omega: int) -> int:

@@ -320,3 +320,24 @@ def test_census_rows_do_not_import_numpy_ma(cli_cache):
     if done.stdout.strip() == "preloaded":
         pytest.skip("importing numpy alone loads numpy.ma here")
     assert done.stdout.strip() == "False"
+
+
+_LOADS_ISO = """
+import contextlib, io, sys
+from sosgraphs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(['sunflowers', '--system', 'G2', '--k', '2'])
+print('sosgraphs.iso' in sys.modules)
+"""
+
+
+def test_census_commands_do_not_load_iso():
+    """Only `verify` uses the isomorphism checks, so importing the CLI and
+    running a census row leaves `sosgraphs.iso` unloaded (and uncompiled)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS_ISO], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sosgraphs import sunflower as sunmod
 from sosgraphs.clique import brute_force_maximum_cliques, clique_number, count_maximum_cliques
-from sosgraphs.graph import DescentForest
+from sosgraphs.graph import DescentForest, descent_forest
 from sosgraphs.roots import (
     build_root_system,
     orbit_labels,
@@ -32,6 +32,8 @@ from oracles import (
     core_first_sunflowers,
     enumerate_max_cliques_through,
     enumerated_sunflower_census,
+    lookup_permutations,
+    lookup_stabilizer_forest,
     pairwise_is_sunflower,
     plain_permutation_roots,
     reflect,
@@ -171,6 +173,60 @@ TIER1_ROWS = [
     ("E6", 1), ("E6", 2), ("E6", 3), ("E6", 4), ("E7", 1), ("E7", 2),
     ("E7", 3), ("E7", 7), ("E8", 1), ("E8", 2),
 ]
+
+
+GROUPS = {"signed": signed_permutation_roots, "plain": plain_permutation_roots}
+
+
+@pytest.mark.parametrize("label,k", TIER1_ROWS)
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_base_action_matches_lookup_oracle(label, k, group, mgraph):
+    """H's permutations, kept rows and looked-up ones alike, equal the
+    reflections with every image row built and looked up; the base is the
+    base of the roots, and at E6 every base root is a simple root of W."""
+    rs = build_root_system(label)
+    roots = GROUPS[group](rs)
+    vs = mgraph(label, k).vertices
+    base, perms = sunmod.base_action(vs, roots)
+    assert set(map(tuple, base.tolist())) == set(simple_roots_of(roots))
+    assert np.array_equal(perms, lookup_permutations(base.tolist(), vs.vectors))
+    extra = [tuple(a) for a in base.tolist() if tuple(a) not in rs.simple_roots]
+    assert len(extra) == (label != "E6")
+
+
+@pytest.mark.parametrize("label,k", TIER1_ROWS)
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_descent_forest_orbits_match_perm_labels(label, k, group, mgraph):
+    """The descent forest of H's base gives the orbits of the reflections
+    in all the roots, and each forest root is the highest index of its
+    orbit."""
+    roots = GROUPS[group](build_root_system(label))
+    vs = mgraph(label, k).vertices
+    base, perms = sunmod.base_action(vs, roots)
+    forest = descent_forest(perms, vs.vectors @ base.T)
+    labels = perm_orbit_labels(roots, vs)
+    assert _same_partition(forest.root, labels)
+    highest = np.zeros(labels.max() + 1, dtype=np.int64)
+    np.maximum.at(highest, labels, np.arange(labels.size))
+    assert np.array_equal(np.sort(highest), forest.roots)
+    assert np.array_equal(forest.sizes(), np.bincount(labels)[labels[forest.roots]])
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8"])
+def test_census_looks_up_at_most_one_root(label, mgraph, monkeypatch):
+    """The census reuses W's kept simple reflections for H: it looks up
+    nothing at E6, whose H is a standard parabolic subgroup, and one root in
+    one call elsewhere."""
+    calls = []
+    real = sunmod.reflection_permutations
+
+    def spy(roots, *args):
+        calls.append(len(roots))
+        return real(roots, *args)
+
+    monkeypatch.setattr(sunmod, "reflection_permutations", spy)
+    count_sunflower_max_cliques(mgraph(label, 1), build_root_system(label))
+    assert calls == ([] if label == "E6" else [1])
 
 
 @pytest.mark.parametrize("label,k", TIER1_ROWS)
@@ -320,29 +376,49 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 4), ("E8", 3)])
-@pytest.mark.parametrize("group", ["signed", "plain"])
+@pytest.mark.parametrize("group", sorted(GROUPS))
 def test_stabilizer_orbits_match_every_orthogonal_root(label, k, group, mgraph):
-    """At every representative x, the orbits on the neighbours with a
-    non-empty core from the base roots orthogonal to x equal the orbits of
-    the reflections in every positive root of the subsystem orthogonal to
-    x (Steinberg), the subsystem closed here with tuples."""
+    """At every dominant representative x, the orbits on the neighbours
+    with a non-empty core from the kept base reflections orthogonal to x
+    equal the orbits of the reflections in every positive root of the
+    subsystem orthogonal to x (Steinberg), the subsystem closed here with
+    tuples; the forest is the one with every image looked up."""
     g = mgraph(label, k)
     rs = build_root_system(label)
-    roots = signed_permutation_roots(rs) if group == "signed" else plain_permutation_roots(rs)
+    roots = GROUPS[group](rs)
     subsystem = closure(roots, [partial(reflect, alpha) for alpha in roots])
     zero = (0,) * rs.ambient_dim
     positive = np.array(sorted(r for r in subsystem if r > zero), dtype=np.int64)
-    base = np.array(simple_roots_of(roots), dtype=np.int64)
     vectors, keys = g.vertices.vectors, g.vertices.keys()
     masks = sunmod._support_masks(vectors)
-    labels = perm_orbit_labels(roots, g.vertices)
-    for x in np.unique(labels, return_index=True)[1]:
+    base, hperms = sunmod.base_action(g.vertices, roots)
+    for x in descent_forest(hperms, vectors @ base.T).roots:
         nb = g.neighbors(x)
         part = nb[(masks[nb] & masks[x]) != 0]
-        forest = sunmod._stabilizer_forest(base, vectors[x], vectors[part], keys[part])
+        forest = sunmod.stabilizer_forest(vectors, base, hperms, x, part)
+        looked_up = lookup_stabilizer_forest(base, vectors[x], vectors[part], keys[part])
+        for name in ("parent", "gen", "root", "depth"):
+            assert np.array_equal(getattr(forest, name), getattr(looked_up, name)), x
         orthogonal = positive[positive @ vectors[x] == 0]
         perms = reflection_permutations(orthogonal, vectors[part], keys[part])
         assert _same_partition(forest.root, orbit_labels(perms, part.size)), x
+
+
+@pytest.mark.parametrize("label,k", [("F4", 3), ("E6", 3), ("E7", 4)])
+def test_short_petal_graphs_are_never_counted(label, k, mgraph, monkeypatch):
+    """A petal graph N_P(u) with fewer than omega-2 vertices holds no
+    (omega-2)-clique, so it is skipped before it is sliced or counted."""
+    seen = []
+    real = sunmod.count_cliques_of_size_bitset
+
+    def spy(rows, cand, t):
+        seen.append(cand.bit_count() - t)
+        return real(rows, cand, t)
+
+    monkeypatch.setattr(sunmod, "count_cliques_of_size_bitset", spy)
+    census = count_sunflower_max_cliques(mgraph(label, k), build_root_system(label))
+    assert census.sunflower_cliques == SUNFLOWERS[(label, k)][1]
+    assert seen and min(seen) >= 0
 
 
 @pytest.mark.parametrize("label,k", PINNED_ROWS)
