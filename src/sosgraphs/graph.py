@@ -12,11 +12,12 @@ All group work comes from the simple reflections the vertex set keeps.
 Stab_W(v) of a dominant v is generated by the simple reflections fixing
 v (`parabolic_action`), and the descent of every index toward its
 orbit's dominant vertex (`descent_forest`) gives the orbits, their
-sizes and a Schreier vector at once, with no lookup and no search. The
-explicit edge list (`build_gamma`) carries each representative's
-neighbourhood down that forest to every vertex of its orbit,
-N(g.r) = g.N(r) (`transport`); it serves the graph file, DOT export and
-the isomorphism checks.
+sizes and a Schreier vector at once, with no lookup and no search; the
+vertex set keeps the forest of its simple reflections
+(`VertexSet.weyl_forest`). The explicit edge list (`build_gamma`)
+carries each representative's neighbourhood down that forest to every
+vertex of its orbit, N(g.r) = g.N(r) (`transport`); it serves the graph
+file, DOT export and the isomorphism checks.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from sosgraphs.roots import (
+    DescentForest,
     GroupActionError,
     RootSystem,
     component_labels,
+    descent_forest,
     encode_rows,
     orbit_labels,
     parse_label,
@@ -116,85 +119,6 @@ class GraphStats:
     isolated_vertex_count: int
 
 
-@dataclass(frozen=True)
-class DescentForest:
-    """Every index's descent toward the dominant vertex of its orbit.
-
-    For generators s_j acting as permutations with pairings <x, a_j>,
-    parent[x] = s_j.x and gen[x] = j for the least j with <x, a_j> < 0;
-    both are -1 at the roots, which pair with no generator negatively: the
-    dominant vertices, one per orbit (Humphreys, *Reflection Groups and
-    Coxeter Groups*, 1.12). s_j.x = x + |c| a_j with a_j lex-positive, so
-    every parent lies higher in lex order than its child, and each root is
-    the highest index of its orbit. (parent, gen) is a Schreier vector:
-    x = s_gen[x].parent[x]. root and depth, the steps down from the root,
-    come from pointer jumping.
-    """
-
-    parent: np.ndarray
-    gen: np.ndarray
-    root: np.ndarray
-    depth: np.ndarray
-
-    @property
-    def roots(self) -> np.ndarray:
-        """The roots, ascending: one representative per orbit."""
-        return np.flatnonzero(self.gen < 0)
-
-    def sizes(self) -> np.ndarray:
-        """Orbit size per root, in the order of roots."""
-        return np.bincount(self.root, minlength=self.root.size)[self.roots]
-
-    def levels(self) -> list[np.ndarray]:
-        """The indices at depth 1, 2, ..., each level ascending."""
-        order = np.argsort(self.depth, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(self.depth))[:-1])[1:]
-
-
-def descent_forest(perms: np.ndarray, pairing: np.ndarray) -> DescentForest:
-    """The descent forest of generators given as a (g, m) array of
-    permutations of 0..m-1 and an (m, g) array of pairings <x, a_j> (any
-    positive multiple of them). A step that does not rise in index means
-    the permutations are not the reflections the pairings describe, and
-    raises GroupActionError.
-    """
-    m = pairing.shape[0]
-    below = pairing < 0
-    x = np.flatnonzero(below.any(axis=1))
-    gen = np.full(m, -1, dtype=np.int64)
-    parent = np.full(m, -1, dtype=np.int64)
-    if x.size:
-        gen[x] = below[x].argmax(axis=1)
-        parent[x] = perms[gen[x], x]
-    if (parent[x] <= x).any():
-        raise GroupActionError("a descent step does not rise in lex order; not a reflection")
-    root = np.arange(m, dtype=np.int64)
-    root[x] = parent[x]
-    depth = np.zeros(m, dtype=np.int64)
-    depth[x] = 1
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            return DescentForest(parent, gen, root, depth)
-        depth += depth[root]
-        root = up
-
-
-def weyl_forest(vertices: VertexSet) -> DescentForest:
-    """The descent forest of the simple reflections the vertex set keeps.
-
-    Its roots are the dominant vertices; a forest without exactly one root
-    per recorded W-orbit raises GroupActionError.
-    """
-    simple = np.asarray(parse_label(vertices.label).simple_roots, dtype=np.int32)
-    forest = descent_forest(vertices.reflections(), vertices.vectors @ simple.T)
-    orbit = vertices.orbit
-    orbits = int(orbit.max()) + 1 if orbit.size else 0
-    if forest.roots.size != orbits or not np.array_equal(orbit[forest.root], orbit):
-        raise GroupActionError("the descent forest does not have one root per W-orbit")
-    return forest
-
-
 # Int32 entries per carried block: each block's two temporaries stay at
 # 1 MB, where the widest E8 k=6 level, 1,621 rows of 2,710, took 17.6 MB each.
 _CARRY_BLOCK = 1 << 18
@@ -275,7 +199,7 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    rows = transport(vs.reflections(), weyl_forest(vs), reps, hoods)
+    rows = transport(vs.reflections(), vs.weyl_forest(), reps, hoods)
     rows.sort(axis=1)
     if all(h.size == rows.shape[1] for h in hoods):
         # No row is padded, so the sorted rows already are the edge list;
@@ -313,7 +237,7 @@ def _transported_components(
     seeds = [
         nb[descent_forest(*parabolic_action(g, r, nb)).roots] for r, nb in zip(reps, hoods)
     ]
-    carried = transport(perms, weyl_forest(g.vertices), reps, seeds)
+    carried = transport(perms, g.vertices.weyl_forest(), reps, seeds)
     return _pair_components(
         n,
         np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), carried.shape[1])]),

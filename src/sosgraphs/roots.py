@@ -10,8 +10,10 @@ Lattice vectors are keyed by an order-preserving int64 codec
 in the rows, so the key of a reflected row x - <x, a^v> a is key(x) minus
 <x, a^v> times a fixed number per root: a generator of the Weyl group acts
 on a closed set of rows as an index permutation found by one lookup of
-those image keys (`reflection_permutations`), and orbits are the
-components of those permutations (`orbit_labels`).
+those image keys (`reflection_permutations`), half a lookup when the
+rows are closed under negation. Orbits are the components of those
+permutations (`orbit_labels`), or the trees of the descent toward each
+orbit's dominant vertex (`descent_forest`).
 
 `weyl_closure` closes a set of vectors under the simple reflections one
 W-orbit at a time. The closed fundamental chamber is a fundamental domain,
@@ -200,13 +202,18 @@ def simple_roots_of(roots) -> tuple[RootVector, ...]:
     lookup of every pairwise sum finds the decomposable roots.
     """
     rows = np.array(sorted(set(roots)), dtype=np.int64)
+    return tuple(map(tuple, _simple_rows(rows).tolist()))
+
+
+def _simple_rows(rows: np.ndarray) -> np.ndarray:
+    """`simple_roots_of` for lex-sorted, distinct int64 root rows, as rows."""
     off = key_offset(rows.shape[1])
     keys = encode_rows(rows)
     positive, keys = rows[keys > off], keys[keys > off]
     sums = key_index(keys, keys[:, None] + keys[None, :] - off)
     decomposable = np.zeros(keys.size, dtype=bool)
     decomposable[sums[sums >= 0]] = True
-    return tuple(map(tuple, positive[~decomposable].tolist()))
+    return positive[~decomposable]
 
 
 @lru_cache(maxsize=None)
@@ -317,17 +324,27 @@ def _image_permutations(keys: np.ndarray, roots: np.ndarray, coeff_of) -> np.nda
     with w the KEY_BASE powers, and no image row is built. The callers
     have checked the norms, so every image key is the key of the image.
     An image outside the keys raises GroupActionError.
+
+    key(-x) = 2 key_offset(dim) - key(x), so when the keys read backwards
+    are those numbers, -x sits at n-1-i whenever x sits at i. A reflection
+    commutes with negation, s(-x) = -s(x), so then only the first
+    ceil(n/2) columns are looked up and the rest are their mirror images.
     """
+    n = keys.size
     weights = KEY_BASE ** np.arange(roots.shape[1] - 1, -1, -1, dtype=np.int64)
     root_keys = roots @ weights
-    perms = np.empty((len(roots), keys.size), dtype=np.int32)
-    step = max(1, _LOOKUP_BATCH // max(keys.size, 1))
+    mirrored = np.array_equal(keys[::-1], 2 * key_offset(roots.shape[1]) - keys)
+    half = (n + 1) // 2 if mirrored else n
+    perms = np.empty((len(roots), n), dtype=np.int32)
+    step = max(1, _LOOKUP_BATCH // max(half, 1))
     for lo in range(0, len(roots), step):
         hi = lo + step
-        pos = key_index(keys, keys - coeff_of(lo, hi) * root_keys[lo:hi, None])
+        pos = key_index(keys, keys[:half] - coeff_of(lo, hi)[:, :half] * root_keys[lo:hi, None])
         if (pos < 0).any():
             raise GroupActionError("generator image escapes the vertex set; the set is not closed")
-        perms[lo:hi] = pos
+        perms[lo:hi, :half] = pos
+        if mirrored:
+            perms[lo:hi, half:] = n - 1 - pos[:, : n - half][:, ::-1]
     return perms
 
 
@@ -384,6 +401,70 @@ def orbit_labels(perms, n: int) -> np.ndarray:
     indptr = np.arange(0, indices.size + 1, len(perms))
     lowest = component_labels(n, indptr, indices)
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
+
+
+@dataclass(frozen=True)
+class DescentForest:
+    """Every index's descent toward the dominant vertex of its orbit.
+
+    For generators s_j acting as permutations with pairings <x, a_j>,
+    parent[x] = s_j.x and gen[x] = j for the least j with <x, a_j> < 0;
+    both are -1 at the roots, which pair with no generator negatively: the
+    dominant vertices, one per orbit (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 1.12). s_j.x = x + |c| a_j with a_j lex-positive, so
+    every parent lies higher in lex order than its child, and each root is
+    the highest index of its orbit. (parent, gen) is a Schreier vector:
+    x = s_gen[x].parent[x]. root and depth, the steps down from the root,
+    come from pointer jumping.
+    """
+
+    parent: np.ndarray
+    gen: np.ndarray
+    root: np.ndarray
+    depth: np.ndarray
+
+    @property
+    def roots(self) -> np.ndarray:
+        """The roots, ascending: one representative per orbit."""
+        return np.flatnonzero(self.gen < 0)
+
+    def sizes(self) -> np.ndarray:
+        """Orbit size per root, in the order of roots."""
+        return np.bincount(self.root, minlength=self.root.size)[self.roots]
+
+    def levels(self) -> list[np.ndarray]:
+        """The indices at depth 1, 2, ..., each level ascending."""
+        order = np.argsort(self.depth, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.depth))[:-1])[1:]
+
+
+def descent_forest(perms: np.ndarray, pairing: np.ndarray) -> DescentForest:
+    """The descent forest of generators given as a (g, m) array of
+    permutations of 0..m-1 and an (m, g) array of pairings <x, a_j> (any
+    positive multiple of them). A step that does not rise in index means
+    the permutations are not the reflections the pairings describe, and
+    raises GroupActionError.
+    """
+    m = pairing.shape[0]
+    below = pairing < 0
+    x = np.flatnonzero(below.any(axis=1))
+    gen = np.full(m, -1, dtype=np.int64)
+    parent = np.full(m, -1, dtype=np.int64)
+    if x.size:
+        gen[x] = below[x].argmax(axis=1)
+        parent[x] = perms[gen[x], x]
+    if (parent[x] <= x).any():
+        raise GroupActionError("a descent step does not rise in lex order; not a reflection")
+    root = np.arange(m, dtype=np.int64)
+    root[x] = parent[x]
+    depth = np.zeros(m, dtype=np.int64)
+    depth[x] = 1
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return DescentForest(parent, gen, root, depth)
+        depth += depth[root]
+        root = up
 
 
 # The walk carries each vertex x as one int16 state row: x, then its Cartan

@@ -1,24 +1,31 @@
 """Strongly orthogonal subsets (SOS) and their deduplicated sums.
 
-W acts on the SOS of each size, preserving strong orthogonality, and every
-supported system is irreducible, so W is transitive on the roots of each
-length. Every k-SOS is therefore W-conjugate to one through a fixed root
-theta of each length, and the vertex set V_k is the W-orbit closure of the
-seeds theta + sum(T), T a (k-1)-SOS among the roots strongly orthogonal to
-theta (the 126 roots of E7 when the system is E8).
+The vertex set V_k is counted one W-orbit at a time, never listed. A
+candidate set C is the set of roots strongly orthogonal, in R, to every
+root chosen so far (C = R before the first). C is closed under its own
+reflections: for beta in C and a chosen alpha, s_beta fixes alpha, so
+s_beta(gamma) +- alpha = s_beta(gamma +- alpha). So W(C) acts on the
+k-SOS of C, and each W(C)-orbit of roots holds one dominant root theta
+(one per component and root length of C). Write C_theta for the roots of
+C strongly orthogonal to theta, and N(C, k, O) for the number of k-SOS of
+C whose sum lies in the W(C)-orbit O. Counting the pairs (S, a) with a in
+S, and moving a to its dominant root, gives
 
-Multiplicities are counted, not enumerated. Counting the pairs (S, a) with
-a in S over the k-SOS S whose sum lies in a W-orbit O gives
+    k N(C, k, O) = sum over theta of |W(C) theta|
+                   sum over O' of N(C_theta, k-1, O') [theta + y_O' in O],
 
-    k |O| mult(O) = sum over theta of |W theta| sum_{y in O} c_theta(y),
+where y_O' is the W(C_theta)-dominant vertex of O'. W(C_theta) fixes
+theta, so all of O' lands in the orbit of theta + y_O', and that orbit is
+named by its W(C)-dominant vertex. Each table of C (its base, its
+dominant roots, their orbit sizes and the C_theta) is cached by C and
+does not depend on k. Each division by k is exact or the count is wrong
+(ArithmeticError), and so is mult(O) = N(R, k, O) / |O| at the top.
 
-where c_theta(y) is the number of (k-1)-SOS T with theta + sum(T) = y. The
-division is exact or the vertex set is wrong (ArithmeticError).
-
-The closure walks each W-orbit once, down from its dominant vertex
-(`roots.weyl_closure`), and returns the simple reflections as
-permutations of the vertices, with the W-orbits as their components. The
-vertex set keeps both, the orbit ids and the (rank, n) permutations, for
+The dominant vertices seed the closure, which walks each W-orbit once,
+down from its dominant vertex (`roots.weyl_closure`), and returns the
+simple reflections as permutations of the vertices, with the W-orbits as
+their components. The vertex set keeps both, the orbit ids and the
+(rank, n) permutations, and the descent forest of those reflections, for
 the graph views.
 
 The gamma graph is the vertex set itself: two vertices are adjacent when
@@ -33,7 +40,13 @@ from functools import lru_cache
 import numpy as np
 
 from sosgraphs.roots import (
+    DescentForest,
+    GroupActionError,
     RootSystem,
+    _cartan_integers,
+    _dominant,
+    _simple_rows,
+    descent_forest,
     encode_rows,
     key_index,
     key_offset,
@@ -59,6 +72,8 @@ class VertexSet:
     orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
     _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
     _reflections: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Derived from the reflections, so dataclasses.replace starts it afresh.
+    _forest: DescentForest | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -84,6 +99,22 @@ class VertexSet:
             )
             object.__setattr__(self, "_reflections", perms)
         return self._reflections
+
+    def weyl_forest(self) -> DescentForest:
+        """The descent forest of the simple reflections, computed once.
+
+        Its roots are the dominant vertices; a forest without exactly one
+        root per recorded W-orbit raises GroupActionError.
+        """
+        if self._forest is None:
+            simple = np.asarray(parse_label(self.label).simple_roots, dtype=np.int32)
+            forest = descent_forest(self.reflections(), self.vectors @ simple.T)
+            orbit = self.orbit
+            orbits = int(orbit.max()) + 1 if orbit.size else 0
+            if forest.roots.size != orbits or not np.array_equal(orbit[forest.root], orbit):
+                raise GroupActionError("the descent forest does not have one root per W-orbit")
+            object.__setattr__(self, "_forest", forest)
+        return self._forest
 
     def sos_count(self) -> int:
         return int(self.multiplicity.sum())
@@ -130,52 +161,125 @@ def _so_adjacency(rs: RootSystem) -> np.ndarray:
     return strong_orthogonality_graph(rs)
 
 
-def _seeds(rs: RootSystem, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per root length: (|W theta|, seed rows, c_theta) for one fixed root theta.
+@lru_cache(maxsize=None)
+def _root_rows(rs: RootSystem) -> np.ndarray:
+    return np.asarray(rs.roots, dtype=np.int64)
 
-    The seeds are the distinct sums theta + sum(T) over the (k-1)-SOS T
-    among the roots strongly orthogonal to theta, and c_theta counts the T
-    behind each. T grows one root at a time in lex order, so each T is
-    listed once.
+
+@dataclass(frozen=True)
+class Subsystem:
+    """The tables of one candidate set C, a subset of rs.roots closed under
+    its own reflections.
+
+    roots are C's rows, lex-sorted; base is rs.simple_roots when C is all
+    of R and the base `roots.simple_roots_of` finds for C otherwise; gens
+    are the base rows followed by the Cartan matrix rows, as
+    `roots._dominant` takes them. thetas are the dominant roots of C
+    (indices into rs.roots, one per W(C)-orbit), sizes the orbit sizes
+    |W(C) theta|, and children the candidate sets C_theta, as mask bytes
+    over rs.roots.
     """
-    roots = np.asarray(rs.roots, dtype=np.int64)
+
+    roots: np.ndarray
+    base: np.ndarray
+    gens: list
+    thetas: np.ndarray
+    sizes: np.ndarray
+    children: tuple[bytes, ...]
+
+    def dominant(self, rows: np.ndarray) -> list[tuple[int, ...]]:
+        """The W(C)-dominant vertex of each row's W(C)-orbit, as tuples."""
+        dim = rows.shape[1]
+        states = np.hstack([rows, _cartan_integers(rows, self.base).T]).tolist()
+        return [tuple(_dominant(state, dim, self.gens)[0][:dim]) for state in states]
+
+
+def _build_subsystem(rs: RootSystem, c: bytes) -> Subsystem:
+    """C's base, dominant roots and orbit sizes from the descent forest of
+    its simple reflections over its own roots."""
+    mask = np.frombuffer(c, dtype=bool)
+    members = np.flatnonzero(mask)
+    rows = _root_rows(rs)[members]
+    if not members.size:
+        return Subsystem(rows, rows, [], members, members, ())
+    if members.size == mask.size:
+        base = np.asarray(rs.simple_roots, dtype=np.int64)
+    else:
+        base = _simple_rows(rows)
+    forest = descent_forest(reflection_permutations(base, rows), rows @ base.T)
+    thetas = members[forest.roots]
     adj = _so_adjacency(rs)
-    norms = (roots * roots).sum(axis=1)
-    out = []
-    # A set, not np.unique: a plain np.unique imports numpy.ma.
-    for norm in sorted(set(norms.tolist())):
-        of_length = np.flatnonzero(norms == norm)
-        theta = of_length[-1]
-        partners = np.flatnonzero(adj[theta])
-        later = np.triu(adj[np.ix_(partners, partners)], 1)
-        sums = roots[theta : theta + 1]
-        cand = np.ones((1, partners.size), dtype=bool)
-        for depth in range(k - 1, 0, -1):
-            state, j = np.nonzero(cand)
-            sums = sums[state] + roots[partners[j]]
-            if depth > 1:  # the last step needs no candidates
-                cand = cand[state]
-                cand &= later[j]
-        _, first, counts = np.unique(encode_rows(sums), return_index=True, return_counts=True)
-        out.append((of_length.size, sums[first], counts))
+    return Subsystem(
+        roots=rows,
+        base=base,
+        gens=np.hstack([base, _cartan_integers(base, base).T]).tolist(),
+        thetas=thetas,
+        sizes=forest.sizes(),
+        children=tuple((mask & adj[t]).tobytes() for t in thetas),
+    )
+
+
+# (label, C as mask bytes over the roots) -> Subsystem, for every C reached.
+_SUBSYSTEMS: dict[tuple[str, bytes], Subsystem] = {}
+
+
+def subsystem(rs: RootSystem, c: bytes) -> Subsystem:
+    """The cached tables of the candidate set with mask bytes c."""
+    hit = _SUBSYSTEMS.get((rs.label, c))
+    if hit is None:
+        hit = _SUBSYSTEMS[(rs.label, c)] = _build_subsystem(rs, c)
+    return hit
+
+
+def _count(rs: RootSystem, c: bytes, k: int, memo: dict) -> dict[tuple[int, ...], int]:
+    """N(C, k, O) per W(C)-orbit O of k-SOS sums of C, keyed by the
+    W(C)-dominant vertex of O. Each count is the orbit-weighted sum over
+    the dominant roots divided by k, exactly or ArithmeticError."""
+    if k == 0:
+        return {(0,) * rs.ambient_dim: 1}
+    hit = memo.get((c, k))
+    if hit is not None:
+        return hit
+    table = subsystem(rs, c)
+    weighted: dict[tuple[int, ...], int] = {}
+    for theta, size, child in zip(table.thetas.tolist(), table.sizes.tolist(), table.children):
+        below = _count(rs, child, k - 1, memo)
+        if not below:
+            continue
+        sums = np.asarray(list(below), dtype=np.int64) + _root_rows(rs)[theta]
+        for top, count in zip(table.dominant(sums), below.values()):
+            weighted[top] = weighted.get(top, 0) + size * count
+    out = {}
+    for top, total in weighted.items():
+        out[top], rem = divmod(total, k)
+        if rem:
+            raise ArithmeticError(
+                f"{rs.label}: {k}-SOS of a candidate set of {table.roots.shape[0]} roots: "
+                f"orbit-weighted count {total} at {top} is not divisible by k={k}"
+            )
+    memo[(c, k)] = out
     return out
 
 
+def _orbit_counts(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
+    """N(R, k, O) per W-orbit O of V_k, keyed by its dominant vertex."""
+    return _count(rs, np.ones(len(rs.roots), dtype=bool).tobytes(), k, {})
+
+
 def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
-    """V_k as the W-orbit closure of the seeds, multiplicities per W-orbit."""
-    seeds = _seeds(rs, k)
-    rows, keys, orbit, perms = weyl_closure(
-        np.concatenate([s for _, s, _ in seeds]), rs.simple_roots
-    )
+    """V_k as the W-orbit closure of its dominant vertices, with
+    mult(O) = N(R, k, O) / |O| per W-orbit O."""
+    counts = _orbit_counts(rs, k)
+    dominant = np.asarray(list(counts), dtype=np.int64).reshape(-1, rs.ambient_dim)
+    rows, keys, orbit, perms = weyl_closure(dominant, rs.simple_roots)
     orbit_sizes = np.bincount(orbit)
     weighted = np.zeros(orbit_sizes.size, dtype=np.int64)
-    for length_size, seed_rows, counts in seeds:
-        np.add.at(weighted, orbit[key_index(keys, encode_rows(seed_rows))], length_size * counts)
-    mult, rem = np.divmod(weighted, k * orbit_sizes)
+    weighted[orbit[key_index(keys, encode_rows(dominant))]] = list(counts.values())
+    mult, rem = np.divmod(weighted, orbit_sizes)
     if rem.any():
         raise ArithmeticError(
-            f"{rs.label} k={k}: orbit-weighted SOS counts {weighted.tolist()} are not "
-            f"divisible by k times the orbit sizes {orbit_sizes.tolist()}"
+            f"{rs.label} k={k}: SOS counts per W-orbit {weighted.tolist()} are not "
+            f"divisible by the orbit sizes {orbit_sizes.tolist()}"
         )
     return VertexSet(
         label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit],

@@ -63,7 +63,6 @@ from sosgraphs.graph import (
     orbit_labels,
     reflection_permutations,
     restrict,
-    weyl_forest,
 )
 from sosgraphs.roots import RootSystem, RootVector, parse_label, simple_roots_of
 from sosgraphs.sos import VertexSet
@@ -239,7 +238,7 @@ def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
     base, hperms = base_action(g.vertices, roots)
     hforest = descent_forest(hperms, vectors @ base.T)
     perms = g.vertices.reflections()
-    forest = weyl_forest(g.vertices)
+    forest = g.vertices.weyl_forest()
     masks = _support_masks(vectors)
     for size, x in zip(hforest.sizes().tolist(), hforest.roots.tolist()):
         hood = census.neighborhoods[g.orbit_label[x]]

@@ -35,6 +35,10 @@ csr_stats reads the graph parameters off the explicit edge list.
 propagated_components spreads the representatives' edges through the
 simple reflections alone, round after round, to a fixed point.
 dfs_vertex_sets lists every SOS depth first and counts the sums.
+listed_seeds lists the (k-1)-SOS strongly orthogonal to one fixed root of
+each length, and listed_vertex_set closes their sums under W and weights
+each W-orbit by the seeds it holds: the vertex sets before they were
+counted by candidate-set recursion.
 enumerated_sunflower_census lists every maximum clique through one vertex
 per coordinate-permutation orbit and classifies each by its column profile.
 sunflowers_through counts the sunflower maximum cliques through one vertex
@@ -74,8 +78,9 @@ from sosgraphs.roots import (
     orbit_labels,
     parse_label,
     reflection_permutations,
+    weyl_closure,
 )
-from sosgraphs.sos import VertexSet, vertex_set
+from sosgraphs.sos import VertexSet, strong_orthogonality_graph, vertex_set
 from sosgraphs.sunflower import _support_masks, perm_orbit_labels
 
 
@@ -776,6 +781,58 @@ def dfs_vertex_sets(rs, kmax: int) -> dict[int, VertexSet]:
         vectors = _decode_keys(vertex_keys, dim)
         out[d] = VertexSet(label=rs.label, k=d, vectors=vectors, multiplicity=counts)
     return out
+
+
+def listed_seeds(rs, k: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per root length: (|W theta|, seed rows, c_theta) for one fixed root
+    theta, the lex-largest of that length.
+
+    The seeds are the distinct sums theta + sum(T) over the (k-1)-SOS T
+    among the roots strongly orthogonal to theta, and c_theta counts the T
+    behind each. T grows one root at a time in lex order through boolean
+    candidate rows, so each T is listed once.
+    """
+    roots = np.asarray(rs.roots, dtype=np.int64)
+    adj = strong_orthogonality_graph(rs)
+    norms = (roots * roots).sum(axis=1)
+    out = []
+    for norm in sorted(set(norms.tolist())):
+        of_length = np.flatnonzero(norms == norm)
+        theta = of_length[-1]
+        partners = np.flatnonzero(adj[theta])
+        later = np.triu(adj[np.ix_(partners, partners)], 1)
+        sums = roots[theta : theta + 1]
+        cand = np.ones((1, partners.size), dtype=bool)
+        for depth in range(k - 1, 0, -1):
+            state, j = np.nonzero(cand)
+            sums = sums[state] + roots[partners[j]]
+            if depth > 1:  # the last step needs no candidates
+                cand = cand[state]
+                cand &= later[j]
+        _, first, counts = np.unique(encode_rows(sums), return_index=True, return_counts=True)
+        out.append((of_length.size, sums[first], counts))
+    return out
+
+
+def listed_vertex_set(rs, k: int) -> VertexSet:
+    """V_k as the W-orbit closure of the listed seeds, with
+    k |O| mult(O) = sum over theta of |W theta| sum_{y in O} c_theta(y)
+    per W-orbit O; a division that is not exact raises ArithmeticError."""
+    seeds = listed_seeds(rs, k)
+    rows, keys, orbit, perms = weyl_closure(
+        np.concatenate([s for _, s, _ in seeds]), rs.simple_roots
+    )
+    orbit_sizes = np.bincount(orbit)
+    weighted = np.zeros(orbit_sizes.size, dtype=np.int64)
+    for length_size, seed_rows, counts in seeds:
+        np.add.at(weighted, orbit[key_index(keys, encode_rows(seed_rows))], length_size * counts)
+    mult, rem = np.divmod(weighted, k * orbit_sizes)
+    if rem.any():
+        raise ArithmeticError(f"{rs.label} k={k}: seed weights not divisible by k |O|")
+    return VertexSet(
+        label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit],
+        orbit=orbit, _keys=keys, _reflections=perms,
+    )
 
 
 def plain_permutation_roots(rs) -> list:

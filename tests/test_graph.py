@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sosgraphs import graph as graphmod
+from sosgraphs import sos as sosmod
 from sosgraphs.graph import (
     GraphFileError,
     GraphStats,
@@ -13,13 +14,13 @@ from sosgraphs.graph import (
     descent_forest,
     deserialize,
     file_checksum,
+    membership_graph,
     parabolic_action,
     quotient_components,
     serialize,
     stats,
     to_dot,
     transport,
-    weyl_forest,
     weyl_orbit_labels,
 )
 from sosgraphs.roots import (
@@ -31,6 +32,7 @@ from sosgraphs.roots import (
     reflection_permutations,
 )
 from sosgraphs.sos import VertexSet, vertex_set
+from sosgraphs.sunflower import count_sunflower_max_cliques
 
 import oracles
 from oracles import (
@@ -94,7 +96,7 @@ def test_schreier_vector_spans_each_orbit_from_its_representative(label, k, mgra
     g = mgraph(label, k)
     perms = reflection_permutations(parse_label(label).simple_roots, g.vertices.vectors)
     reps = g.orbit_representatives()
-    forest = weyl_forest(g.vertices)
+    forest = g.vertices.weyl_forest()
     parent, gen, levels = forest.parent, forest.gen, forest.levels()
     assert (parent[reps] == -1).all() and (gen[reps] == -1).all()
     below = np.concatenate([np.empty(0, dtype=np.int64), *levels])
@@ -119,7 +121,7 @@ def test_descent_forest_roots_are_the_dominant_highest_vertices(label, k):
     as there are positive roots it pairs negatively with."""
     rs = parse_label(label)
     vs = vertex_set(rs, k)
-    forest = weyl_forest(vs)
+    forest = vs.weyl_forest()
     roots = forest.roots
     highest = [int(np.flatnonzero(vs.orbit == o).max()) for o in range(int(vs.orbit.max()) + 1)]
     assert np.bincount(vs.orbit[roots]).tolist() == [1] * len(highest)
@@ -134,7 +136,7 @@ def test_perturbed_reflection_breaks_the_descent_forest():
     """A simple reflection swapped at two vertices either sends a descent
     step down in lex order or into another W-orbit; both raise."""
     vs = vertex_set(parse_label("E7"), 3)
-    forest = weyl_forest(vs)
+    forest = vs.weyl_forest()
     perms = vs.reflections()
 
     def swapped(x, z):
@@ -147,12 +149,38 @@ def test_perturbed_reflection_breaks_the_descent_forest():
     x = int(np.flatnonzero(forest.gen >= 0).max())
     bad, j = swapped(x, int(perms[forest.gen[x]].argmin()))  # x now steps down to vertex 0
     with pytest.raises(GroupActionError, match="does not rise"):
-        weyl_forest(bad)
+        bad.weyl_forest()
     j = forest.gen[0]
     other = [r for r in forest.roots if vs.orbit[r] != vs.orbit[0] and perms[j, r] > 0][0]
     bad, _ = swapped(0, other)  # vertex 0 now steps into another orbit
     with pytest.raises(GroupActionError, match="one root per W-orbit"):
-        weyl_forest(bad)
+        bad.weyl_forest()
+
+
+@pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 3), ("E8", 2)])
+def test_weyl_forest_is_computed_once(monkeypatch, label, k):
+    """The vertex set keeps its descent forest: two edge builds, the
+    components and the sunflower census share one forest, and it equals a
+    fresh descent forest of the kept reflections."""
+    rs = parse_label(label)
+    monkeypatch.setattr(sosmod, "_VCACHE", {})
+    vs = vertex_set(rs, k)
+    real, calls = sosmod.descent_forest, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sosmod, "descent_forest", counted)
+    stats(build_gamma(rs, k))
+    build_gamma(rs, k)
+    count_sunflower_max_cliques(membership_graph(rs, k), rs)
+    assert len(calls) == 1
+    forest = vs.weyl_forest()
+    assert forest is vs.weyl_forest()
+    fresh = real(vs.reflections(), vs.vectors @ np.asarray(rs.simple_roots).T)
+    for name in ("parent", "gen", "root", "depth"):
+        assert np.array_equal(getattr(forest, name), getattr(fresh, name))
 
 
 @pytest.mark.parametrize("label,k", sorted(TIER1))
@@ -164,7 +192,7 @@ def test_forest_transport_matches_bfs_oracle(label, k, mgraph):
     perms = g.vertices.reflections()
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    have = transport(perms, weyl_forest(g.vertices), reps, hoods)
+    have = transport(perms, g.vertices.weyl_forest(), reps, hoods)
     want = oracles.bfs_transport(perms, reps, hoods)
     assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
     for r, nb in zip(reps, hoods):
@@ -175,7 +203,7 @@ def test_forest_transport_matches_bfs_oracle(label, k, mgraph):
         want = oracles.bfs_transport(local, forest.roots, rows)
         assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
     with pytest.raises(ValueError, match="forest roots"):
-        transport(perms, weyl_forest(g.vertices), np.arange(len(reps)) + 1, hoods)
+        transport(perms, g.vertices.weyl_forest(), np.arange(len(reps)) + 1, hoods)
 
 
 QUOTIENT_ROWS = sorted(TIER1) + [

@@ -11,6 +11,7 @@ from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
     MAX_AMBIENT_DIM,
+    GroupActionError,
     RootSystemError,
     build_root_system,
     dot,
@@ -21,7 +22,7 @@ from sosgraphs.roots import (
     weyl_closure,
 )
 from sosgraphs.graph import weyl_orbit_labels
-from sosgraphs.sos import VertexSet, _seeds, vertex_set
+from sosgraphs.sos import VertexSet, vertex_set
 from sosgraphs.sunflower import signed_permutation_roots
 
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     closure,
     closure_orbit_labels,
     horner_keys,
+    listed_seeds,
     lookup_permutations,
     negate,
     orbitwise_closure,
@@ -222,7 +224,7 @@ def test_weyl_closure_matches_orbitwise_oracle(label, k):
     one search per orbit, and the permutations it records are the
     reflections looked up on the closed rows."""
     rs = parse_label(label)
-    seeds = np.concatenate([rows for _, rows, _ in _seeds(rs, k)])
+    seeds = _seed_rows(rs, k)
     rows, keys, orbit, perms = weyl_closure(seeds, rs.simple_roots)
     want_rows, want_keys, want_orbit = orbitwise_closure(seeds, rs.simple_roots)
     assert np.array_equal(rows, want_rows)
@@ -266,7 +268,7 @@ def test_weyl_closure_rejects_an_orbit_leaving_the_key_range():
 
 
 def _seed_rows(rs, k):
-    return np.concatenate([rows for _, rows, _ in _seeds(rs, k)])
+    return np.concatenate([rows for _, rows, _ in listed_seeds(rs, k)])
 
 
 def _record_depths(monkeypatch):
@@ -330,7 +332,9 @@ def test_orbits_without_their_negatives_take_the_full_walk(monkeypatch):
         want = orbitwise_closure(seeds, rs.simple_roots)
         for got, expected in zip(have, want):
             assert np.array_equal(got, expected)
-        assert np.array_equal(have[3], lookup_permutations(rs.simple_roots, have[0]))
+        want = lookup_permutations(rs.simple_roots, have[0])
+        assert np.array_equal(have[3], want)
+        assert np.array_equal(reflection_permutations(rs.simple_roots, have[0]), want)
     assert sorted(np.bincount(have[2]).tolist()) == [5, 10, 20, 60]  # S5 on the coordinates
 
 
@@ -359,6 +363,51 @@ def test_image_key_permutations_match_lookup_oracle(label, k):
     want = lookup_permutations(rs.simple_roots, vs.vectors)
     assert np.array_equal(reflection_permutations(rs.simple_roots, vs.vectors), want)
     assert np.array_equal(vs.reflections(), want)
+
+
+@pytest.mark.parametrize(
+    "rows,roots",
+    [
+        ([[0] * 8], parse_label("E8").simple_roots),  # n = 1: the mirror of 0 is itself
+        ([[2, 0, 0, 0, 0, 0, 0, 2]], [(0, 2, 2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 2, -2, 0)]),
+        ([[-2, 0, 0, 0, 0, 0, 0, -2], [2, 0, 0, 0, 0, 0, 0, 2]], [(2, 0, 0, 0, 0, 0, 0, 2)]),
+        ([[-1, 1, 1, 1, 1, 1, 1, 1], [2, 0, 0, 0, 0, 0, 0, 2]], [(0, 2, -2, 0, 0, 0, 0, 0)]),
+    ],
+)
+def test_lone_rows_match_lookup_oracle(rows, roots):
+    """Sets of one or two rows, closed under negation or not, each under
+    reflections that fix or swap them."""
+    rows = np.array(sorted(rows), dtype=np.int64)
+    want = lookup_permutations(roots, rows)
+    have = reflection_permutations(roots, rows)
+    assert have.dtype == np.int32 and np.array_equal(have, want)
+
+
+def test_mirrored_lookup_still_refuses_an_escaping_image():
+    """{theta, -theta} is closed under negation but not under a reflection
+    that moves theta: the half that is looked up misses and raises."""
+    rows = np.array([[-2, 0, 0, 0, 0, 0, 0, -2], [2, 0, 0, 0, 0, 0, 0, 2]])
+    with pytest.raises(GroupActionError, match="not closed"):
+        reflection_permutations([(2, 2, 0, 0, 0, 0, 0, 0)], rows)
+
+
+@pytest.mark.parametrize("label,k", [("G2", 1), ("F4", 3), ("E7", 7), ("E8", 2), ("D5", 3)])
+def test_mirrored_lookups_query_half_the_rows(label, k, monkeypatch):
+    """On a vertex set closed under negation each root's images are looked
+    up for at most ceil(n/2) rows; the rest are mirrored."""
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    assert np.array_equal(np.sort(encode_rows(-vs.vectors)), vs.keys())
+    real, queries = rootsmod.key_index, []
+
+    def counted(keys, query):
+        queries.append(np.asarray(query).size)
+        return real(keys, query)
+
+    monkeypatch.setattr(rootsmod, "key_index", counted)
+    perms = reflection_permutations(rs.simple_roots, vs.vectors, vs.keys())
+    assert sum(queries) <= rs.rank * ((len(vs) + 1) // 2)
+    assert np.array_equal(perms, vs.reflections())
 
 
 def test_reflection_permutations_refuse_rows_of_norm_32():

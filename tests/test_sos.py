@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from sosgraphs import sos as sosmod
 from sosgraphs.roots import (
     build_root_system,
     encode_rows,
+    key_index,
     parse_label,
     reflection_permutations,
 )
@@ -19,8 +21,10 @@ from oracles import (
     as_tuples,
     dfs_vertex_sets,
     enumerate_sos,
+    listed_vertex_set,
     negate,
     reflect,
+    reflect_rows,
     strongly_orthogonal,
 )
 
@@ -229,22 +233,99 @@ def test_sos_count_matches_enumeration(label, k):
     assert vertex_set(rs, k).sos_count() == sum(1 for _ in enumerate_sos(rs, k))
 
 
+@pytest.mark.parametrize("label,k", ORACLE_ROWS + SLOW_ORACLE_ROWS)
+def test_orbit_counts_match_listing_and_enumeration(label, k):
+    """The recursion's dominant vertices are those of the seed listing, and
+    its count per W-orbit is |O| mult(O) there and the number of listed
+    SOS summing into O in the depth-first enumeration."""
+    rs = parse_label(label)
+    counts = sosmod._orbit_counts(rs, k)
+    listed = listed_vertex_set(rs, k)
+    kmax = 3 if label == "E8" and k <= 3 else rs.max_sos_size
+    enumerated = dfs_vertex_sets(rs, kmax)[k]
+    assert np.array_equal(listed.vectors, enumerated.vectors)
+    dominant = np.flatnonzero((listed.vectors @ np.asarray(rs.simple_roots).T >= 0).all(axis=1))
+    assert sorted(counts) == sorted(map(tuple, listed.vectors[dominant].tolist()))
+    sizes = np.bincount(listed.orbit)
+    per_orbit = np.bincount(listed.orbit, weights=enumerated.multiplicity).astype(np.int64)
+    for x in dominant.tolist():
+        o = listed.orbit[x]
+        assert counts[tuple(listed.vectors[x].tolist())] == sizes[o] * listed.multiplicity[x]
+        assert counts[tuple(listed.vectors[x].tolist())] == per_orbit[o]
+    vs = vertex_set(rs, k)
+    for have, want in [
+        (vs.vectors, listed.vectors),
+        (vs.multiplicity, listed.multiplicity),
+        (vs.orbit, listed.orbit),
+        (vs.keys(), listed.keys()),
+        (vs.reflections(), listed.reflections()),
+    ]:
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+
+
+def _corrupt_subsystem(monkeypatch, rs, depth):
+    """Enlarge the first orbit size of the table reached from R by
+    following the first dominant root depth times; return that table."""
+    c = np.ones(len(rs.roots), dtype=bool).tobytes()
+    for _ in range(depth):
+        c = sosmod.subsystem(rs, c).children[0]
+    table = sosmod.subsystem(rs, c)
+    sizes = table.sizes.copy()
+    sizes[0] += 1
+    monkeypatch.setitem(sosmod._SUBSYSTEMS, (rs.label, c), dataclasses.replace(table, sizes=sizes))
+    return table
+
+
+@pytest.mark.parametrize("label,k,depth", [("E7", 7, 0), ("E7", 5, 2), ("E8", 8, 1), ("E7", 6, 3)])
+def test_corrupted_subsystem_orbit_size_raises_at_its_level(monkeypatch, label, k, depth):
+    """One orbit size too many in one cached candidate-set table breaks the
+    exact division by the remaining k at that table, and the error names it."""
+    rs = parse_label(label)
+    table = _corrupt_subsystem(monkeypatch, rs, depth)
+    monkeypatch.setattr(sosmod, "_VCACHE", {})
+    with pytest.raises(
+        ArithmeticError,
+        match=f"{k - depth}-SOS of a candidate set of {len(table.roots)} roots: .* "
+        f"not divisible by k={k - depth}$",
+    ):
+        vertex_set(rs, k)
+
+
 @pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 3), ("E7", 4), ("E8", 2)])
-def test_corrupted_seed_weight_raises(monkeypatch, label, k):
-    """One SOS too many behind one seed breaks the exact orbit division."""
-    true_seeds = sosmod._seeds
+def test_corrupted_top_level_count_raises(monkeypatch, label, k):
+    """One SOS too many in one W-orbit's count breaks the exact division
+    by the orbit size, and the error names that level."""
+    true_counts = sosmod._orbit_counts
 
     def corrupted(rs, depth):
-        seeds = true_seeds(rs, depth)
-        size, rows, counts = seeds[0]
-        counts = counts.copy()
-        counts[0] += 1
-        return [(size, rows, counts), *seeds[1:]]
+        counts = dict(true_counts(rs, depth))
+        counts[next(iter(counts))] += 1
+        return counts
 
     monkeypatch.setattr(sosmod, "_VCACHE", {})
-    monkeypatch.setattr(sosmod, "_seeds", corrupted)
-    with pytest.raises(ArithmeticError, match="not divisible"):
+    monkeypatch.setattr(sosmod, "_orbit_counts", corrupted)
+    with pytest.raises(ArithmeticError, match=f"{label} k={k}: .* divisible by the orbit sizes"):
         vertex_set(parse_label(label), k)
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8", "D6", "A7"])
+def test_subsystem_tables_are_closed_and_cover_their_roots(monkeypatch, label):
+    """Every candidate set reached at any k is closed under its own
+    reflections, its dominant roots' orbits cover it, and each dominant
+    root pairs non-negatively with the set's base."""
+    rs = parse_label(label)
+    monkeypatch.setattr(sosmod, "_VCACHE", {})
+    monkeypatch.setattr(sosmod, "_SUBSYSTEMS", {})
+    for k in range(1, rs.max_sos_size + 1):
+        vertex_set(rs, k)
+    assert {lab for lab, _ in sosmod._SUBSYSTEMS} == {rs.label}
+    roots = np.asarray(rs.roots)
+    for c, table in [(c, t) for (_, c), t in sosmod._SUBSYSTEMS.items() if t.roots.size]:
+        assert np.array_equal(table.roots, roots[np.frombuffer(c, dtype=bool)])
+        images = reflect_rows(table.roots, table.roots)
+        assert (key_index(encode_rows(table.roots), encode_rows(images)) >= 0).all()
+        assert table.sizes.sum() == len(table.roots)
+        assert (roots[table.thetas] @ table.base.T >= 0).all()
 
 
 def test_keys_are_encoded_once():
