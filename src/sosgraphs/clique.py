@@ -22,8 +22,9 @@ sizes are mixed.
 Every level takes its stabilizer by one step, `roots.stabilizer`: the
 generators orthogonal to the fixed vertex, as permutations of the
 candidate set with their pairings, restricted from the level above. At
-v it restricts the simple reflections and pairings the vertex set keeps
-to N(v) (`Neighborhood`); at u it restricts W_J's on N(v) to S & N(u).
+v it restricts the simple reflections and Cartan integers the vertex set
+keeps to N(v) (`Neighborhood`); at u it restricts W_J's on N(v) to
+S & N(u).
 The orbits are the trees of the descent forest of that (perms,
 pairing) pair, with no lookup. Adjacency rows are computed at one w per
 Stab_W(v)-orbit and carried to the rest of N(v) down its forest,
@@ -252,7 +253,8 @@ class Neighborhood:
 
     members lists N(v) ascending. perms are the simple reflections in J as
     permutations of positions in members, one row each, and pairing[x, i]
-    is <members[x], a_j> for the i-th j in J (`stabilizer`). reps (the
+    is the Cartan integer <members[x], a_j^v> for the i-th j in J, the
+    vertex set's pairing restricted (`stabilizer`). reps (the
     roots of the descent forest, J-dominant) and sizes are the
     Stab_W(v)-orbits.
     adjacency (boolean) and rows (bitsets) are the induced graph, in the
@@ -279,7 +281,7 @@ def carried_neighborhoods(g: MembershipGraph):
     """
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        perms, pairing = stabilizer(g.vertices.reflections(), g.vertices.pairing(), v, nb)
+        perms, pairing = stabilizer(g.vertices.reflections, g.vertices.pairing, v, nb)
         forest = descent_forest(perms, pairing)
         reps = forest.roots
         adjacency = g.vertices.adjacent(nb[reps][:, None], nb[None, :])

@@ -8,18 +8,19 @@ neighbourhoods at one vertex per W-orbit, its highest index, which is
 its dominant vertex. Degrees are read there, and the components are the
 finest W-invariant equivalence containing the edges at those vertices.
 
-All group work comes from the simple reflections and their pairings
-with the vertices, which the vertex set keeps (`VertexSet.reflections`,
-`VertexSet.pairing`). Stab_W(v) of a dominant v is generated by the
-simple reflections fixing v, restricted to N(v) (`roots.stabilizer`),
-and the descent of every index toward its orbit's dominant vertex
-(`descent_forest`) gives the orbits, their sizes and a Schreier vector
-at once, with no lookup and no search; the vertex set keeps the forest
-of its simple reflections (`VertexSet.weyl_forest`). The explicit edge
-list (`build_gamma`) carries each representative's neighbourhood down
-that forest to every vertex of its orbit, N(g.r) = g.N(r)
+All group work comes from W's action, which every vertex set carries
+from one construction (`sos.closed_vertex_set`): the simple reflections
+as permutations, their pairing with the vertices, which is the Cartan
+integers <x, a_j^v>, and their descent forest. Stab_W(v) of a dominant v
+is generated by the simple reflections fixing v, restricted to N(v)
+(`roots.stabilizer`), and the descent of every index toward its orbit's
+dominant vertex (`descent_forest`) gives the orbits, their sizes and a
+Schreier vector at once, with no lookup and no search. The explicit
+edge list (`build_gamma`) carries each representative's neighbourhood
+down that forest to every vertex of its orbit, N(g.r) = g.N(r)
 (`transport`); it serves the graph file, DOT export and the isomorphism
-checks.
+checks. A graph file's vertex set gets its action when the file is
+read, so a file whose orbit block disagrees with its rows is refused.
 """
 
 from __future__ import annotations
@@ -33,14 +34,17 @@ import numpy as np
 from sosgraphs.roots import (
     DescentForest,
     RootSystem,
+    _cartan_integers,
+    _check_norms,
     component_labels,
     descent_forest,
     encode_rows,
     orbit_labels,
+    parse_label,
     reflection_permutations,
     stabilizer,
 )
-from sosgraphs.sos import VertexSet, vertex_set
+from sosgraphs.sos import VertexSet, closed_vertex_set, vertex_set
 
 MAGIC = b"SOSG"
 FORMAT_VERSION = 1
@@ -169,11 +173,11 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     """
     g = membership_graph(rs, k)
     vs = g.vertices
-    if g.n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), vs.keys()):
+    if g.n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), vs.keys):
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    rows = transport(vs.reflections(), vs.weyl_forest(), reps, hoods)
+    rows = transport(vs.reflections, vs.forest, reps, hoods)
     rows.sort(axis=1)
     if all(h.size == rows.shape[1] for h in hoods):
         # No row is padded, so the sorted rows already are the edge list;
@@ -208,11 +212,11 @@ def _transported_components(
     the fixed-point loop runs.
     """
     n = g.n
-    pairing = g.vertices.pairing()
+    pairing = g.vertices.pairing
     seeds = [
         nb[descent_forest(*stabilizer(perms, pairing, r, nb)).roots] for r, nb in zip(reps, hoods)
     ]
-    carried = transport(perms, g.vertices.weyl_forest(), reps, seeds)
+    carried = transport(perms, g.vertices.forest, reps, seeds)
     return _pair_components(
         n,
         np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), carried.shape[1])]),
@@ -237,7 +241,7 @@ def quotient_components(g: MembershipGraph, reps: list[int], hoods) -> np.ndarra
     representatives' edges), so that test ends the loop without the round.
     """
     n = g.n
-    perms = g.vertices.reflections()
+    perms = g.vertices.reflections
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
     every = np.arange(n, dtype=np.int64)
     labels = _transported_components(g, perms, reps, hoods, rep_src)
@@ -361,8 +365,17 @@ def deserialize(path) -> tuple[SOSGraph, str]:
         if stored != crc:
             raise GraphFileError("graph file checksum mismatch")
     # The file's dtypes are the in-memory ones, so the blocks are used as
-    # read, with no copy: the E8 k=6 edge list alone is 655 MB.
-    vs = VertexSet(label=label, k=k, vectors=vectors, multiplicity=multiplicity, orbit=orbit)
+    # read, with no copy: the E8 k=6 edge list alone is 655 MB. One product
+    # gives the Cartan integers for both the lookup and the pairing.
+    try:
+        keys = encode_rows(vectors)
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("the rows are not strictly lex-sorted")
+        _check_norms(vectors)
+        cartan = _cartan_integers(vectors, np.asarray(parse_label(label).simple_roots)).T
+        vs = closed_vertex_set(label, k, vectors, multiplicity, orbit, keys, cartan)
+    except ValueError as exc:
+        raise GraphFileError(f"graph file rows are not a W-closed vertex set: {exc}") from exc
     return SOSGraph(vertices=vs, indptr=indptr, indices=indices), f"{crc:08x}"
 
 

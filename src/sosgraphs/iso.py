@@ -20,7 +20,7 @@ def check_scaling_isomorphism(rs: RootSystem, k_small: int, k_large: int) -> boo
     if len(small) != len(large):
         return False
     doubled = np.sort(encode_rows(2 * small.vectors.astype(np.int64)))
-    return bool(np.array_equal(doubled, large.keys()))
+    return bool(np.array_equal(doubled, large.keys))
 
 
 def _within_bound(n: int, what: str) -> None:

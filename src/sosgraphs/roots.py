@@ -20,8 +20,9 @@ W-orbit at a time. The closed fundamental chamber is a fundamental domain,
 so each orbit has one dominant vertex, reached from any of its vertices by
 reflecting in the least simple root with a negative Cartan integer. The
 orbit is walked down from there along the reverse of that descent, which
-produces every vertex once and needs no lookup; the Cartan integers it
-carries give the simple reflections as permutations of the closed rows.
+produces every vertex once and needs no lookup. It returns the Cartan
+integers it carries, from which the simple reflections follow as
+permutations of the closed rows by key arithmetic (`_image_permutations`).
 """
 
 from __future__ import annotations
@@ -239,26 +240,23 @@ def build_root_system(label: str, rank: int | None = None) -> RootSystem:
             rk, dim = 6, 8
         h = COXETER_NUMBER[label]
         max_sos = MAX_SOS_SIZE[label]
-    elif label == "A":
-        if rank is None or rank < 1:
-            raise RootSystemError("A(l) requires rank >= 1")
-        roots, rk, dim = _a_roots(rank), rank, rank + 1
-        h = rank + 1
-        max_sos = (rank + 1) // 2
-    elif label == "D":
-        if rank is None or rank < 4:
-            raise RootSystemError("D(l) requires rank >= 4")
-        roots, rk, dim = _d_roots(rank), rank, rank
-        h = 2 * rank - 2
-        max_sos = 2 * (rank // 2)
+    elif label in ("A", "D"):
+        least = 1 if label == "A" else 4
+        if rank is None or rank < least:
+            raise RootSystemError(f"{label}(l) requires rank >= {least}")
+        rk, dim = rank, rank + 1 if label == "A" else rank
+        if dim > MAX_AMBIENT_DIM:  # before A(l) lists its l(l + 1) roots
+            raise RootSystemError(
+                f"{label}{rank} needs ambient dimension {dim}; vertex keys support "
+                f"at most {MAX_AMBIENT_DIM} (A(l) up to A{MAX_AMBIENT_DIM - 1}, "
+                f"D(l) up to D{MAX_AMBIENT_DIM})"
+            )
+        if label == "A":
+            roots, h, max_sos = _a_roots(rank), rank + 1, (rank + 1) // 2
+        else:
+            roots, h, max_sos = _d_roots(rank), 2 * rank - 2, 2 * (rank // 2)
     else:
         raise RootSystemError(f"unknown root system label {label!r}")
-    if dim > MAX_AMBIENT_DIM:
-        raise RootSystemError(
-            f"{label}{rank} needs ambient dimension {dim}; vertex keys support "
-            f"at most {MAX_AMBIENT_DIM} (A(l) up to A{MAX_AMBIENT_DIM - 1}, "
-            f"D(l) up to D{MAX_AMBIENT_DIM})"
-        )
 
     roots = sorted(set(roots))
     if len(roots) != rk * h:
@@ -573,15 +571,14 @@ def weyl_closure(
     base of the root system.
 
     Returns the lex-sorted rows, their keys, an orbit id per row numbered
-    by lowest row, and the simple reflections as a (rank, n) int32 array
-    of row permutations.
+    by lowest row, and the (n, rank) int16 Cartan integers <x, a_j^v> of
+    every row with the simple roots.
 
     The closed fundamental chamber is a fundamental domain (Humphreys,
     1.12), so each orbit has one dominant vertex. Each orbit is walked
     down from it (`_walk_orbit`) once, starting at a seed not yet reached;
-    no level is deduplicated or looked up. The Cartan integers the walk
-    carries give every image key by key arithmetic, so each simple
-    reflection's permutation is one lookup (`_image_permutations`).
+    no level is deduplicated or looked up. The walk carries the Cartan
+    integers, so they come with the rows and no product computes them.
     """
     seed_rows = np.asarray(seeds, dtype=np.int64)
     dim = seed_rows.shape[1]
@@ -617,9 +614,5 @@ def weyl_closure(
     number = np.empty(len(sizes), dtype=np.int32)
     number[np.argsort(lowest)] = np.arange(len(sizes))
     orbit = np.repeat(number, sizes)[order]
-    keys = keys[order]
     states = np.concatenate(states)[order]
-    rows = states[:, :dim].astype(np.int64)
-    return rows, keys, orbit, _image_permutations(
-        keys, simple, lambda lo, hi: states[:, dim + lo : dim + hi].T
-    )
+    return states[:, :dim].astype(np.int64), keys[order], orbit, states[:, dim:]

@@ -23,10 +23,12 @@ does not depend on k. Each division by k is exact or the count is wrong
 
 The dominant vertices seed the closure, which walks each W-orbit once,
 down from its dominant vertex (`roots.weyl_closure`), and returns the
-simple reflections as permutations of the vertices, with the W-orbits as
-their components. The vertex set keeps both, the orbit ids and the
-(rank, n) permutations, and the descent forest of those reflections, for
-the graph views.
+orbit ids and the Cartan integers <x, a_j^v> the walk carries. From those
+integers and the keys, one function (`closed_vertex_set`) builds W's
+action for the graph views: the simple reflections as permutations of
+the vertices, the pairing, which is the Cartan integers themselves, and
+their descent forest, checked against the orbit ids. A graph file's
+vertex set gets its action from the same function.
 
 The gamma graph is the vertex set itself: two vertices are adjacent when
 their difference is again a vertex (`VertexSet.adjacent`).
@@ -45,6 +47,7 @@ from sosgraphs.roots import (
     RootSystem,
     _cartan_integers,
     _dominant,
+    _image_permutations,
     _simple_rows,
     descent_forest,
     encode_rows,
@@ -59,23 +62,26 @@ from sosgraphs.roots import (
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Deduplicated sums of k-element SOS with multiplicities.
+    """Deduplicated sums of k-element SOS with multiplicities, and W's action.
 
     vectors rows are doubled coordinates in lex order; multiplicity[i]
     counts the SOS summing to vectors[i]; orbit[i] is the W-orbit id of
-    row i, numbered by lowest row (None when built without the closure).
+    row i, numbered by lowest row; keys are the rows' sorted int64 keys.
+    The action is the simple reflections as a (rank, n) int32 array of
+    row permutations (reflections[j, i] is the index of s_j.vectors[i]),
+    the (n, rank) Cartan integers pairing[i, j] = <vectors[i], a_j^v>,
+    and the descent forest of the two (`closed_vertex_set`).
     """
 
     label: str
     k: int
     vectors: np.ndarray  # (n, dim) int32, lex-sorted rows
     multiplicity: np.ndarray  # (n,) int64
-    orbit: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _keys: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _reflections: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # Derived, so dataclasses.replace starts them afresh.
-    _pairing: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _forest: DescentForest | None = field(default=None, init=False, repr=False, compare=False)
+    orbit: np.ndarray = field(repr=False, compare=False)
+    keys: np.ndarray = field(repr=False, compare=False)
+    reflections: np.ndarray = field(repr=False, compare=False)
+    pairing: np.ndarray = field(repr=False, compare=False)
+    forest: DescentForest = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -83,48 +89,6 @@ class VertexSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def keys(self) -> np.ndarray:
-        """Sorted int64 key per row, encoded once."""
-        if self._keys is None:
-            object.__setattr__(self, "_keys", encode_rows(self.vectors))
-        return self._keys
-
-    def reflections(self) -> np.ndarray:
-        """The simple reflections as a (rank, n) int32 array of row
-        permutations: entry [s, i] is the index of the image of vectors[i]
-        under simple reflection s. Kept from the closure, or looked up once
-        for a set not closed here."""
-        if self._reflections is None:
-            perms = reflection_permutations(
-                parse_label(self.label).simple_roots, self.vectors, self.keys()
-            )
-            object.__setattr__(self, "_reflections", perms)
-        return self._reflections
-
-    def pairing(self) -> np.ndarray:
-        """The (n, rank) pairings <vectors[i], a_j> with the simple roots,
-        computed once: with `reflections`, W as `descent_forest` and
-        `roots.stabilizer` take it."""
-        if self._pairing is None:
-            simple = np.asarray(parse_label(self.label).simple_roots, dtype=np.int32)
-            object.__setattr__(self, "_pairing", self.vectors @ simple.T)
-        return self._pairing
-
-    def weyl_forest(self) -> DescentForest:
-        """The descent forest of the simple reflections, computed once.
-
-        Its roots are the dominant vertices; a forest without exactly one
-        root per recorded W-orbit raises GroupActionError.
-        """
-        if self._forest is None:
-            forest = descent_forest(self.reflections(), self.pairing())
-            orbit = self.orbit
-            orbits = int(orbit.max()) + 1 if orbit.size else 0
-            if forest.roots.size != orbits or not np.array_equal(orbit[forest.root], orbit):
-                raise GroupActionError("the descent forest does not have one root per W-orbit")
-            object.__setattr__(self, "_forest", forest)
-        return self._forest
 
     def sos_count(self) -> int:
         return int(self.multiplicity.sum())
@@ -137,8 +101,28 @@ class VertexSet:
         equals key(u - v) while every coordinate of u - v stays in the key
         digit range, and one binary search against the sorted keys decides.
         """
-        keys = self.keys()
-        return key_index(keys, keys[a] - keys[b] + key_offset(self.dim)) >= 0
+        return key_index(self.keys, self.keys[a] - self.keys[b] + key_offset(self.dim)) >= 0
+
+
+def closed_vertex_set(label: str, k: int, vectors, multiplicity, orbit, keys, pairing) -> VertexSet:
+    """The vertex set of W-closed rows with W's action, built from the
+    rows' sorted keys and (n, rank) Cartan integers with the simple roots:
+    the one place a vertex set gets its action.
+
+    Each simple reflection is one lookup of image keys found by key
+    arithmetic (`_image_permutations`), so the caller must have bounded
+    the norms; an image outside the rows raises GroupActionError. The
+    Cartan integers are the pairing: per column a positive multiple of
+    <x, a_j>, all that `descent_forest` and `roots.stabilizer` read. A
+    forest without one root per recorded W-orbit raises GroupActionError.
+    """
+    simple = np.asarray(parse_label(label).simple_roots, dtype=np.int64)
+    perms = _image_permutations(keys, simple, lambda lo, hi: pairing[:, lo:hi].T)
+    forest = descent_forest(perms, pairing)
+    orbits = int(orbit.max()) + 1 if orbit.size else 0
+    if forest.roots.size != orbits or not np.array_equal(orbit[forest.root], orbit):
+        raise GroupActionError("the descent forest does not have one root per W-orbit")
+    return VertexSet(label, k, vectors, multiplicity, orbit, keys, perms, pairing, forest)
 
 
 def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:
@@ -269,10 +253,10 @@ def _orbit_counts(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
 
 def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
     """V_k as the W-orbit closure of its dominant vertices, with
-    mult(O) = N(R, k, O) / |O| per W-orbit O."""
-    counts = _orbit_counts(rs, k)
+    mult(O) = N(R, k, O) / |O| per W-orbit O; empty above the largest SOS."""
+    counts = _orbit_counts(rs, k) if k <= rs.max_sos_size else {}
     dominant = np.asarray(list(counts), dtype=np.int64).reshape(-1, rs.ambient_dim)
-    rows, keys, orbit, perms = weyl_closure(dominant, rs.simple_roots)
+    rows, keys, orbit, cartan = weyl_closure(dominant, rs.simple_roots)
     orbit_sizes = np.bincount(orbit)
     weighted = np.zeros(orbit_sizes.size, dtype=np.int64)
     weighted[orbit[key_index(keys, encode_rows(dominant))]] = list(counts.values())
@@ -282,10 +266,7 @@ def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
             f"{rs.label} k={k}: SOS counts per W-orbit {weighted.tolist()} are not "
             f"divisible by the orbit sizes {orbit_sizes.tolist()}"
         )
-    return VertexSet(
-        label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit],
-        orbit=orbit, _keys=keys, _reflections=perms,
-    )
+    return closed_vertex_set(rs.label, k, rows.astype(np.int32), mult[orbit], orbit, keys, cartan)
 
 
 _VCACHE: dict[tuple[str, int], VertexSet] = {}
@@ -295,16 +276,7 @@ def vertex_set(rs: RootSystem, k: int) -> VertexSet:
     """Sorted deduplicated sums of k-element SOS, with multiplicities."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > rs.max_sos_size:
-        return VertexSet(
-            label=rs.label,
-            k=k,
-            vectors=np.empty((0, rs.ambient_dim), dtype=np.int32),
-            multiplicity=np.empty(0, dtype=np.int64),
-            orbit=np.empty(0, dtype=np.int32),
-        )
     hit = _VCACHE.get((rs.label, k))
     if hit is None:
         hit = _VCACHE[(rs.label, k)] = _orbit_vertex_set(rs, k)
     return hit
-

@@ -30,10 +30,12 @@ it acts on P_v. One u per Stab_H(v)-orbit O gives
 and that division must be exact too.
 
 H acts through the simple reflections the vertex set keeps. Every simple
-root of H is a simple root of W but at most one, which is looked up once
-per vertex set; `base_action` gives H as permutations and pairings, the
-pair W's levels pass. The H-orbits and their sizes are the trees of its
-descent forest, and each Stab_H(v) on P_v is the step every level of the
+root of H is a simple root of W but at most one, whose coroot is an
+integer sum of W's simple coroots; so its Cartan integers are that sum
+of W's kept columns, its reflection is one lookup per vertex set, and no
+vertex is multiplied by a root. `base_action` gives H as permutations
+and Cartan integers, the pair W's levels pass. The H-orbits and their
+sizes are the trees of its descent forest, and each Stab_H(v) on P_v is the step every level of the
 clique census takes (`roots.stabilizer`), with no lookup per
 representative.
 
@@ -62,7 +64,10 @@ from sosgraphs.graph import MembershipGraph
 from sosgraphs.roots import (
     DescentForest,
     RootSystem,
+    RootSystemError,
     RootVector,
+    _cartan_integers,
+    _image_permutations,
     descent_forest,
     exact_quotient,
     orbit_labels,
@@ -134,36 +139,49 @@ def perm_orbit_labels(roots, vertices: VertexSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _split_base(label: str, roots: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """A base of the reflections in roots as a read-only (b, dim) int32
-    array, the dtype of the vertex rows and of W's pairing, the simple
-    roots of W first, and for each of those the row of W's simple
-    reflections that it is."""
+def _split_base(label: str, roots: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A base of the reflections in roots as a read-only (b, dim) array,
+    the simple roots of W first; the index j of each of those in W's base;
+    and the (rank, b - kept) coordinates d of the others' coroots in W's
+    simple coroots, b^v = sum_j d_j a_j^v, so <x, b^v> = sum_j d_j <x, a_j^v>.
+    d solves the Cartan-matrix system at the a_i, which has one solution,
+    so it is checked exactly."""
     rs = parse_label(label)
     simple = {root: j for j, root in enumerate(rs.simple_roots)}
     base = sorted(simple_roots_of(roots) if roots else (), key=lambda a: a not in simple)
     kept = np.array([simple[a] for a in base if a in simple], dtype=np.int64)
-    base = np.array(base, dtype=np.int32).reshape(-1, rs.ambient_dim)
-    base.flags.writeable = kept.flags.writeable = False
-    return base, kept
+    base = np.array(base, dtype=np.int64).reshape(-1, rs.ambient_dim)
+    rows = np.asarray(rs.simple_roots, dtype=np.int64)
+    cartan, want = _cartan_integers(rows, rows), _cartan_integers(rows, base[kept.size :])
+    coroots = np.rint(np.linalg.solve(cartan.T, want.T)).astype(np.int64)
+    if not np.array_equal(cartan.T @ coroots, want.T):
+        raise RootSystemError("a base root's coroot is not an integer sum of simple coroots")
+    for array in (base, kept, coroots):
+        array.flags.writeable = False
+    return base, kept, coroots
 
 
 def base_action(vertices: VertexSet, roots) -> tuple[np.ndarray, np.ndarray]:
     """The group the reflections in roots generate, as `descent_forest` and
     `stabilizer` take it: its base's reflections as a (b, n) int32 array
-    of vertex permutations, and the (n, b) pairings of the vertices with
-    the base roots.
+    of vertex permutations, and the (n, b) Cartan integers of the vertices
+    with the base roots.
 
-    A base root that is a simple root of W takes the row the vertex set
-    keeps; only the others are looked up, in one `reflection_permutations`
-    call. An image outside the vertices raises GroupActionError.
+    A base root that is a simple root of W takes the permutation and the
+    Cartan column the vertex set keeps. The others' Cartan integers are
+    sums of those columns (`_split_base`), and their reflections one lookup
+    of image keys (`roots._image_permutations`). An image outside the
+    vertices raises GroupActionError.
     """
-    base, kept = _split_base(vertices.label, tuple(map(tuple, roots)))
-    perms = vertices.reflections()[kept]
-    if kept.size < len(base):
-        extra = reflection_permutations(base[kept.size :], vertices.vectors, vertices.keys())
+    base, kept, coroots = _split_base(vertices.label, tuple(map(tuple, roots)))
+    others = vertices.pairing @ coroots
+    perms = vertices.reflections[kept]
+    if others.shape[1]:
+        extra = _image_permutations(
+            vertices.keys, base[kept.size :], lambda lo, hi: others[:, lo:hi].T
+        )
         perms = np.concatenate([perms, extra])
-    return perms, vertices.vectors @ base.T
+    return perms, np.hstack([vertices.pairing[:, kept], others])
 
 
 def _support_masks(rows: np.ndarray) -> np.ndarray:
@@ -226,8 +244,8 @@ def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
     """
     action = base_action(g.vertices, roots)
     hforest = descent_forest(*action)
-    perms = g.vertices.reflections()
-    forest = g.vertices.weyl_forest()
+    perms = g.vertices.reflections
+    forest = g.vertices.forest
     masks = _support_masks(g.vertices.vectors)
     for size, x in zip(hforest.sizes().tolist(), hforest.roots.tolist()):
         hood = census.neighborhoods[g.orbit_label[x]]

@@ -38,7 +38,8 @@ dfs_vertex_sets lists every SOS depth first and counts the sums.
 listed_seeds lists the (k-1)-SOS strongly orthogonal to one fixed root of
 each length, and listed_vertex_set closes their sums under W and weights
 each W-orbit by the seeds it holds: the vertex sets before they were
-counted by candidate-set recursion.
+counted by candidate-set recursion. placeholder_vertex_set gives graph
+shells over given rows a vertex set with no generators.
 enumerated_sunflower_census lists every maximum clique through one vertex
 per coordinate-permutation orbit and classifies each by its column profile.
 sunflowers_through counts the sunflower maximum cliques through one vertex
@@ -54,6 +55,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +82,7 @@ from sosgraphs.roots import (
     reflection_permutations,
     weyl_closure,
 )
-from sosgraphs.sos import VertexSet, strong_orthogonality_graph, vertex_set
+from sosgraphs.sos import VertexSet, closed_vertex_set, strong_orthogonality_graph, vertex_set
 from sosgraphs.sunflower import _support_masks, perm_orbit_labels
 
 
@@ -229,7 +231,7 @@ def stabilizer_action(g, v: int, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     nb must be an invariant, ascending index set."""
     positive = positive_roots(parse_label(g.label))
     roots = positive[~(positive @ g.vertices.vectors[v].astype(np.int64)).astype(bool)]
-    return roots, reflection_permutations(roots, g.vertices.vectors[nb], g.vertices.keys()[nb])
+    return roots, reflection_permutations(roots, g.vertices.vectors[nb], g.vertices.keys[nb])
 
 
 def restricted_labels(perms, members: np.ndarray) -> np.ndarray:
@@ -544,7 +546,7 @@ def pairwise_gamma(rs, k: int, block_size: int = 4096) -> SOSGraph:
     """
     vs = vertex_set(rs, k)
     n = len(vs)
-    keys = vs.keys()
+    keys = vs.keys
     off = key_offset(rs.ambient_dim)
     if n and not np.array_equal(np.sort(encode_rows(-vs.vectors.astype(np.int64))), keys):
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
@@ -719,8 +721,16 @@ def _decode_keys(keys: np.ndarray, dim: int) -> np.ndarray:
     return rows
 
 
+class Sums(NamedTuple):
+    """Deduplicated SOS sums as lex-sorted int32 rows, and the number of
+    SOS behind each: a vertex set with no group action."""
+
+    vectors: np.ndarray
+    multiplicity: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def dfs_vertex_sets(rs, kmax: int) -> dict[int, VertexSet]:
+def dfs_vertex_sets(rs, kmax: int) -> dict[int, Sums]:
     """Every SOS of size <= kmax listed depth first, summed and counted.
 
     The whole-SOS enumeration the vertex sets were once built by: one pass
@@ -779,7 +789,7 @@ def dfs_vertex_sets(rs, kmax: int) -> dict[int, VertexSet]:
         keys, counts = sinks[d].finalize()
         vertex_keys = keys - (d - 1) * off
         vectors = _decode_keys(vertex_keys, dim)
-        out[d] = VertexSet(label=rs.label, k=d, vectors=vectors, multiplicity=counts)
+        out[d] = Sums(vectors, counts)
     return out
 
 
@@ -819,7 +829,7 @@ def listed_vertex_set(rs, k: int) -> VertexSet:
     k |O| mult(O) = sum over theta of |W theta| sum_{y in O} c_theta(y)
     per W-orbit O; a division that is not exact raises ArithmeticError."""
     seeds = listed_seeds(rs, k)
-    rows, keys, orbit, perms = weyl_closure(
+    rows, keys, orbit, cartan = weyl_closure(
         np.concatenate([s for _, s, _ in seeds]), rs.simple_roots
     )
     orbit_sizes = np.bincount(orbit)
@@ -829,10 +839,18 @@ def listed_vertex_set(rs, k: int) -> VertexSet:
     mult, rem = np.divmod(weighted, k * orbit_sizes)
     if rem.any():
         raise ArithmeticError(f"{rs.label} k={k}: seed weights not divisible by k |O|")
-    return VertexSet(
-        label=rs.label, k=k, vectors=rows.astype(np.int32), multiplicity=mult[orbit],
-        orbit=orbit, _keys=keys, _reflections=perms,
-    )
+    return closed_vertex_set(rs.label, k, rows.astype(np.int32), mult[orbit], orbit, keys, cartan)
+
+
+def placeholder_vertex_set(label: str, vectors: np.ndarray, orbit: np.ndarray) -> VertexSet:
+    """A VertexSet over given rows and orbit ids with no generators, for
+    graph shells whose edges are given: its action is built from nothing
+    and checked against nothing."""
+    n = len(vectors)
+    perms = np.empty((0, n), dtype=np.int32)
+    pairing = np.empty((n, 0), dtype=np.int16)
+    return VertexSet(label, 1, vectors, np.ones(n, dtype=np.int64), orbit,
+                     encode_rows(vectors), perms, pairing, descent_forest(perms, pairing))
 
 
 def plain_permutation_roots(rs) -> list:
@@ -940,7 +958,7 @@ def core_first_sunflowers(g, rs) -> int:
     def image(perm, core: int) -> int:
         return sum(1 << perm[i] for i in range(dim) if core >> i & 1)
 
-    vectors, keys = g.vertices.vectors, g.vertices.keys()
+    vectors, keys = g.vertices.vectors, g.vertices.keys
     masks = _support_masks(vectors)
     seen: set = set()
     total = 0

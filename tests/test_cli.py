@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from sosgraphs.cli import main
 
-from test_graph import corrupted_headers
+from test_graph import corrupted_headers, with_swapped_orbit_ids
 
 
 def run(capsys, *argv):
@@ -40,6 +41,49 @@ def test_build_rebuilds_a_corrupted_cache_file(cli_cache, capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and not json.loads(out)["reused"]
         assert path.read_bytes() == data
+
+
+def test_stats_rebuilds_a_file_whose_orbit_ids_disagree_with_its_rows(cli_cache, capsys):
+    """Two orbit ids swapped in an E7 k=3 file, its CRC recomputed: the
+    action built as the file is read refuses it, so stats rebuilds the
+    file, exits 0 and reports what it reported before."""
+    argv = ["--system", "E7", "--k", "3"]
+    path = Path(json.loads(run(capsys, "build", *argv)[1])["path"])
+    data = path.read_bytes()
+    want = json.loads(run(capsys, "stats", *argv)[1])
+    path.write_bytes(with_swapped_orbit_ids(data))
+    code, out, _ = run(capsys, "stats", *argv)
+    assert code == 0 and json.loads(out) == want
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
+def test_census_commands_take_no_cartan_product_of_the_vertices(
+    cli_cache, capsys, monkeypatch, label, k
+):
+    """cliques, sunflowers and table parameters read every Cartan integer
+    of the vertex rows from the closure's walk: a spy on
+    roots._cartan_integers, wherever it is bound, sees no call on them."""
+    from sosgraphs import graph as graphmod
+    from sosgraphs import roots as rootsmod
+    from sosgraphs import sos as sosmod
+    from sosgraphs import sunflower as sunmod
+
+    real, sizes = rootsmod._cartan_integers, []
+
+    def spy(rows, roots):
+        sizes.append(len(rows))
+        return real(rows, roots)
+
+    for module in (rootsmod, sosmod, graphmod, sunmod):
+        monkeypatch.setattr(module, "_cartan_integers", spy)
+    for argv in (["cliques", "--system", label, "--k", str(k)],
+                 ["sunflowers", "--system", label, "--k", str(k)],
+                 ["table", "parameters", "--systems", label, "--k-range", str(k)]):
+        monkeypatch.setattr(sosmod, "_VCACHE", {})
+        assert run(capsys, *argv)[0] == 0
+    n = len(sosmod.vertex_set(rootsmod.parse_label(label), k))
+    assert sizes and max(sizes) < n
 
 
 def test_build_and_stats_read_the_file_once(cli_cache, capsys, monkeypatch):
@@ -244,6 +288,27 @@ def test_key_dimension_limit_errors(cli_cache, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "at most 9" in err
+
+
+def test_a_huge_rank_is_refused_before_any_root_is_built(cli_cache, capsys, monkeypatch):
+    """A100000000000 and D100000000000 need an ambient dimension far past
+    the key limit: it is checked before a root is listed, so the command
+    exits 1 naming the limit and allocates nothing large."""
+    from sosgraphs import roots as rootsmod
+
+    def refuse(rank):
+        raise AssertionError(f"the roots of rank {rank} were listed")
+
+    monkeypatch.setattr(rootsmod, "_a_roots", refuse)
+    monkeypatch.setattr(rootsmod, "_d_roots", refuse)
+    for system in ("A100000000000", "D100000000000"):
+        tracemalloc.start()
+        code, out, err = run(capsys, "cliques", "--system", system, "--k", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "at most 9" in err
+        assert peak < 1 << 20
 
 
 def test_verify_is_exact_and_writes_no_graph_files(cli_cache, capsys):

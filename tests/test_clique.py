@@ -313,7 +313,7 @@ def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
     g = mgraph("F4", 3)
     v = g.orbit_representatives()[0]
     nb = g.neighbors(v)
-    perms, pairing = g.vertices.reflections(), g.vertices.pairing()
+    perms, pairing = g.vertices.reflections, g.vertices.pairing
     with pytest.raises(GroupActionError):
         stabilizer(perms, pairing, v, nb[1:])
     local, local_pairing = stabilizer(perms, pairing, v, nb)

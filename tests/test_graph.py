@@ -1,4 +1,4 @@
-import dataclasses
+import zlib
 from functools import partial
 
 import numpy as np
@@ -31,7 +31,7 @@ from sosgraphs.roots import (
     reflection_permutations,
     stabilizer,
 )
-from sosgraphs.sos import VertexSet, vertex_set
+from sosgraphs.sos import vertex_set
 from sosgraphs.sunflower import count_sunflower_max_cliques
 
 import oracles
@@ -40,6 +40,7 @@ from oracles import (
     closure,
     closure_orbit_labels,
     csr_stats,
+    placeholder_vertex_set,
     propagated_components,
     reflect,
 )
@@ -96,7 +97,7 @@ def test_schreier_vector_spans_each_orbit_from_its_representative(label, k, mgra
     g = mgraph(label, k)
     perms = reflection_permutations(parse_label(label).simple_roots, g.vertices.vectors)
     reps = g.orbit_representatives()
-    forest = g.vertices.weyl_forest()
+    forest = g.vertices.forest
     parent, gen, levels = forest.parent, forest.gen, forest.levels()
     assert (parent[reps] == -1).all() and (gen[reps] == -1).all()
     below = np.concatenate([np.empty(0, dtype=np.int64), *levels])
@@ -121,7 +122,7 @@ def test_descent_forest_roots_are_the_dominant_highest_vertices(label, k):
     as there are positive roots it pairs negatively with."""
     rs = parse_label(label)
     vs = vertex_set(rs, k)
-    forest = vs.weyl_forest()
+    forest = vs.forest
     roots = forest.roots
     highest = [int(np.flatnonzero(vs.orbit == o).max()) for o in range(int(vs.orbit.max()) + 1)]
     assert np.bincount(vs.orbit[roots]).tolist() == [1] * len(highest)
@@ -132,39 +133,42 @@ def test_descent_forest_roots_are_the_dominant_highest_vertices(label, k):
     assert np.array_equal(forest.sizes(), np.bincount(vs.orbit)[vs.orbit[roots]])
 
 
-def test_perturbed_reflection_breaks_the_descent_forest():
+def test_perturbed_reflection_breaks_the_descent_forest(monkeypatch):
     """A simple reflection swapped at two vertices either sends a descent
-    step down in lex order or into another W-orbit; both raise."""
+    step down in lex order or into another W-orbit; building the vertex
+    set's action with it raises either way."""
     vs = vertex_set(parse_label("E7"), 3)
-    forest = vs.weyl_forest()
-    perms = vs.reflections()
+    forest, perms = vs.forest, vs.reflections
 
-    def swapped(x, z):
-        """s_j, j the descent generator of x, with the images of x and z swapped."""
+    def rebuilt(x, z):
+        """The action with s_j, j the descent generator of x, swapped at x and z."""
         bad = perms.copy()
         j = forest.gen[x]
         bad[j, [x, z]] = bad[j, [z, x]]
-        return dataclasses.replace(vs, _reflections=bad), j
+        monkeypatch.setattr(sosmod, "_image_permutations", lambda *args: bad)
+        return sosmod.closed_vertex_set(
+            vs.label, vs.k, vs.vectors, vs.multiplicity, vs.orbit, vs.keys, vs.pairing
+        )
 
     x = int(np.flatnonzero(forest.gen >= 0).max())
-    bad, j = swapped(x, int(perms[forest.gen[x]].argmin()))  # x now steps down to vertex 0
     with pytest.raises(GroupActionError, match="does not rise"):
-        bad.weyl_forest()
+        rebuilt(x, int(perms[forest.gen[x]].argmin()))  # x now steps down to vertex 0
     j = forest.gen[0]
     other = [r for r in forest.roots if vs.orbit[r] != vs.orbit[0] and perms[j, r] > 0][0]
-    bad, _ = swapped(0, other)  # vertex 0 now steps into another orbit
     with pytest.raises(GroupActionError, match="one root per W-orbit"):
-        bad.weyl_forest()
+        rebuilt(0, other)  # vertex 0 now steps into another orbit
 
 
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 3), ("E8", 2)])
 def test_weyl_forest_is_computed_once(monkeypatch, label, k):
-    """The vertex set keeps its descent forest: two edge builds, the
-    components and the sunflower census share one forest, and it equals a
-    fresh descent forest of the kept reflections."""
+    """The vertex set builds its descent forest once, with its action: two
+    edge builds, the components and the sunflower census read that forest.
+    It equals the descent forest of the kept reflections under the inner
+    products <x, a_j>, of which the kept Cartan integers are a positive
+    multiple per column."""
     rs = parse_label(label)
     monkeypatch.setattr(sosmod, "_VCACHE", {})
-    vs = vertex_set(rs, k)
+    sosmod._orbit_counts(rs, k)  # the candidate-set tables take forests of their own
     real, calls = sosmod.descent_forest, []
 
     def counted(*args):
@@ -172,15 +176,14 @@ def test_weyl_forest_is_computed_once(monkeypatch, label, k):
         return real(*args)
 
     monkeypatch.setattr(sosmod, "descent_forest", counted)
+    vs = vertex_set(rs, k)
     stats(build_gamma(rs, k))
     build_gamma(rs, k)
     count_sunflower_max_cliques(membership_graph(rs, k), rs)
-    assert len(calls) == 1
-    forest = vs.weyl_forest()
-    assert forest is vs.weyl_forest() and vs.pairing() is vs.pairing()
-    fresh = real(vs.reflections(), vs.vectors @ np.asarray(rs.simple_roots).T)
+    assert len(calls) == 1 and vertex_set(rs, k) is vs
+    fresh = real(vs.reflections, vs.vectors @ np.asarray(rs.simple_roots).T)
     for name in ("parent", "gen", "root", "depth"):
-        assert np.array_equal(getattr(forest, name), getattr(fresh, name))
+        assert np.array_equal(getattr(vs.forest, name), getattr(fresh, name))
 
 
 @pytest.mark.parametrize("label,k", sorted(TIER1))
@@ -189,21 +192,21 @@ def test_forest_transport_matches_bfs_oracle(label, k, mgraph):
     each N(v) under Stab(v), are the rows carried along the breadth-first
     Schreier vector, as sets."""
     g = mgraph(label, k)
-    perms = g.vertices.reflections()
+    perms = g.vertices.reflections
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    have = transport(perms, g.vertices.weyl_forest(), reps, hoods)
+    have = transport(perms, g.vertices.forest, reps, hoods)
     want = oracles.bfs_transport(perms, reps, hoods)
     assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
     for r, nb in zip(reps, hoods):
-        local, pairing = stabilizer(perms, g.vertices.pairing(), r, nb)
+        local, pairing = stabilizer(perms, g.vertices.pairing, r, nb)
         forest = descent_forest(local, pairing)
         rows = [np.flatnonzero(g.vertices.adjacent(nb[w], nb)) for w in forest.roots]
         have = transport(local, forest, forest.roots, rows)
         want = oracles.bfs_transport(local, forest.roots, rows)
         assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
     with pytest.raises(ValueError, match="forest roots"):
-        transport(perms, g.vertices.weyl_forest(), np.arange(len(reps)) + 1, hoods)
+        transport(perms, g.vertices.forest, np.arange(len(reps)) + 1, hoods)
 
 
 QUOTIENT_ROWS = sorted(TIER1) + [
@@ -227,10 +230,11 @@ def test_components_match_propagation_oracle(label, k, mgraph, monkeypatch):
 
 
 @pytest.mark.parametrize("label,k", [("G2", 1), ("F4", 3), ("E7", 3), ("E8", 2)])
-def test_census_reads_the_closure_reflections(label, k, monkeypatch):
+def test_census_reads_the_closure_reflections(label, k, monkeypatch, tmp_path):
     """On a freshly closed vertex set, stats, build_gamma and the sunflower
-    census look up no simple-reflection permutation: they read the ones
-    the closure recorded, and still give the pinned values."""
+    census look up no simple-reflection permutation and multiply no vertex
+    by a simple root: they read the action built from the closure's Cartan
+    integers, and still give the pinned values."""
     from sosgraphs import roots as rootsmod
     from sosgraphs import sos as sosmod
     from sosgraphs import sunflower as sunmod
@@ -240,30 +244,38 @@ def test_census_reads_the_closure_reflections(label, k, monkeypatch):
 
     rs = parse_label(label)
     simple = np.asarray(rs.simple_roots)
-    real = rootsmod.reflection_permutations
-    lookups = []
+    real, real_product = rootsmod.reflection_permutations, rootsmod._cartan_integers
+    lookups, products = [], []
+    n, m, dmin, dmax, cc = TIER1[(label, k)]
 
     def counted(roots, *args):
         if np.array_equal(np.asarray(roots).reshape(-1, simple.shape[1]), simple):
             lookups.append(label)
         return real(roots, *args)
 
+    def product(rows, roots):
+        if len(rows) == n:
+            products.append(label)
+        return real_product(rows, roots)
+
     for module in (rootsmod, sosmod, graphmod, sunmod):
         monkeypatch.setattr(module, "reflection_permutations", counted)
+        if hasattr(module, "_cartan_integers"):
+            monkeypatch.setattr(module, "_cartan_integers", product)
     monkeypatch.setattr(sosmod, "_VCACHE", {})
-    n, m, dmin, dmax, cc = TIER1[(label, k)]
     s = stats(graphmod.membership_graph(rs, k))
     assert (s.n, s.m, s.min_degree, s.max_degree, s.component_count) == (n, m, dmin, dmax, cc)
     g = build_gamma(rs, k)
     assert g.edge_count == m and stats(g) == s
     census = count_sunflower_max_cliques(g, rs)
     assert (census.total_maximum_cliques, census.sunflower_cliques) == SUNFLOWERS[(label, k)][:2]
-    assert lookups == []
-    # The probe does see a lookup: a set not closed here builds its own.
-    unclosed = VertexSet(label=g.label, k=k, vectors=g.vertices.vectors,
-                         multiplicity=g.vertices.multiplicity)
-    assert np.array_equal(unclosed.reflections(), g.vertices.reflections())
-    assert lookups == [label]
+    assert lookups == [] and products == []
+    # The probe does see a product: a set read from its file takes its
+    # Cartan integers from one product, which serves lookup and pairing.
+    serialize(g, tmp_path / "g.sosg")
+    read = deserialize(tmp_path / "g.sosg")[0].vertices
+    assert np.array_equal(read.reflections, g.vertices.reflections)
+    assert lookups == [] and products == [label]
 
 
 def test_components_exact_without_transported_edges(mgraph, monkeypatch):
@@ -283,8 +295,7 @@ def test_components_exact_without_transported_edges(mgraph, monkeypatch):
 
 def test_odd_weighted_degree_sum_raises():
     """One orbit of 3 vertices whose representative, the highest, has degree 1."""
-    vs = VertexSet(label="G2", k=1, vectors=np.zeros((3, 3), dtype=np.int32),
-                   multiplicity=np.ones(3, dtype=np.int64), orbit=np.zeros(3, dtype=np.int32))
+    vs = placeholder_vertex_set("G2", np.zeros((3, 3), dtype=np.int32), np.zeros(3, dtype=np.int32))
     g = SOSGraph(vertices=vs, indptr=np.array([0, 0, 1, 2]),
                  indices=np.array([2, 1], dtype=np.int32))
     with pytest.raises(ArithmeticError, match="odd"):
@@ -448,23 +459,50 @@ def corrupted_headers(data: bytes) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 3), ("E8", 2)])
 def test_weyl_action_of_a_deserialized_vertex_set(tmp_path, gamma, label, k):
-    """A vertex set read back from its file keeps no reflections, so they
-    are looked up; its pairing, descent forest and every Stab_W(v) on N(v)
-    equal those of the vertex set that was written."""
+    """A vertex set read back from its file gets its action as it is read,
+    from its rows' Cartan integers: its keys, reflections, pairing,
+    descent forest and every Stab_W(v) on N(v) equal those of the vertex
+    set that was written."""
     g = gamma(label, k)
     serialize(g, tmp_path / "g.sosg")
     read, _ = deserialize(tmp_path / "g.sosg")
     kept, vs = g.vertices, read.vertices
-    assert vs._reflections is None
-    assert np.array_equal(vs.reflections(), kept.reflections())
-    assert np.array_equal(vs.pairing(), kept.pairing())
+    assert vs.reflections.dtype == np.int32
+    for name in ("keys", "reflections", "pairing"):
+        assert np.array_equal(getattr(vs, name), getattr(kept, name)), name
     for name in ("parent", "gen", "root", "depth"):
-        assert np.array_equal(getattr(vs.weyl_forest(), name), getattr(kept.weyl_forest(), name))
+        assert np.array_equal(getattr(vs.forest, name), getattr(kept.forest, name))
     for v in read.orbit_representatives():
         nb = read.neighbors(v)
-        have = stabilizer(vs.reflections(), vs.pairing(), v, nb)
-        want = stabilizer(kept.reflections(), kept.pairing(), v, nb)
+        have = stabilizer(vs.reflections, vs.pairing, v, nb)
+        want = stabilizer(kept.reflections, kept.pairing, v, nb)
         assert all(np.array_equal(a, b) for a, b in zip(have, want))
+
+
+def with_swapped_orbit_ids(data: bytes) -> bytes:
+    """A graph file with the orbit ids of vertex 0 and the first vertex of
+    another W-orbit swapped, and its CRC recomputed to match."""
+    label_len = data[8]
+    n_at = 9 + label_len + 4
+    n = int.from_bytes(data[n_at : n_at + 8], "little")
+    dim = int.from_bytes(data[n_at + 16 : n_at + 20], "little")
+    at = n_at + 20 + n * dim * 4 + n * 8
+    orbit = np.frombuffer(data[at : at + 4 * n], dtype="<i4").copy()
+    other = int(np.flatnonzero(orbit != orbit[0])[0])
+    orbit[[0, other]] = orbit[[other, 0]]
+    payload = data[:at] + orbit.tobytes() + data[at + 4 * n : -4]
+    return payload + zlib.crc32(payload).to_bytes(4, "little")
+
+
+def test_deserialize_refuses_orbit_ids_that_disagree_with_the_rows(tmp_path, gamma):
+    """The action is built as the file is read, so orbit ids that are not
+    the rows' W-orbits fail the descent-forest check, as a GraphFileError
+    that names it, although the CRC matches."""
+    path = tmp_path / "g.sosg"
+    serialize(gamma("E7", 3), path)
+    path.write_bytes(with_swapped_orbit_ids(path.read_bytes()))
+    with pytest.raises(GraphFileError, match="one root per W-orbit"):
+        deserialize(path)
 
 
 def test_census_on_deserialized_graph(tmp_path, gamma):
@@ -485,16 +523,18 @@ def test_stabilizer_permutations_match_lookup_oracle(label, k, mgraph):
     """At every W-representative v, the generators of Stab_W(v) are the
     simple reflections orthogonal to v, and their kept permutations
     restricted to N(v) equal those from building and looking up every
-    image; the pairings are the inner products."""
+    image; the pairings are the Cartan integers, which times <a, a>/2 are
+    the inner products <x, a>."""
     g = mgraph(label, k)
     simple = np.asarray(parse_label(label).simple_roots)
     for v in g.orbit_representatives():
         nb = g.neighbors(v)
-        perms, pairing = stabilizer(g.vertices.reflections(), g.vertices.pairing(), v, nb)
+        perms, pairing = stabilizer(g.vertices.reflections, g.vertices.pairing, v, nb)
         roots = simple[simple @ g.vertices.vectors[v] == 0]
         assert len(roots) and perms.shape == (len(roots), nb.size)
         assert np.array_equal(perms, oracles.lookup_permutations(roots, g.vertices.vectors[nb]))
-        assert np.array_equal(pairing, g.vertices.vectors[nb] @ roots.T)
+        half_norms = (roots * roots).sum(axis=1) // 2
+        assert np.array_equal(pairing * half_norms, g.vertices.vectors[nb] @ roots.T)
 
 
 def test_orbit_closure_extends_beyond_seeds():

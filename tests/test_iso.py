@@ -13,9 +13,8 @@ from sosgraphs.iso import (
     count_automorphisms_small,
 )
 from sosgraphs.roots import build_root_system
-from sosgraphs.sos import VertexSet
 
-from oracles import as_tuples
+from oracles import as_tuples, placeholder_vertex_set
 
 
 def test_scaling_isomorphisms():
@@ -173,9 +172,9 @@ def _cycles(*lengths) -> SOSGraph:
         rows += [sorted({start + (i - 1) % length, start + (i + 1) % length})
                  for i in range(length)]
         start += length
-    vs = VertexSet(label="G2", k=1, vectors=np.zeros((start, 3), dtype=np.int32),
-                   multiplicity=np.ones(start, dtype=np.int64),
-                   orbit=np.zeros(start, dtype=np.int32))
+    vs = placeholder_vertex_set(
+        "G2", np.zeros((start, 3), dtype=np.int32), np.zeros(start, dtype=np.int32)
+    )
     return SOSGraph(vertices=vs, indptr=np.cumsum([0] + [len(r) for r in rows]),
                     indices=np.array([w for r in rows for w in r], dtype=np.int32))
 

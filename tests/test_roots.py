@@ -13,6 +13,7 @@ from sosgraphs.roots import (
     MAX_AMBIENT_DIM,
     GroupActionError,
     RootSystemError,
+    _cartan_integers,
     build_root_system,
     dot,
     encode_rows,
@@ -22,7 +23,7 @@ from sosgraphs.roots import (
     weyl_closure,
 )
 from sosgraphs.graph import weyl_orbit_labels
-from sosgraphs.sos import VertexSet, vertex_set
+from sosgraphs.sos import VertexSet, closed_vertex_set, vertex_set
 from sosgraphs.sunflower import signed_permutation_roots
 
 from oracles import (
@@ -35,6 +36,7 @@ from oracles import (
     negate,
     orbitwise_closure,
     pairwise_simple_roots,
+    placeholder_vertex_set,
     positive_roots,
     reflect,
     strongly_orthogonal,
@@ -176,10 +178,8 @@ def _weyl_maps(rs):
 
 
 def _root_vertex_set(rs) -> VertexSet:
-    return VertexSet(
-        label=rs.label, k=1, vectors=np.array(rs.roots, dtype=np.int32),
-        multiplicity=np.ones(len(rs.roots), dtype=np.int64),
-    )
+    roots = np.array(rs.roots, dtype=np.int32)
+    return placeholder_vertex_set(rs.label, roots, np.zeros(len(roots), dtype=np.int32))
 
 
 def test_orbit_closure_examples():
@@ -221,17 +221,23 @@ def test_weyl_closure_matches_closure_oracle(label, k, picks):
 @pytest.mark.parametrize("label,k", ORACLE_ROWS + SLOW_ORACLE_ROWS)
 def test_weyl_closure_matches_orbitwise_oracle(label, k):
     """The one search from all seeds gives the rows, keys and orbits of
-    one search per orbit, and the permutations it records are the
-    reflections looked up on the closed rows."""
+    one search per orbit; the Cartan integers it carries are those of the
+    closed rows, and the permutations built from them are the reflections
+    looked up on the closed rows."""
     rs = parse_label(label)
     seeds = _seed_rows(rs, k)
-    rows, keys, orbit, perms = weyl_closure(seeds, rs.simple_roots)
+    rows, keys, orbit, cartan = weyl_closure(seeds, rs.simple_roots)
     want_rows, want_keys, want_orbit = orbitwise_closure(seeds, rs.simple_roots)
     assert np.array_equal(rows, want_rows)
     assert np.array_equal(keys, want_keys)
     assert np.array_equal(orbit, want_orbit)
-    assert perms.dtype == np.int32 and perms.shape == (rs.rank, len(rows))
-    assert np.array_equal(perms, lookup_permutations(rs.simple_roots, rows))
+    simple = np.asarray(rs.simple_roots, dtype=np.int64)
+    assert cartan.shape == (len(rows), rs.rank)
+    assert np.array_equal(cartan, _cartan_integers(rows, simple).T)
+    multiplicity = np.ones(len(rows), dtype=np.int64)
+    vs = closed_vertex_set(rs.label, k, rows.astype(np.int32), multiplicity, orbit, keys, cartan)
+    assert vs.reflections.dtype == np.int32 and vs.reflections.shape == (rs.rank, len(rows))
+    assert np.array_equal(vs.reflections, lookup_permutations(rs.simple_roots, rows))
 
 
 @pytest.mark.parametrize("label,k", TIER1)
@@ -245,9 +251,9 @@ def test_weyl_closure_orbits_match_weyl_orbit_labels(label, k):
 
 def test_weyl_closure_of_nothing_is_empty():
     e8 = parse_label("E8")
-    rows, keys, orbit, perms = weyl_closure(np.empty((0, 8), dtype=np.int64), e8.simple_roots)
+    rows, keys, orbit, cartan = weyl_closure(np.empty((0, 8), dtype=np.int64), e8.simple_roots)
     assert rows.shape == (0, 8) and keys.size == 0 and orbit.size == 0
-    assert perms.shape == (8, 0)
+    assert cartan.shape == (0, 8)
 
 
 def test_weyl_closure_rejects_a_seed_off_the_lattice():
@@ -332,16 +338,18 @@ def test_orbits_without_their_negatives_take_the_full_walk(monkeypatch):
         want = orbitwise_closure(seeds, rs.simple_roots)
         for got, expected in zip(have, want):
             assert np.array_equal(got, expected)
+        simple = np.asarray(rs.simple_roots, dtype=np.int64)
+        assert np.array_equal(have[3], _cartan_integers(have[0], simple).T)
         want = lookup_permutations(rs.simple_roots, have[0])
-        assert np.array_equal(have[3], want)
         assert np.array_equal(reflection_permutations(rs.simple_roots, have[0]), want)
     assert sorted(np.bincount(have[2]).tolist()) == [5, 10, 20, 60]  # S5 on the coordinates
 
 
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 4), ("E8", 1), ("E8", 3)])
 def test_weyl_closure_lookups_do_not_grow_with_depth(label, k, monkeypatch):
-    """One lookup per orbit marks the seeds it reaches and one per simple
-    root gives the permutations; no level is looked up (E8 k=1 has 58)."""
+    """One lookup per orbit marks the seeds it reaches; no level is looked
+    up (E8 k=1 has 58), and no permutation: the closure returns the Cartan
+    integers, and the vertex set builds its permutations from them."""
     rs = parse_label(label)
     real, calls = rootsmod.key_index, []
 
@@ -351,7 +359,7 @@ def test_weyl_closure_lookups_do_not_grow_with_depth(label, k, monkeypatch):
 
     monkeypatch.setattr(rootsmod, "key_index", counted)
     _, _, orbit, _ = weyl_closure(_seed_rows(rs, k), rs.simple_roots)
-    assert len(calls) <= orbit.max() + 1 + rs.rank + 1
+    assert len(calls) <= orbit.max() + 1
 
 
 @pytest.mark.parametrize("label,k", ORACLE_ROWS)
@@ -362,7 +370,7 @@ def test_image_key_permutations_match_lookup_oracle(label, k):
     vs = vertex_set(rs, k)
     want = lookup_permutations(rs.simple_roots, vs.vectors)
     assert np.array_equal(reflection_permutations(rs.simple_roots, vs.vectors), want)
-    assert np.array_equal(vs.reflections(), want)
+    assert np.array_equal(vs.reflections, want)
 
 
 @pytest.mark.parametrize(
@@ -397,7 +405,7 @@ def test_mirrored_lookups_query_half_the_rows(label, k, monkeypatch):
     up for at most ceil(n/2) rows; the rest are mirrored."""
     rs = parse_label(label)
     vs = vertex_set(rs, k)
-    assert np.array_equal(np.sort(encode_rows(-vs.vectors)), vs.keys())
+    assert np.array_equal(np.sort(encode_rows(-vs.vectors)), vs.keys)
     real, queries = rootsmod.key_index, []
 
     def counted(keys, query):
@@ -405,9 +413,9 @@ def test_mirrored_lookups_query_half_the_rows(label, k, monkeypatch):
         return real(keys, query)
 
     monkeypatch.setattr(rootsmod, "key_index", counted)
-    perms = reflection_permutations(rs.simple_roots, vs.vectors, vs.keys())
+    perms = reflection_permutations(rs.simple_roots, vs.vectors, vs.keys)
     assert sum(queries) <= rs.rank * ((len(vs) + 1) // 2)
-    assert np.array_equal(perms, vs.reflections())
+    assert np.array_equal(perms, vs.reflections)
 
 
 def test_reflection_permutations_refuse_rows_of_norm_32():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sosgraphs import sos as sosmod
 from sosgraphs.roots import (
+    _cartan_integers,
     build_root_system,
     encode_rows,
     key_index,
@@ -173,7 +174,7 @@ def test_vertex_rows_sorted_lexicographically():
     vs = vertex_set(build_root_system("E7"), 3)
     rows = as_tuples(vs)
     assert rows == sorted(rows)
-    keys = vs.keys()
+    keys = vs.keys
     assert (np.diff(keys) > 0).all()
 
 
@@ -224,7 +225,7 @@ def test_vertex_set_matches_dfs_oracle(label, k):
     assert vs.vectors.dtype == want.vectors.dtype and vs.multiplicity.dtype == np.int64
     assert np.array_equal(vs.vectors, want.vectors)
     assert np.array_equal(vs.multiplicity, want.multiplicity)
-    assert np.array_equal(vs.keys(), encode_rows(vs.vectors))
+    assert np.array_equal(vs.keys, encode_rows(vs.vectors))
 
 
 @pytest.mark.parametrize("label,k", ORACLE_ROWS)
@@ -257,8 +258,9 @@ def test_orbit_counts_match_listing_and_enumeration(label, k):
         (vs.vectors, listed.vectors),
         (vs.multiplicity, listed.multiplicity),
         (vs.orbit, listed.orbit),
-        (vs.keys(), listed.keys()),
-        (vs.reflections(), listed.reflections()),
+        (vs.keys, listed.keys),
+        (vs.reflections, listed.reflections),
+        (vs.pairing, listed.pairing),
     ]:
         assert have.dtype == want.dtype and np.array_equal(have, want)
 
@@ -328,30 +330,58 @@ def test_subsystem_tables_are_closed_and_cover_their_roots(monkeypatch, label):
         assert (roots[table.thetas] @ table.base.T >= 0).all()
 
 
-def test_keys_are_encoded_once():
+def test_keys_are_encoded_once(monkeypatch):
+    """The closure encodes the keys and the vertex set keeps that array:
+    nothing encodes the whole vertex set again, and the keys are the rows'."""
+    monkeypatch.setattr(sosmod, "_VCACHE", {})
+    real_closure, closures = sosmod.weyl_closure, []
+    real_encode, encoded = sosmod.encode_rows, []
+
+    def closure(*args):
+        closures.append(real_closure(*args))
+        return closures[-1]
+
+    def encode(rows):
+        encoded.append(len(rows))
+        return real_encode(rows)
+
+    monkeypatch.setattr(sosmod, "weyl_closure", closure)
+    monkeypatch.setattr(sosmod, "encode_rows", encode)
     vs = vertex_set(build_root_system("E7"), 3)
-    assert vs.keys() is vs.keys()
-    fresh = sosmod.VertexSet(label=vs.label, k=vs.k, vectors=vs.vectors, multiplicity=vs.multiplicity)
-    assert fresh.keys() is fresh.keys()
-    assert np.array_equal(fresh.keys(), vs.keys())
+    assert len(closures) == 1 and vs.keys is closures[0][1]
+    assert max(encoded) < len(vs)
+    assert vs.keys.dtype == np.int64 and np.array_equal(vs.keys, encode_rows(vs.vectors))
 
 
 @pytest.mark.parametrize("label,k", [("G2", 1), ("E7", 4), ("D6", 3), ("E8", 9)])
 def test_reflections_are_kept_from_the_closure(label, k):
-    """The closure's simple-reflection permutations are kept as one
-    (rank, n) int32 array; a set built elsewhere looks them up once, and
-    both equal the lookup on the rows."""
+    """The simple-reflection permutations are one (rank, n) int32 array
+    built from the closure's Cartan integers and equal to the lookup on the
+    rows; the same rows with their Cartan integers from one product, as a
+    graph file's are, get the same action from the same function."""
     rs = parse_label(label)
     vs = vertex_set(rs, k)
-    perms = vs.reflections()
-    assert perms is vs.reflections()
+    perms = vs.reflections
     assert perms.dtype == np.int32 and perms.shape == (rs.rank, len(vs))
     assert np.array_equal(perms, reflection_permutations(rs.simple_roots, vs.vectors))
-    fresh = sosmod.VertexSet(
-        label=vs.label, k=vs.k, vectors=vs.vectors, multiplicity=vs.multiplicity
+    cartan = _cartan_integers(vs.vectors, np.asarray(rs.simple_roots)).T
+    fresh = sosmod.closed_vertex_set(
+        vs.label, vs.k, vs.vectors, vs.multiplicity, vs.orbit, vs.keys, cartan
     )
-    assert fresh.reflections() is fresh.reflections()
-    assert np.array_equal(fresh.reflections(), perms)
+    assert fresh.reflections.dtype == np.int32 and np.array_equal(fresh.reflections, perms)
+    for name in ("parent", "gen", "root", "depth"):
+        assert np.array_equal(getattr(fresh.forest, name), getattr(vs.forest, name))
+
+
+@pytest.mark.parametrize("label,k", ORACLE_ROWS)
+def test_pairing_is_the_exact_cartan_integers(label, k):
+    """The kept pairing is <x, a_j^v> = 2<x, a_j>/<a_j, a_j> itself, as the
+    closure's walk carried it, not a multiple of it."""
+    rs = parse_label(label)
+    vs = vertex_set(rs, k)
+    simple = np.asarray(rs.simple_roots, dtype=np.int64)
+    assert vs.pairing.shape == (len(vs), rs.rank)
+    assert np.array_equal(vs.pairing, _cartan_integers(vs.vectors, simple).T)
 
 
 @pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 2), ("E6", 2)])

@@ -183,16 +183,19 @@ GROUPS = {"signed": signed_permutation_roots, "plain": plain_permutation_roots}
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_base_action_matches_lookup_oracle(label, k, group, mgraph):
     """H's permutations, kept rows and looked-up ones alike, equal the
-    reflections with every image row built and looked up; the base is the
-    base of the roots, and at E6 every base root is a simple root of W."""
+    reflections with every image row built and looked up; its pairing is
+    the Cartan integers, kept columns and summed ones alike, so each
+    column times <a, a>/2 is vectors @ a exactly; the base is the base of
+    the roots, and at E6 every base root is a simple root of W."""
     rs = build_root_system(label)
     roots = GROUPS[group](rs)
     vs = mgraph(label, k).vertices
     perms, pairing = sunmod.base_action(vs, roots)
-    base, _ = sunmod._split_base(label, tuple(map(tuple, roots)))
+    base = sunmod._split_base(label, tuple(map(tuple, roots)))[0]
     assert set(map(tuple, base.tolist())) == set(simple_roots_of(roots))
     assert np.array_equal(perms, lookup_permutations(base.tolist(), vs.vectors))
-    assert np.array_equal(pairing, vs.vectors @ base.T)
+    assert pairing.shape == (len(vs), len(base))
+    assert np.array_equal(pairing * ((base * base).sum(axis=1) // 2), vs.vectors @ base.T)
     extra = [tuple(a) for a in base.tolist() if tuple(a) not in rs.simple_roots]
     assert len(extra) == (label != "E6")
 
@@ -218,17 +221,22 @@ def test_descent_forest_orbits_match_perm_labels(label, k, group, mgraph):
 def test_census_looks_up_at_most_one_root(label, mgraph, monkeypatch):
     """The census reuses W's kept simple reflections for H: it looks up
     nothing at E6, whose H is a standard parabolic subgroup, and one root in
-    one call elsewhere."""
-    calls = []
-    real = sunmod.reflection_permutations
+    one call of image keys elsewhere, with no row lookup at all."""
+    calls, rows = [], []
+    real, real_rows = sunmod._image_permutations, sunmod.reflection_permutations
 
-    def spy(roots, *args):
+    def spy(keys, roots, coeff_of):
         calls.append(len(roots))
-        return real(roots, *args)
+        return real(keys, roots, coeff_of)
 
-    monkeypatch.setattr(sunmod, "reflection_permutations", spy)
+    def spy_rows(roots, *args):
+        rows.append(len(roots))
+        return real_rows(roots, *args)
+
+    monkeypatch.setattr(sunmod, "_image_permutations", spy)
+    monkeypatch.setattr(sunmod, "reflection_permutations", spy_rows)
     count_sunflower_max_cliques(mgraph(label, 1), build_root_system(label))
-    assert calls == ([] if label == "E6" else [1])
+    assert calls == ([] if label == "E6" else [1]) and rows == []
 
 
 @pytest.mark.parametrize("label,k", TIER1_ROWS)
@@ -391,10 +399,10 @@ def test_stabilizer_orbits_match_every_orthogonal_root(label, k, group, mgraph):
     subsystem = closure(roots, [partial(reflect, alpha) for alpha in roots])
     zero = (0,) * rs.ambient_dim
     positive = np.array(sorted(r for r in subsystem if r > zero), dtype=np.int64)
-    vectors, keys = g.vertices.vectors, g.vertices.keys()
+    vectors, keys = g.vertices.vectors, g.vertices.keys
     masks = sunmod._support_masks(vectors)
     action = sunmod.base_action(g.vertices, roots)
-    base, _ = sunmod._split_base(label, tuple(map(tuple, roots)))
+    base = sunmod._split_base(label, tuple(map(tuple, roots)))[0]
     for x in descent_forest(*action).roots:
         nb = g.neighbors(x)
         part = nb[(masks[nb] & masks[x]) != 0]
