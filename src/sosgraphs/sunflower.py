@@ -35,9 +35,9 @@ integer sum of W's simple coroots; so its Cartan integers are that sum
 of W's kept columns, its reflection is one lookup per vertex set, and no
 vertex is multiplied by a root. `base_action` gives H as permutations
 and Cartan integers, the pair W's levels pass. The H-orbits and their
-sizes are the trees of its descent forest, and each Stab_H(v) on P_v is the step every level of the
-clique census takes (`roots.stabilizer`), with no lookup per
-representative.
+sizes are the trees of its descent forest, and each Stab_H(v) on P_v is
+the step every level of the clique census takes (`roots.stabilizer`),
+with no lookup per representative.
 
 No neighborhood is induced again here. Each representative x is g.r for
 its W-representative r, the dominant vertex, with g read off the descent
