@@ -43,7 +43,9 @@ def load_or_build(
     args, label: str, k: int, *, force: bool = False
 ) -> tuple[graphmod.SOSGraph, str, bool]:
     """The graph, its file's payload CRC32, and whether the cached file was
-    reused. Either path reads or writes the file once."""
+    reused. A reused file is read in one streamed CRC pass, and its blocks
+    are read-only views of the mapped file; a built graph is written once,
+    its CRC computed as it is written."""
     rs = parse_label(label)
     path = cache_path(args, rs.label, k)
     if path.exists() and not force:

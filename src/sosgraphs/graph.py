@@ -19,13 +19,20 @@ Schreier vector at once, with no lookup and no search. The explicit
 edge list (`build_gamma`) carries each representative's neighbourhood
 down that forest to every vertex of its orbit, N(g.r) = g.N(r)
 (`transport`); it serves the graph file, DOT export and the isomorphism
-checks. A graph file's vertex set gets its action when the file is
+checks. A graph file is read in two steps: one streamed pass for its
+CRC, then read-only views of the file mapped into memory, so a reader
+holds only the rows it touches. Its vertex set gets its action as it is
 read, so a file whose orbit block disagrees with its rows is refused.
+Files are written under a temporary name and renamed into place, so a
+rewrite never changes the bytes under a reader's views.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import os
+import struct
 import zlib
 from dataclasses import dataclass
 
@@ -284,39 +291,48 @@ def stats(g: MembershipGraph) -> GraphStats:
     )
 
 
-class _ChecksumWriter:
-    def __init__(self, fh):
-        self.fh = fh
-        self.crc = 0
+# The blocks after the header, in file order: vectors, multiplicity, orbit
+# ids, indptr and indices. Their dtypes are the in-memory ones, so a block
+# is used as it lies in the file, with no copy: the E8 k=6 edge list alone
+# is 655 MB.
+def _blocks(n: int, m: int, dim: int) -> tuple[tuple[str, int], ...]:
+    """(dtype, entry count) of each block of a graph file, in file order."""
+    return (("<i4", n * dim), ("<i8", n), ("<i4", n), ("<i8", n + 1), ("<i4", 2 * m))
 
-    def write(self, data: bytes):
-        self.fh.write(data)
-        self.crc = zlib.crc32(data, self.crc)
+
+_COUNTS = struct.Struct("<IQQI")  # k, n, m and dim, after the label
 
 
 def serialize(g: SOSGraph, path) -> str:
     """Write the graph file: magic, version, header, blocks, CRC32 trailer.
 
-    Returns the payload CRC32 as `file_checksum` reports it.
+    The file is written under a temporary name in the same directory and
+    then renamed over path, so a reader that mapped the old file keeps its
+    bytes. Returns the payload CRC32 as `file_checksum` reports it.
     """
+    vs = g.vertices
     label = g.label.encode("utf-8")
-    with open(path, "wb") as fh:
-        out = _ChecksumWriter(fh)
-        out.write(MAGIC)
-        out.write(FORMAT_VERSION.to_bytes(4, "little"))
-        out.write(len(label).to_bytes(1, "little"))
-        out.write(label)
-        out.write(g.k.to_bytes(4, "little"))
-        out.write(g.n.to_bytes(8, "little"))
-        out.write(g.edge_count.to_bytes(8, "little"))
-        out.write(g.vertices.dim.to_bytes(4, "little"))
-        blocks = [(g.vertices.vectors, "<i4"), (g.vertices.multiplicity, "<i8"),
-                  (g.orbit_label, "<i4"), (g.indptr, "<i8"), (g.indices, "<i4")]
-        for arr, dtype in blocks:
-            # A byte view, not a copy: the E8 k=6 edge list alone is 655 MB.
-            out.write(memoryview(np.ascontiguousarray(arr, dtype=dtype).reshape(-1)).cast("B"))
-        fh.write(out.crc.to_bytes(4, "little"))
-    return f"{out.crc:08x}"
+    header = MAGIC + FORMAT_VERSION.to_bytes(4, "little") + len(label).to_bytes(1, "little")
+    header += label + _COUNTS.pack(g.k, g.n, g.edge_count, vs.dim)
+    arrays = (vs.vectors, vs.multiplicity, vs.orbit, g.indptr, g.indices)
+    # open() gives the file the usual umask mode; mkstemp would narrow it to 0600.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            crc = zlib.crc32(header)
+            for arr, (dtype, _) in zip(arrays, _blocks(g.n, g.edge_count, vs.dim)):
+                # A byte view, not a copy.
+                data = memoryview(np.ascontiguousarray(arr, dtype=dtype).reshape(-1)).cast("B")
+                fh.write(data)
+                crc = zlib.crc32(data, crc)
+            fh.write(crc.to_bytes(4, "little"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return f"{crc:08x}"
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -326,47 +342,55 @@ def _read_exact(fh, count: int) -> bytes:
     return data
 
 
+def _payload_crc(fh) -> int:
+    """The CRC32 of an open file's payload, read in 1 MB chunks; raises
+    GraphFileError unless it equals the 4-byte trailer."""
+    remaining = os.fstat(fh.fileno()).st_size - 4
+    if remaining < 0:
+        raise GraphFileError("file too short to carry a checksum")
+    fh.seek(0)
+    crc = 0
+    while remaining:
+        chunk = _read_exact(fh, min(1 << 20, remaining))
+        crc = zlib.crc32(chunk, crc)
+        remaining -= len(chunk)
+    if int.from_bytes(_read_exact(fh, 4), "little") != crc:
+        raise GraphFileError("graph file checksum mismatch")
+    return crc
+
+
 def deserialize(path) -> tuple[SOSGraph, str]:
-    """The graph in a file and its payload CRC32, as `file_checksum` reports it."""
+    """The graph in a file and its payload CRC32, as `file_checksum` reports it.
+
+    The header is checked first, so a corrupt count sizes no read. Then
+    the CRC is streamed, and each block is a read-only view of the file,
+    mapped once: only the rows a caller touches are read into memory.
+    """
     with open(path, "rb") as fh:
-        crc = 0
-
-        def take(count: int) -> bytes:
-            nonlocal crc
-            data = _read_exact(fh, count)
-            crc = zlib.crc32(data, crc)
-            return data
-
-        if take(4) != MAGIC:
+        if _read_exact(fh, 4) != MAGIC:
             raise GraphFileError("not a graph file (bad magic)")
-        version = int.from_bytes(take(4), "little")
+        version = int.from_bytes(_read_exact(fh, 4), "little")
         if version != FORMAT_VERSION:
             raise GraphFileError(f"unsupported graph file version {version}")
-        label_len = int.from_bytes(take(1), "little")
         try:
-            label = take(label_len).decode("utf-8")
+            label = _read_exact(fh, _read_exact(fh, 1)[0]).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphFileError("graph file label is not UTF-8") from exc
-        k = int.from_bytes(take(4), "little")
-        n = int.from_bytes(take(8), "little")
-        m = int.from_bytes(take(8), "little")
-        dim = int.from_bytes(take(4), "little")
-        # Checked before any block is read, so a corrupt count sizes no read.
-        sizes = (n * dim * 4, n * 8, n * 4, (n + 1) * 8, 2 * m * 4)
-        declared = fh.tell() + sum(sizes) + 4
+        k, n, m, dim = _COUNTS.unpack(_read_exact(fh, _COUNTS.size))
+        offset = fh.tell()
+        blocks = _blocks(n, m, dim)
+        declared = offset + sum(np.dtype(dtype).itemsize * count for dtype, count in blocks) + 4
         if declared != os.fstat(fh.fileno()).st_size:
             raise GraphFileError(f"graph file size is not the {declared} bytes its header declares")
-        vectors = np.frombuffer(take(sizes[0]), dtype="<i4").reshape(n, dim)
-        multiplicity = np.frombuffer(take(sizes[1]), dtype="<i8")
-        orbit = np.frombuffer(take(sizes[2]), dtype="<i4")
-        indptr = np.frombuffer(take(sizes[3]), dtype="<i8")
-        indices = np.frombuffer(take(sizes[4]), dtype="<i4")
-        stored = int.from_bytes(_read_exact(fh, 4), "little")
-        if stored != crc:
-            raise GraphFileError("graph file checksum mismatch")
-    # The file's dtypes are the in-memory ones, so the blocks are used as
-    # read, with no copy: the E8 k=6 edge list alone is 655 MB. One product
-    # gives the Cartan integers for both the lookup and the pairing.
+        crc = _payload_crc(fh)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    views = []
+    for dtype, count in blocks:
+        views.append(np.frombuffer(mapped, dtype=dtype, count=count, offset=offset))
+        offset += views[-1].nbytes
+    vectors, multiplicity, orbit, indptr, indices = views
+    vectors = vectors.reshape(n, dim)
+    # One product gives the Cartan integers for both the lookup and the pairing.
     try:
         keys = encode_rows(vectors)
         if (np.diff(keys) <= 0).any():
@@ -376,6 +400,13 @@ def deserialize(path) -> tuple[SOSGraph, str]:
         vs = closed_vertex_set(label, k, vectors, multiplicity, orbit, keys, cartan)
     except ValueError as exc:
         raise GraphFileError(f"graph file rows are not a W-closed vertex set: {exc}") from exc
+    # These read indptr alone, not the edge block. W acts by automorphisms,
+    # so each W-orbit has one degree.
+    degree = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != 2 * m or (degree < 0).any():
+        raise GraphFileError("graph file row offsets do not rise from 0 to 2m")
+    if (degree != degree[vs.forest.root]).any():
+        raise GraphFileError("graph file rows of one W-orbit differ in degree")
     return SOSGraph(vertices=vs, indptr=indptr, indices=indices), f"{crc:08x}"
 
 
@@ -385,22 +416,8 @@ def file_checksum(path) -> str:
     The CRC of a payload plus its own little-endian CRC is the constant
     residue 0x2144df1c, so the whole-file CRC would not discriminate.
     """
-    size = os.path.getsize(path)
-    if size < 4:
-        raise GraphFileError("file too short to carry a checksum")
-    crc = 0
-    remaining = size - 4
     with open(path, "rb") as fh:
-        while remaining:
-            chunk = fh.read(min(1 << 20, remaining))
-            if not chunk:
-                raise GraphFileError("short read while checksumming")
-            crc = zlib.crc32(chunk, crc)
-            remaining -= len(chunk)
-        trailer = int.from_bytes(fh.read(4), "little")
-    if trailer != crc:
-        raise GraphFileError("graph file checksum mismatch")
-    return f"{crc:08x}"
+        return f"{_payload_crc(fh):08x}"
 
 
 def to_dot(g: SOSGraph) -> str:

@@ -10,7 +10,14 @@ import pytest
 
 from sosgraphs.cli import main
 
-from test_graph import corrupted_headers, with_swapped_orbit_ids
+from test_acceptance import TABLE1
+from test_graph import (
+    BAD_INDPTR,
+    TIER1,
+    corrupted_headers,
+    with_indptr_entry_moved,
+    with_swapped_orbit_ids,
+)
 
 
 def run(capsys, *argv):
@@ -55,6 +62,63 @@ def test_stats_rebuilds_a_file_whose_orbit_ids_disagree_with_its_rows(cli_cache,
     code, out, _ = run(capsys, "stats", *argv)
     assert code == 0 and json.loads(out) == want
     assert path.read_bytes() == data
+
+
+def test_stats_rebuilds_a_file_whose_last_row_is_one_entry_longer(cli_cache, capsys):
+    """An F4 k=3 file whose last row takes one entry from the row before
+    it, its CRC recomputed: the row offsets give one W-orbit two degrees,
+    so stats rebuilds the file, exits 0 and prints the pinned values."""
+    argv = ["--system", "F4", "--k", "3"]
+    path = Path(json.loads(run(capsys, "build", *argv)[1])["path"])
+    data = path.read_bytes()
+    entry, delta, _ = BAD_INDPTR["longer_last_row"]
+    path.write_bytes(with_indptr_entry_moved(data, entry, delta))
+    code, out, _ = run(capsys, "stats", *argv)
+    got = json.loads(out)
+    assert code == 0 and got["graph_checksum"] == f"{zlib.crc32(data[:-4]):08x}"
+    assert (got["n"], got["m"], got["min_degree"], got["max_degree"],
+            got["component_count"]) == TIER1[("F4", 3)]
+    assert path.read_bytes() == data
+
+
+# The child reports its own VmHWM: its ru_maxrss would start from the
+# resident size of the test process that spawned it, 1.7 GB late in a run.
+_PEAK = """
+import contextlib, io, json, sys
+from sosgraphs.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"exit": code, "out": out.getvalue(), "peak_kb": peak_kb}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_warm_graph_commands_hold_only_what_they_touch(cli_cache):
+    """A warm build and a warm stats at E8 k=5, a 178 MB file, each peak
+    below 100 MB in a fresh process: the CRC is streamed and the blocks
+    are mapped, so neither holds the edge block."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def fresh(*argv):
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK, *argv, "--system", "E8", "--k", "5"], env=env,
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        report = json.loads(done.stdout)
+        assert report["exit"] == 0
+        return json.loads(report["out"]), report["peak_kb"] / 1024
+
+    cold, _ = fresh("build")
+    assert not cold["reused"] and Path(cold["path"]).stat().st_size > 170 * 10**6
+    n, m = TABLE1[("E8", 5)][:2]
+    warm, build_mb = fresh("build")
+    assert warm["reused"] and (warm["n"], warm["m"]) == (n, m)
+    stats, stats_mb = fresh("stats")
+    assert (stats["n"], stats["m"], stats["graph_checksum"]) == (n, m, cold["checksum"])
+    assert build_mb < 100 and stats_mb < 100, (build_mb, stats_mb)
 
 
 @pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])

@@ -1,5 +1,10 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import zlib
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +508,102 @@ def test_deserialize_refuses_orbit_ids_that_disagree_with_the_rows(tmp_path, gam
     path.write_bytes(with_swapped_orbit_ids(path.read_bytes()))
     with pytest.raises(GraphFileError, match="one root per W-orbit"):
         deserialize(path)
+
+
+def with_indptr_entry_moved(data: bytes, entry: int, delta: int) -> bytes:
+    """A graph file with indptr[entry] moved by delta and its CRC
+    recomputed to match."""
+    label_len = data[8]
+    n_at = 9 + label_len + 4
+    n = int.from_bytes(data[n_at : n_at + 8], "little")
+    dim = int.from_bytes(data[n_at + 16 : n_at + 20], "little")
+    at = n_at + 20 + n * dim * 4 + n * 8 + n * 4
+    indptr = np.frombuffer(data[at : at + 8 * (n + 1)], dtype="<i8").copy()
+    indptr[entry] += delta
+    payload = data[:at] + indptr.tobytes() + data[at + 8 * (n + 1) : -4]
+    return payload + zlib.crc32(payload).to_bytes(4, "little")
+
+
+# (entry, delta, error) per corruption of an F4 k=3 file, whose degrees are
+# 26 and 32. The first makes the last row one entry longer.
+BAD_INDPTR = {
+    "longer_last_row": (-2, -1, "differ in degree"),
+    "end_beyond_2m": (-1, 1, "from 0 to 2m"),
+    "start_above_0": (0, 1, "from 0 to 2m"),
+    "decreasing": (1, 100, "from 0 to 2m"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INDPTR)
+def test_deserialize_refuses_bad_row_offsets(tmp_path, gamma, name):
+    """Row offsets that do not rise from 0 to 2m, or that give two vertices
+    of one W-orbit different degrees, are a GraphFileError although the
+    CRC matches; none of these checks reads the edge block."""
+    entry, delta, message = BAD_INDPTR[name]
+    path = tmp_path / "g.sosg"
+    serialize(gamma("F4", 3), path)
+    path.write_bytes(with_indptr_entry_moved(path.read_bytes(), entry, delta))
+    with pytest.raises(GraphFileError, match=message):
+        deserialize(path)
+
+
+def test_deserialized_blocks_are_read_only(tmp_path, gamma):
+    """Every block of a graph read from its file is a read-only view: a
+    write into one raises ValueError and leaves the file as it was."""
+    path = tmp_path / "g.sosg"
+    serialize(gamma("F4", 3), path)
+    data = path.read_bytes()
+    g, _ = deserialize(path)
+    vs = g.vertices
+    for arr in (vs.vectors, vs.multiplicity, vs.orbit, g.indptr, g.indices):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 0
+    assert path.read_bytes() == data
+
+
+_REWRITE_HELD = """
+import sys
+import numpy as np
+from sosgraphs.graph import build_gamma, deserialize, serialize
+from sosgraphs.roots import parse_label
+path = sys.argv[1]
+serialize(build_gamma(parse_label("E7"), 3), path)
+held, _ = deserialize(path)
+want = np.array(held.indices)
+serialize(build_gamma(parse_label("F4"), 1), path)
+assert np.array_equal(held.indices, want)
+print(deserialize(path)[0].label)
+"""
+
+
+def test_rewriting_a_path_keeps_a_held_graph(tmp_path):
+    """A graph read from a file still reads its old edges after the path
+    is written again: the new file replaces the old one by name, where an
+    in-place rewrite under the mapped views would kill the process with
+    SIGBUS. So the check runs in a process of its own."""
+    path = tmp_path / "g.sosg"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _REWRITE_HELD, str(path)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "F4"), done.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["g.sosg"]
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path, gamma):
+    """A write that fails part way leaves the file at the path as it was
+    and no temporary file beside it."""
+    path = tmp_path / "g.sosg"
+    serialize(gamma("G2", 1), path)
+    data = path.read_bytes()
+    broken = dataclasses.replace(gamma("F4", 1), indices=np.array(["x", "y"]))
+    with pytest.raises(ValueError):
+        serialize(broken, path)
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["g.sosg"]
 
 
 def test_census_on_deserialized_graph(tmp_path, gamma):

@@ -7,6 +7,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from sosgraphs import cli
 from sosgraphs.graph import MembershipGraph
 
 from test_acceptance import SUNFLOWERS, TABLE1, TABLE2, TABLE3
@@ -28,6 +29,16 @@ def test_tracer_targets_resolve():
     for name, module_name, attr, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), name
     assert callable(MembershipGraph.neighbors)
+
+
+def test_benchmark_rows_parse_with_the_cli():
+    """Every workload's row command line, as the benchmark worker builds
+    it, parses with the CLI's parser; a CLI change that breaks it would
+    otherwise fail every benchmark pass."""
+    worker = _load("perfbench/worker.py")
+    for command in ("cliques", "sunflowers", "parameters"):
+        argv = worker.row_argv(command, "E8", 3, "cache")
+        assert cli._parser().parse_args(argv).command == argv[0], command
 
 
 def _read(path: Path) -> list[list[str]]:
