@@ -286,11 +286,16 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 def _table_rows(args) -> list:
     """(root system, k) per row; k above a system's max SOS size is
-    skipped, and a range that leaves no row at all is an error."""
+    skipped, and a repeated system or a range that leaves no row at all
+    is an error."""
     lo, hi = _parse_k_range(args.k_range)
     if not args.systems:
         raise ValueError("--systems: no system given")
     systems = [parse_label(label) for label in args.systems]
+    labels = [rs.label for rs in systems]
+    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if repeated:
+        raise ValueError(f"--systems: {repeated} is given more than once")
     rows = [(rs, k) for rs in systems for k in range(lo, min(hi, rs.max_sos_size) + 1)]
     if not rows:
         sizes = ", ".join(f"{rs.label} {rs.max_sos_size}" for rs in systems)
@@ -342,7 +347,8 @@ def _format_table(which: str, rows: list[dict], fmt: str) -> str:
         writer.writerow(columns)
         writer.writerows([row[c] for c in columns] for row in rows)
         return buf.getvalue()
-    lines = [" & ".join(columns) + r" \\"]
+    # LaTeX takes a bare "_" only in math mode; the data rows have none.
+    lines = [" & ".join(c.replace("_", r"\_") for c in columns) + r" \\"]
     for row in rows:
         lines.append(" & ".join(str(row[c]) for c in columns) + r" \\")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,8 @@ the CSR edge list where that list is the product.
 W acts by automorphisms, so everything here starts from the
 neighbourhoods at one vertex per W-orbit, its highest index, which is
 its dominant vertex. Degrees are read there, and the components are the
-finest W-invariant equivalence containing the edges at those vertices.
+finest W-invariant equivalence containing the edges at those vertices,
+found by merging labels over pairs of vertices (`roots.merge_labels`).
 
 All group work comes from W's action, which every vertex set carries
 from one construction (`sos.closed_vertex_set`): the simple reflections
@@ -43,9 +44,9 @@ from sosgraphs.roots import (
     RootSystem,
     _cartan_integers,
     _check_norms,
-    component_labels,
     descent_forest,
     encode_rows,
+    merge_labels,
     orbit_labels,
     parse_label,
     reflection_permutations,
@@ -197,67 +198,33 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     return SOSGraph(vertices=vs, indptr=indptr, indices=rows[keep])
 
 
-def _pair_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lowest index of each vertex's component in the graph of pairs (a, b)."""
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    # The stable sort measured about twice as fast as the default on these
-    # partly presorted pair lists (E8 k=6 quotient: 2.6 s against 4.9 s).
-    return component_labels(n, indptr, dst[np.argsort(src, kind="stable")])
-
-
-def _transported_components(
-    g: MembershipGraph, perms: np.ndarray, reps: list[int], hoods, rep_src
-) -> np.ndarray:
-    """Lowest index per component of the representatives' edges plus, at
-    every vertex x = g_x.r, the edges x ~ g_x.w_j: one neighbour w_j per
-    Stab_W(r)-orbit of N(r), carried down the descent forest.
-
-    A helper of its own, so that its n x (seeds) array is freed before
-    the fixed-point loop runs.
-    """
-    n = g.n
-    pairing = g.vertices.pairing
-    seeds = [
-        nb[descent_forest(*stabilizer(perms, pairing, r, nb)).roots] for r, nb in zip(reps, hoods)
-    ]
-    carried = transport(perms, g.vertices.forest, reps, seeds)
-    return _pair_components(
-        n,
-        np.concatenate([rep_src, np.repeat(np.arange(n, dtype=np.int64), carried.shape[1])]),
-        np.concatenate([*hoods, carried.ravel()]),
-    )
-
-
 def quotient_components(g: MembershipGraph, reps: list[int], hoods) -> np.ndarray:
     """Lowest index of each vertex's component, from the W-orbit quotient.
 
     W acts by automorphisms, so the component partition is W-invariant,
     and every edge is w.(an edge at an orbit representative). The
     components are therefore the finest W-invariant equivalence holding
-    the representatives' edges.
+    the representatives' edges. Each of the three steps below is one
+    `merge_labels`.
 
-    The search starts from edges at every vertex (`_transported_components`);
-    they are edges, so they never merge too much. Then x ~ L[x] is
-    propagated to s.x ~ s.L[x] for each simple reflection s until the
-    labels L stop changing; that fixed point is W-invariant and holds every
-    edge at the representatives, so it is exact. A round changes nothing
-    exactly when L[s.x] == L[s.L[x]] for every x and s (L always holds the
-    representatives' edges), so that test ends the loop without the round.
+    The search starts from edges at every vertex: x ~ g_x.w_j, with one
+    neighbour w_j per Stab_W(r)-orbit of N(r) carried down the descent
+    forest to x = g_x.r. They are edges, so they never merge too much.
+    The representatives' edges are merged next. Then x ~ L[x] is carried
+    to s.x ~ s.L[x] for each simple reflection s until that merges
+    nothing; the fixed point is W-invariant and holds every edge at the
+    representatives, so it is exact.
     """
-    n = g.n
-    perms = g.vertices.reflections
+    perms, pairing = g.vertices.reflections, g.vertices.pairing
+    seeds = [
+        nb[descent_forest(*stabilizer(perms, pairing, r, nb)).roots] for r, nb in zip(reps, hoods)
+    ]
+    every = np.arange(g.n, dtype=np.int64)
+    labels = merge_labels(every, every[:, None], transport(perms, g.vertices.forest, reps, seeds))
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
-    every = np.arange(n, dtype=np.int64)
-    labels = _transported_components(g, perms, reps, hoods, rep_src)
-    while not all(np.array_equal(labels[perm], labels[perm[labels]]) for perm in perms):
-        labels = _pair_components(
-            n,
-            np.concatenate([rep_src, every, *perms]),
-            np.concatenate([*hoods, labels, *(perm[labels] for perm in perms)]),
-        )
+    labels = merge_labels(labels, rep_src, np.concatenate([every[:0], *hoods]))
+    while (merged := merge_labels(labels, perms, perms[:, labels])) is not labels:
+        labels = merged
     return labels
 
 

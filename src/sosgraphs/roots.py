@@ -11,9 +11,11 @@ in the rows, so the key of a reflected row x - <x, a^v> a is key(x) minus
 <x, a^v> times a fixed number per root: a generator of the Weyl group acts
 on a closed set of rows as an index permutation found by one lookup of
 those image keys (`reflection_permutations`), half a lookup when the
-rows are closed under negation. Orbits are the components of those
-permutations (`orbit_labels`), or the trees of the descent toward each
-orbit's dominant vertex (`descent_forest`).
+rows are closed under negation. Orbits are the classes of one
+label-merging step (`merge_labels`) joining each x with s.x
+(`orbit_labels`), or the trees of the descent toward each orbit's
+dominant vertex (`descent_forest`). Graph components go through the same
+step.
 
 `weyl_closure` closes a set of vectors under the simple reflections one
 W-orbit at a time. The closed fundamental chamber is a fundamental domain,
@@ -363,41 +365,35 @@ def reflection_permutations(roots, rows: np.ndarray, keys: np.ndarray | None = N
     return _image_permutations(keys, roots, lambda lo, hi: _cartan_integers(rows, roots[lo:hi]))
 
 
-def component_labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Min-label propagation with pointer jumping; exact components."""
-    labels = np.arange(n, dtype=np.int64)
-    if indices.size == 0:
-        return labels
-    deg = np.diff(indptr)
-    nonempty = deg > 0
-    offsets = indptr[:-1][nonempty]
+def merge_labels(labels: np.ndarray, a, b) -> np.ndarray:
+    """The min-labels of the finest coarsening of labels that also joins
+    each a[i] with b[i]; labels are min-labels, each index holding the
+    lowest index of its class, and a and b broadcast to one shape.
+
+    Each round keeps the pairs whose labels differ, hooks the higher label
+    onto the lower (np.minimum.at keeps the lowest of several), and
+    pointer-jumps until every label is a fixed point. When no pair differs
+    the input itself is returned, so `is` tells a caller nothing merged.
+    """
     while True:
-        row_min = np.minimum.reduceat(labels[indices], offsets)
-        updated = labels.copy()
-        updated[nonempty] = np.minimum(labels[nonempty], row_min)
-        while True:
-            jumped = updated[updated]
-            if np.array_equal(jumped, updated):
-                break
-            updated = jumped
-        if np.array_equal(updated, labels):
+        la, lb = np.broadcast_arrays(labels[a], labels[b])
+        differ = la != lb
+        if not differ.any():
             return labels
-        labels = updated
+        la, lb = la[differ], lb[differ]
+        labels = labels.copy()
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
 
 
 def orbit_labels(perms, n: int) -> np.ndarray:
-    """Orbit id per index: components of the generator permutations, a
-    sequence or a (g, n) array.
-
-    Each generator has finite order, so its forward images alone reach
-    the whole orbit. Orbits are numbered by their lowest index, which is
-    the lex-least vertex of a lex-sorted vertex set.
-    """
-    if len(perms) == 0:
-        return np.arange(n, dtype=np.int32)
-    indices = np.stack(perms, axis=1).ravel()
-    indptr = np.arange(0, indices.size + 1, len(perms))
-    lowest = component_labels(n, indptr, indices)
+    """Orbit id per index under generator permutations, a sequence or a
+    (g, n) array: x is merged with s.x for every generator s, and orbits
+    are numbered by their lowest index, which is the lex-least vertex of a
+    lex-sorted vertex set."""
+    perms = np.asarray(perms, dtype=np.int64).reshape(len(perms), n)
+    lowest = merge_labels(np.arange(n, dtype=np.int64), np.arange(n), perms)
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
 

@@ -32,6 +32,9 @@ cliques inside one vertex subset, with no orbit reasoning.
 pairwise_gamma builds the explicit edge list by testing every vertex pair
 in blocks, with no orbit reasoning and no Schreier vector.
 csr_stats reads the graph parameters off the explicit edge list.
+csr_components is min-label propagation over the CSR adjacency of a
+pair list, the reference union that roots.merge_labels is checked
+against; csr_orbit_labels numbers the orbits of permutations with it.
 propagated_components spreads the representatives' edges through the
 simple reflections alone, round after round, to a fixed point.
 dfs_vertex_sets lists every SOS depth first and counts the sums.
@@ -67,7 +70,7 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import DescentForest, GraphStats, SOSGraph, _pair_components, descent_forest
+from sosgraphs.graph import DescentForest, GraphStats, SOSGraph, descent_forest
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
@@ -77,7 +80,6 @@ from sosgraphs.roots import (
     encode_rows,
     key_index,
     key_offset,
-    orbit_labels,
     parse_label,
     reflection_permutations,
     weyl_closure,
@@ -245,7 +247,7 @@ def restricted_labels(perms, members: np.ndarray) -> np.ndarray:
         restricted = [local[perm[members]] for perm in perms]
         if any((perm < 0).any() for perm in restricted):
             raise GroupActionError("generator image escapes the index subset; it is not invariant")
-    return orbit_labels(restricted, members.size)
+    return csr_orbit_labels(restricted, members.size)
 
 
 def restricted_orbits(perms, members: np.ndarray) -> tuple[list[int], list[int]]:
@@ -590,6 +592,40 @@ def csr_stats(g) -> GraphStats:
     )
 
 
+def csr_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lowest index of each vertex's component in the graph of pairs (a, b),
+    by min-label propagation over its CSR adjacency: each round takes the
+    least label over every row's neighbours, then pointer-jumps, until no
+    label changes."""
+    src = np.concatenate([a, b]).astype(np.int64)
+    dst = np.concatenate([b, a]).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indices = dst[np.argsort(src, kind="stable")]
+    labels = np.arange(n, dtype=np.int64)
+    if indices.size == 0:
+        return labels
+    nonempty = np.diff(indptr) > 0
+    offsets = indptr[:-1][nonempty]
+    while True:
+        updated = labels.copy()
+        updated[nonempty] = np.minimum(labels[nonempty],
+                                       np.minimum.reduceat(labels[indices], offsets))
+        while not np.array_equal(jumped := updated[updated], updated):
+            updated = jumped
+        if np.array_equal(updated, labels):
+            return labels
+        labels = updated
+
+
+def csr_orbit_labels(perms, n: int) -> np.ndarray:
+    """Orbit id per index under the generator permutations, numbered by
+    lowest index: the components of the pairs (x, s.x), by `csr_components`."""
+    every = np.arange(n, dtype=np.int64)
+    lowest = csr_components(n, np.tile(every, len(perms)), np.concatenate([every[:0], *perms]))
+    return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
+
+
 def propagated_components(g, reps: list[int], hoods) -> np.ndarray:
     """Lowest index of each vertex's component, by propagation alone.
 
@@ -603,7 +639,7 @@ def propagated_components(g, reps: list[int], hoods) -> np.ndarray:
     every = np.arange(n, dtype=np.int64)
     labels = every
     while True:
-        fresh = _pair_components(
+        fresh = csr_components(
             n,
             np.concatenate([rep_src, every, *perms]),
             np.concatenate([*hoods, labels, *(perm[labels] for perm in perms)]),
@@ -971,7 +1007,7 @@ def core_first_sunflowers(g, rs) -> int:
         if members.size < omega:
             continue
         fixing = [a for a, p in zip(reflections, coordinate_maps) if image(p, core) == core]
-        labels = orbit_labels(
+        labels = csr_orbit_labels(
             reflection_permutations(fixing, vectors[members], keys[members]), members.size
         )
         weighted = 0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -222,6 +223,14 @@ def test_table_rejects_empty_systems(cli_cache, capsys, systems):
     assert err == "error: --systems: no system given\n"
 
 
+@pytest.mark.parametrize("systems,repeated", [("E8,E8", "E8"), ("G2,F4, G2", "G2")])
+def test_table_rejects_a_repeated_system(cli_cache, capsys, systems, repeated):
+    """A system named twice would print its rows twice; it is refused by name."""
+    code, out, err = run(capsys, "table", "cliques", "--systems", systems, "--k-range", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: --systems: {repeated} is given more than once\n"
+
+
 def test_parser_is_built_once_and_reused(cli_cache, capsys):
     """After a usage error, calls of two subcommands in the same process
     print what fresh calls print, and the parser is built once."""
@@ -306,6 +315,16 @@ def test_table_latex_format(cli_cache, capsys):
     code, out, _ = run(capsys, "table", "cliques", "--systems", "G2", "--format", "latex")
     assert code == 0
     assert r"G2 & 1 & 3 \\" in out
+
+
+@pytest.mark.parametrize("which", ["parameters", "cliques", "sunflowers"])
+def test_table_latex_escapes_underscores(cli_cache, capsys, which):
+    """LaTeX takes a bare "_" only in math mode, so every header escapes it."""
+    code, out, _ = run(capsys, "table", which, "--systems", "G2", "--format", "latex")
+    assert code == 0
+    assert re.search(r"(?<!\\)_", out) is None
+    if which != "cliques":
+        assert r"\_" in out.splitlines()[0]
 
 
 @pytest.mark.slow

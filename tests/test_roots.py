@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sosgraphs import roots as rootsmod
@@ -17,6 +17,7 @@ from sosgraphs.roots import (
     build_root_system,
     dot,
     encode_rows,
+    merge_labels,
     parse_label,
     reflection_permutations,
     simple_roots_of,
@@ -30,6 +31,7 @@ from oracles import (
     as_tuples,
     closure,
     closure_orbit_labels,
+    csr_components,
     horner_keys,
     listed_seeds,
     lookup_permutations,
@@ -510,3 +512,38 @@ def test_reflection_preserves_inner_products(label, data):
     # basic root-pair fact: positive product and a != b means a - b is a root
     if dot(a, b) > 0 and a != b:
         assert sub(a, b) in frozenset(rs.roots)
+
+
+@st.composite
+def partitions_with_pairs(draw):
+    """n <= 40, a class id per index, and index pairs (self-pairs allowed)."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, [], []
+    index = st.integers(0, n - 1)
+    return n, draw(st.lists(index, min_size=n, max_size=n)), draw(st.lists(st.tuples(index, index)))
+
+
+@given(partitions_with_pairs())
+@example((0, [], []))
+@example((5, [0, 1, 0, 3, 1], []))
+@example((4, [0, 1, 2, 3], [(2, 2), (0, 0)]))
+@example((6, [5, 4, 3, 2, 1, 0], [(5, 0), (1, 4), (3, 3), (2, 5)]))
+@settings(max_examples=200, deadline=None)
+def test_merge_labels_matches_the_csr_union(case):
+    """merge_labels gives the oracle union of the starting classes and the
+    pairs, each label its class's lowest index; merging the same pairs again
+    returns the input itself, and the input is never written."""
+    n, classes, pairs = case
+    start = np.array([classes.index(c) for c in classes], dtype=np.int64)
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    before = start.copy()
+    merged = merge_labels(start, a, b)
+    assert np.array_equal(start, before)
+    every = np.arange(n, dtype=np.int64)
+    want = csr_components(n, np.concatenate([every, a]), np.concatenate([start, b]))
+    assert np.array_equal(merged, want)
+    assert all(merged[x] == np.flatnonzero(merged == merged[x])[0] for x in range(n))
+    assert merge_labels(merged, a, b) is merged
+    if not pairs:
+        assert merged is start

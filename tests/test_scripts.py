@@ -4,8 +4,12 @@ the benchmark tracer, loaded from their paths."""
 import csv
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sosgraphs import cli
 from sosgraphs.graph import MembershipGraph
@@ -39,6 +43,23 @@ def test_benchmark_rows_parse_with_the_cli():
     for command in ("cliques", "sunflowers", "parameters"):
         argv = worker.row_argv(command, "E8", 3, "cache")
         assert cli._parser().parse_args(argv).command == argv[0], command
+
+
+@pytest.mark.parametrize("command", ["cliques", "sunflowers", "parameters"])
+def test_traced_benchmark_pass_runs(command, tmp_path):
+    """One traced benchmark pass per workload, on one small row, in its own
+    process: the tracer wraps its targets, every row exits 0, and spans are
+    written. A wrapped function that broke would fail here."""
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench/worker.py"), "--command", command,
+         "--rows", "G2:1", "--trace", str(trace), "--cache-dir", str(tmp_path / "cache")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout.splitlines()[-1])["rows"]
+    assert rows and all(row["exit"] == 0 and row["error"] is None for row in rows), rows
+    assert json.loads(trace.read_text())["spans"]
 
 
 def _read(path: Path) -> list[list[str]]:
