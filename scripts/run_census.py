@@ -2,8 +2,12 @@
 """Reproduce the full census end to end and write the report tables.
 
 Every row (system, k) gets its graph parameters, clique number, maximum-
-clique total and sunflower count. Graph parameters come from the
-Weyl-orbit quotient (`graph.stats`), so no row builds edges.
+clique total and sunflower count. The rows are those of the CLI's `table`
+kinds, written by its CSV writer, so `parameters.csv` and
+`clique_numbers.csv` are what `sosgraphs table parameters|cliques --format
+csv` prints, and `sunflowers.csv` is `table sunflowers` without the rows
+where omega <= 1. One maximum-clique census per row gives the clique
+number, the total and the census the sunflower count starts from.
 
 Usage:
     python scripts/run_census.py --out-dir reports/
@@ -12,25 +16,16 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import time
 from pathlib import Path
 
-from sosgraphs import clique as cliquemod
-from sosgraphs import sunflower as sunmod
-from sosgraphs.graph import membership_graph, stats
+from sosgraphs import cli
+from sosgraphs.clique import count_maximum_cliques
+from sosgraphs.graph import membership_graph
 from sosgraphs.roots import build_root_system
 
 ALL_LEVELS = {"G2": 2, "F4": 4, "E6": 4, "E7": 7, "E8": 8}
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {path}")
 
 
 def main() -> int:
@@ -42,43 +37,39 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    param_rows, omega_rows, count_rows, sunflower_rows = [], [], [], []
+    parameters, cliques, sunflowers = (
+        cli.TABLES[which] for which in ("parameters", "cliques", "sunflowers")
+    )
+    columns = {
+        "parameters": parameters.columns,
+        "clique_numbers": cliques.columns,
+        "maximum_clique_counts": ("system", "k", "total"),
+        "sunflowers": sunflowers.columns,
+    }
+    rows = {name: [] for name in columns}
     for label, kmax in ALL_LEVELS.items():
         rs = build_root_system(label)
         for k in range(1, kmax + 1):
             t = time.time()
             g = membership_graph(rs, k)
-            s = stats(g)
-            param_rows.append([label, k, s.n, s.m, s.min_degree, s.max_degree,
-                               s.component_count])
-            census = cliquemod.count_maximum_cliques(g)
-            omega_rows.append([label, k, census.omega])
-            count_rows.append([label, k, census.total_maximum_cliques])
+            params = parameters.row(rs, k, g)
+            census = count_maximum_cliques(g)
+            rows["parameters"].append(params)
+            rows["clique_numbers"].append(cliques.row(rs, k, g, census))
+            rows["maximum_clique_counts"].append([label, k, census.total_maximum_cliques])
             if census.omega > 1:
-                sf = sunmod.count_sunflower_max_cliques(g, rs, census)
-                sunflower_rows.append([
-                    label, k, sf.total_maximum_cliques, sf.sunflower_cliques,
-                    sf.percentage_str(),
-                ])
-            print(f"{label} k={k}: n={s.n} m={s.m} omega={census.omega} "
+                rows["sunflowers"].append(sunflowers.row(rs, k, g, census))
+            n, m = params[2:4]
+            print(f"{label} k={k}: n={n} m={m} omega={census.omega} "
                   f"total={census.total_maximum_cliques} [{time.time()-t:.1f}s]")
-    write_csv(out / "parameters.csv",
-              ["system", "k", "n", "m", "min_degree", "max_degree", "components"],
-              param_rows)
-    write_csv(out / "clique_numbers.csv", ["system", "k", "omega"], omega_rows)
-    write_csv(out / "maximum_clique_counts.csv", ["system", "k", "total"], count_rows)
-    write_csv(out / "sunflowers.csv",
-              ["system", "k", "maximum_cliques", "sunflowers", "percentage"],
-              sunflower_rows)
+    for name, table in rows.items():
+        path = out / f"{name}.csv"
+        path.write_text(cli.csv_text(columns[name], table), encoding="utf-8", newline="")
+        print(f"wrote {path}")
 
     summary = {
         "elapsed_seconds": round(time.time() - started, 1),
-        "rows": {
-            "parameters": len(param_rows),
-            "clique_numbers": len(omega_rows),
-            "maximum_clique_counts": len(count_rows),
-            "sunflowers": len(sunflower_rows),
-        },
+        "rows": {name: len(table) for name, table in rows.items()},
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))

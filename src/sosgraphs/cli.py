@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,16 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def csv_text(columns, rows) -> str:
+    """A header and rows in CSV, with the csv module's \\r\\n line ends: the
+    one CSV writer of every command and of `scripts/run_census.py`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _system(args):
     """The root system named by --system; warns when --k leaves the graph empty."""
     rs = parse_label(args.system)
@@ -81,13 +92,13 @@ def _system(args):
 def cmd_build(args) -> int:
     rs = _system(args)
     g, checksum, reused = load_or_build(args, rs.label, args.k, force=args.force)
-    print(json.dumps({
+    _emit(json.dumps({
         "path": str(cache_path(args, rs.label, args.k)),
         "checksum": checksum,
         "reused": reused,
         "n": g.n,
         "m": g.edge_count,
-    }))
+    }) + "\n", args.out)
     return 0
 
 
@@ -115,9 +126,18 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cliques(args) -> int:
+    if args.brute_force and args.format == "csv":
+        args.usage_error("--brute-force reports in JSON only, not with --format csv")
     rs = _system(args)
     g = graphmod.membership_graph(rs, args.k)
     census = cliquemod.count_maximum_cliques(g)
+    if args.format == "csv":
+        _emit(csv_text(
+            ["system", "k", "omega", "n_i", "c_i", "total"],
+            [[rs.label, args.k, census.omega, n_i, c_i, census.total_maximum_cliques]
+             for n_i, c_i in census.per_orbit],
+        ), args.out)
+        return 0
     payload = {
         "system": rs.label,
         "k": args.k,
@@ -129,40 +149,26 @@ def cmd_cliques(args) -> int:
         cliques = cliquemod.brute_force_maximum_cliques(g)
         payload["brute_force_total"] = len(cliques)
         payload["brute_force_agrees"] = len(cliques) == census.total_maximum_cliques
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["system", "k", "omega", "n_i", "c_i", "total"])
-        for n_i, c_i in census.per_orbit:
-            writer.writerow([rs.label, args.k, census.omega, n_i, c_i, census.total_maximum_cliques])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_sunflowers(args) -> int:
     rs = _system(args)
     g = graphmod.membership_graph(rs, args.k)
-    census = sunmod.count_sunflower_max_cliques(g, rs)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["system", "k", "maximum_cliques", "sunflowers", "percentage"])
-        writer.writerow([
-            rs.label, args.k, census.total_maximum_cliques,
-            census.sunflower_cliques, census.percentage_str(),
-        ])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps({
-            "system": rs.label,
-            "k": args.k,
-            "omega": census.omega,
-            "maximum_cliques": census.total_maximum_cliques,
-            "sunflowers": census.sunflower_cliques,
-            "percentage": census.percentage_str(),
-        }, indent=2) + "\n", args.out)
+        rows = [TABLES["sunflowers"].row(rs, args.k, g)]
+        _emit(_format_table("sunflowers", rows, "csv"), args.out)
+        return 0
+    census = sunmod.count_sunflower_max_cliques(g, rs)
+    _emit(json.dumps({
+        "system": rs.label,
+        "k": args.k,
+        "omega": census.omega,
+        "maximum_cliques": census.total_maximum_cliques,
+        "sunflowers": census.sunflower_cliques,
+        "percentage": census.percentage_str(),
+    }, indent=2) + "\n", args.out)
     return 0
 
 
@@ -304,116 +310,102 @@ def _table_rows(args) -> list:
     return rows
 
 
+class Table(NamedTuple):
+    """A census table: its columns, and its row at (root system, k, graph).
+    The cliques and sunflowers rows also take the graph's maximum-clique
+    census, where the caller has computed it already."""
+
+    columns: tuple[str, ...]
+    row: Callable[..., list]
+
+
+def _parameters_row(rs, k, g) -> list:
+    s = graphmod.stats(g)
+    return [rs.label, k, s.n, s.m, s.min_degree, s.max_degree, s.component_count]
+
+
+def _cliques_row(rs, k, g, census=None) -> list:
+    return [rs.label, k, cliquemod.clique_number(g) if census is None else census.omega]
+
+
+def _sunflowers_row(rs, k, g, census=None) -> list:
+    sf = sunmod.count_sunflower_max_cliques(g, rs, census)
+    return [rs.label, k, sf.total_maximum_cliques, sf.sunflower_cliques, sf.percentage_str()]
+
+
+TABLES = {
+    "parameters": Table(
+        ("system", "k", "n", "m", "min_degree", "max_degree", "components"), _parameters_row
+    ),
+    "cliques": Table(("system", "k", "omega"), _cliques_row),
+    "sunflowers": Table(
+        ("system", "k", "maximum_cliques", "sunflowers", "percentage"), _sunflowers_row
+    ),
+}
+
+
 def cmd_table(args) -> int:
-    rows = []
-    for rs, k in _table_rows(args):
-        g = graphmod.membership_graph(rs, k)
-        if args.which == "parameters":
-            s = graphmod.stats(g)
-            rows.append({
-                "system": rs.label, "k": k, "n": s.n, "m": s.m,
-                "min_degree": s.min_degree, "max_degree": s.max_degree,
-                "components": s.component_count,
-            })
-        elif args.which == "cliques":
-            rows.append({
-                "system": rs.label, "k": k,
-                "omega": cliquemod.clique_number(g),
-            })
-        else:
-            census = sunmod.count_sunflower_max_cliques(g, rs)
-            rows.append({
-                "system": rs.label, "k": k,
-                "maximum_cliques": census.total_maximum_cliques,
-                "sunflowers": census.sunflower_cliques,
-                "percentage": census.percentage_str(),
-            })
-    text = _format_table(args.which, rows, args.format)
-    _emit(text, args.out)
+    row = TABLES[args.which].row
+    rows = [row(rs, k, graphmod.membership_graph(rs, k)) for rs, k in _table_rows(args)]
+    _emit(_format_table(args.which, rows, args.format), args.out)
     return 0
 
 
-def _format_table(which: str, rows: list[dict], fmt: str) -> str:
+def _format_table(which: str, rows: list[list], fmt: str) -> str:
+    columns = TABLES[which].columns
     if fmt == "json":
+        rows = [dict(zip(columns, row)) for row in rows]
         return json.dumps({"table": which, "rows": rows}, indent=2) + "\n"
-    columns = {
-        "parameters": ["system", "k", "n", "m", "min_degree", "max_degree", "components"],
-        "cliques": ["system", "k", "omega"],
-        "sunflowers": ["system", "k", "maximum_cliques", "sunflowers", "percentage"],
-    }[which]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
-        return buf.getvalue()
+        return csv_text(columns, rows)
     # LaTeX takes a bare "_" only in math mode; the data rows have none.
     lines = [" & ".join(c.replace("_", r"\_") for c in columns) + r" \\"]
     for row in rows:
-        lines.append(" & ".join(str(row[c]) for c in columns) + r" \\")
+        lines.append(" & ".join(map(str, row)) + r" \\")
     return "\n".join(lines) + "\n"
-
-
-def _add_out(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
-def _add_cache_dir(parser: argparse.ArgumentParser):
-    parser.add_argument("--cache-dir", default=None, help=f"graph cache (or ${CACHE_ENV})")
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: building
     the six subcommands costs about a millisecond, as much as a small
-    census row."""
+    census row. Options that several subcommands take are declared once,
+    in a parent parser."""
+    row = argparse.ArgumentParser(add_help=False)
+    row.add_argument("--system", required=True)
+    row.add_argument("--k", type=int, required=True)
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir", default=None, help=f"graph cache (or ${CACHE_ENV})")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
     parser = argparse.ArgumentParser(prog="sosgraphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="build a graph into the cache")
-    p.add_argument("--system", required=True)
-    p.add_argument("--k", type=int, required=True)
+    def command(name, func, help, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[*parents, out])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("build", cmd_build, "build a graph into the cache", row, cache)
     p.add_argument("--force", action="store_true")
-    _add_cache_dir(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("stats", help="graph parameters")
-    p.add_argument("--system", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("stats", cmd_stats, "graph parameters", row, cache)
     p.add_argument("--dot", default=None, help="also write a DOT export")
-    _add_cache_dir(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("cliques", help="maximum-clique census")
-    p.add_argument("--system", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out(p)
-    p.set_defaults(func=cmd_cliques)
-
-    p = sub.add_parser("sunflowers", help="sunflower census")
-    p.add_argument("--system", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out(p)
-    p.set_defaults(func=cmd_sunflowers)
-
-    p = sub.add_parser("verify", help="structural property suite")
-    _add_out(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("table", help="emit census tables")
-    p.add_argument("which", choices=["parameters", "cliques", "sunflowers"])
+    p = command("cliques", cmd_cliques, "maximum-clique census", row, fmt)
+    p.add_argument("--brute-force", action="store_true", help="also count by brute force (JSON)")
+    p.set_defaults(usage_error=p.error)
+    command("sunflowers", cmd_sunflowers, "sunflower census", row, fmt)
+    command("verify", cmd_verify, "structural property suite")
+    p = command("table", cmd_table, "emit census tables")
+    p.add_argument("which", choices=list(TABLES))
     p.add_argument("--systems", default=",".join(SYSTEM_ORDER),
                    type=lambda s: [x.strip() for x in s.split(",") if x.strip()])
     p.add_argument("--k-range", default="1-8")
     p.add_argument("--format", choices=["csv", "json", "latex"], default="csv")
-    p.add_argument("--cache-dir", default=None, help="ignored: tables read no graph file")
-    _add_out(p)
-    p.set_defaults(func=cmd_table)
+    p.add_argument("--cache-dir", default=None,
+                   help="accepted for the benchmark worker; no table reads a graph file")
     return parser
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, membership_graph, reflection_permutations, stats
-from sosgraphs.roots import RootSystem, encode_rows
+from sosgraphs.graph import MembershipGraph, membership_graph, stats
+from sosgraphs.roots import RootSystem, encode_rows, reflection_permutations
 from sosgraphs.sos import vertex_set
 
 DEFAULT_ISO_BOUND = 5000

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -35,6 +36,82 @@ def test_build_and_reuse(cli_cache, capsys):
     code, out, _ = run(capsys, "build", "--system", "F4", "--k", "4")
     second = json.loads(out)
     assert second["reused"] and second["checksum"] == first["checksum"]
+
+
+def test_build_out_writes_the_line_build_prints(cli_cache, capsys, tmp_path):
+    """`build --out FILE` writes the one JSON line that `build` prints, and
+    prints nothing."""
+    argv = ["build", "--system", "G2", "--k", "1", "--force"]
+    code, printed, _ = run(capsys, *argv)
+    target = tmp_path / "build.json"
+    code_out, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == code_out == 0 and out == ""
+    assert target.read_text() == printed and printed.count("\n") == 1
+
+
+# Every option is read by its command, except one: the benchmark worker
+# passes `table parameters --cache-dir` on every row, so `table` accepts
+# the option, which no table reads, until the benchmark stops passing it.
+UNREAD = {("table", "cache_dir")}
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").setdefault("_reads", set())
+        reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_command_reads_every_option(cli_cache, capsys, tmp_path):
+    """Each subcommand, parsed into a namespace that records reads and then
+    run, reads every option its parser defines: no option is accepted and
+    then ignored."""
+    from sosgraphs import cli
+
+    argv = {
+        "build": ["--system", "G2", "--k", "1"],
+        "stats": ["--system", "G2", "--k", "1", "--dot", str(tmp_path / "g2.dot")],
+        "cliques": ["--system", "G2", "--k", "1", "--brute-force"],
+        "sunflowers": ["--system", "G2", "--k", "2"],
+        "verify": [],
+        "table": ["cliques", "--systems", "G2"],
+    }
+    parser = cli._parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(argv)
+    for name, sub in commands.choices.items():
+        args = parser.parse_args(
+            [name, *argv[name], "--out", str(tmp_path / name)], namespace=_ReadRecorder()
+        )
+        reads = vars(args)["_reads"]
+        reads.clear()
+        assert args.func(args) == 0, name
+        options = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert options - reads <= {dest for cmd, dest in UNREAD if cmd == name}, name
+    capsys.readouterr()
+
+
+def test_brute_force_with_csv_is_a_usage_error(cli_cache, capsys, monkeypatch):
+    """`cliques --brute-force --format csv` would drop the oracle's result,
+    so it is refused as a usage error that names both options, before any
+    census or oracle runs."""
+    from sosgraphs import clique as cliquemod
+    from sosgraphs import graph as graphmod
+
+    def refuse(*args):
+        raise AssertionError("a census ran")
+
+    for module, name in ((graphmod, "membership_graph"),
+                         (cliquemod, "count_maximum_cliques"),
+                         (cliquemod, "brute_force_maximum_cliques")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(SystemExit) as usage:
+        main(["cliques", "--system", "G2", "--k", "1", "--brute-force", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert usage.value.code == 2 and captured.out == ""
+    assert "--brute-force" in captured.err and "--format csv" in captured.err
 
 
 def test_build_rebuilds_a_corrupted_cache_file(cli_cache, capsys):

@@ -82,3 +82,29 @@ def test_run_census_writes_the_pinned_tables(tmp_path, monkeypatch, capsys):
     assert body("clique_numbers.csv") == [[l, str(k), str(TABLE2[l][k - 1])] for l, k in rows]
     assert body("maximum_clique_counts.csv") == [[l, str(k), str(TABLE3[(l, k)])] for l, k in rows]
     assert body("sunflowers.csv") == [[l, str(k), *map(str, SUNFLOWERS[(l, k)])] for l, k in rows]
+
+
+def test_run_census_writes_what_the_cli_tables_print(tmp_path, monkeypatch, capsys):
+    """The script and `table` share one row path and one writer: over G2,
+    F4 and E7, parameters.csv and clique_numbers.csv are byte for byte what
+    `table parameters|cliques --format csv` prints, and sunflowers.csv is
+    `table sunflowers` without its rows where omega <= 1 (E7 k=7 alone)."""
+    script = _load("scripts/run_census.py")
+    monkeypatch.setattr(script, "ALL_LEVELS", {"G2": 2, "F4": 4, "E7": 7})
+    monkeypatch.setattr(sys, "argv", ["run_census.py", "--out-dir", str(tmp_path)])
+    assert script.main() == 0
+    capsys.readouterr()
+
+    def table(which: str) -> str:
+        argv = ["table", which, "--systems", "G2,F4,E7", "--format", "csv"]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    assert (tmp_path / "parameters.csv").read_bytes() == table("parameters").encode()
+    omegas = table("cliques")
+    assert (tmp_path / "clique_numbers.csv").read_bytes() == omegas.encode()
+    lines = table("sunflowers").splitlines(keepends=True)
+    small = {tuple(row[:2]) for row in csv.reader(omegas.splitlines()[1:]) if int(row[2]) <= 1}
+    assert small == {("E7", "7")}
+    kept = [line for line in lines if tuple(line.split(",")[:2]) not in small]
+    assert (tmp_path / "sunflowers.csv").read_bytes() == "".join(kept).encode()
