@@ -29,15 +29,11 @@ DEFAULT_CACHE = ".sosgraphs_cache"
 SYSTEM_ORDER = ["G2", "F4", "E6", "E7", "E8"]
 
 
-def cache_dir(args) -> Path:
-    raw = args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def cache_path(args, label: str, k: int) -> Path:
-    return cache_dir(args) / f"{label}_k{k}.sosg"
+    """The graph file of (label, k) in the cache directory, which is made
+    only when a graph is written there (`load_or_build`)."""
+    directory = Path(args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
+    return directory / f"{label}_k{k}.sosg"
 
 
 def load_or_build(
@@ -57,6 +53,7 @@ def load_or_build(
         except graphmod.GraphFileError:
             pass
     g = graphmod.build_gamma(rs, k)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return g, graphmod.serialize(g, path), False
 
 
@@ -119,9 +116,10 @@ def cmd_stats(args) -> int:
         "orbit_sizes": g.orbit_sizes(),
         "graph_checksum": checksum,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    # Written first, so a DOT path that cannot be written leaves no report.
     if args.dot:
         Path(args.dot).write_text(graphmod.to_dot(g), encoding="utf-8")
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 

@@ -19,15 +19,14 @@ and every division is exact too. Counting cliques of size exactly
 omega-1 (rather than maximal ones) stays correct when maximal clique
 sizes are mixed.
 
-Every level takes its stabilizer by one step, `roots.stabilizer`: the
-generators orthogonal to the fixed vertex, as permutations of the
-candidate set with their pairings, restricted from the level above. At
-v it restricts the simple reflections and Cartan integers the vertex set
-keeps to N(v) (`Neighborhood`); at u it restricts W_J's on N(v) to
-S & N(u).
-The orbits are the trees of the descent forest of that (perms,
-pairing) pair, with no lookup. Adjacency rows are computed at one w per
-Stab_W(v)-orbit and carried to the rest of N(v) down its forest,
+Every level takes its stabilizer by one step, `DescentForest.stabilizer`:
+the generators orthogonal to the fixed vertex, as permutations of the
+candidate set with their pairings, restricted from the forest of the
+level above. At v it restricts W's forest, which the vertex set keeps,
+to N(v) (`Neighborhood`); at u it restricts W_J's on N(v) to S & N(u).
+The orbits are the trees of the forest it returns, with no lookup.
+Adjacency rows are computed at one w per Stab_W(v)-orbit and carried to
+the rest of N(v) down its forest (`DescentForest.transport`),
 N(h.w) = h.N(w) for h fixing v.
 
 All subgraph work runs on Python-int bitset rows: candidate-set
@@ -43,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sosgraphs.graph import MembershipGraph, transport
-from sosgraphs.roots import descent_forest, exact_quotient, stabilizer
+from sosgraphs.graph import MembershipGraph
+from sosgraphs.roots import DescentForest, exact_quotient
 
 DEFAULT_BRUTE_FORCE_BOUND = 750
 _ENUM_BATCH = 65_536
@@ -251,22 +250,17 @@ class Neighborhood:
     """N(v) at a dominant W-orbit representative v, with the action of
     Stab_W(v) = W_J on it.
 
-    members lists N(v) ascending. perms are the simple reflections in J as
-    permutations of positions in members, one row each, and pairing[x, i]
-    is the Cartan integer <members[x], a_j^v> for the i-th j in J, the
-    vertex set's pairing restricted (`stabilizer`). reps (the
-    roots of the descent forest, J-dominant) and sizes are the
-    Stab_W(v)-orbits.
-    adjacency (boolean) and rows (bitsets) are the induced graph, in the
-    order of members.
+    members lists N(v) ascending. forest is the action of W_J on the
+    positions in members, W's forest restricted (`DescentForest.stabilizer`):
+    its perms are the simple reflections in J, its pairing[x, i] the
+    Cartan integer <members[x], a_j^v> for the i-th j in J, and its roots
+    (J-dominant) and sizes are the Stab_W(v)-orbits. adjacency (boolean)
+    and rows (bitsets) are the induced graph, in the order of members.
     """
 
     orbit_size: int
     members: np.ndarray
-    perms: np.ndarray
-    pairing: np.ndarray
-    reps: list[int]
-    sizes: list[int]
+    forest: DescentForest
     adjacency: np.ndarray
     rows: list[int]
 
@@ -276,43 +270,36 @@ def carried_neighborhoods(g: MembershipGraph):
 
     Adjacency rows are computed at one w per Stab_W(v)-orbit, its
     J-dominant vertex, and carried to the rest of N(v) down the descent
-    forest of the local permutations (`transport`), since N(h.w) = h.N(w)
+    forest of Stab_W(v) (`DescentForest.transport`), since N(h.w) = h.N(w)
     for h fixing v.
     """
     for size, v in zip(g.orbit_sizes(), g.orbit_representatives()):
         nb = g.neighbors(v)
-        perms, pairing = stabilizer(g.vertices.reflections, g.vertices.pairing, v, nb)
-        forest = descent_forest(perms, pairing)
-        reps = forest.roots
+        local = g.vertices.forest.stabilizer(v, nb)
+        reps = local.roots
         adjacency = g.vertices.adjacent(nb[reps][:, None], nb[None, :])
         if reps.size < nb.size:
-            carried = transport(perms, forest, reps, [np.flatnonzero(row) for row in adjacency])
+            carried = local.transport(reps, [np.flatnonzero(row) for row in adjacency])
             adjacency = np.zeros((nb.size, nb.size), dtype=bool)
             adjacency[np.arange(nb.size)[:, None], carried] = True
             np.fill_diagonal(adjacency, False)  # the padding of short rows
-        yield Neighborhood(
-            size, nb, perms, pairing, reps.tolist(), forest.sizes().tolist(), adjacency,
-            bitrows(adjacency),
-        )
+        yield Neighborhood(size, nb, local, adjacency, bitrows(adjacency))
 
 
-def _orbit_tree(hood: Neighborhood, action, ids: np.ndarray, mask: int, orbits, depth: int):
+def _orbit_tree(hood: Neighborhood, forest: DescentForest, ids: np.ndarray, mask: int, depth: int):
     """One (|O|, child) per orbit O of a stabilizer on the candidate set S
     over hood.members, given as its ascending positions ids and as a mask.
-    action is the stabilizer's (perms, pairing) on the positions in ids,
-    and orbits holds, per O, the position in ids of its dominant vertex u
-    and |O|. The child is S & N(u) at depth 1, and above that its own tree
-    under Stab(u), which the generators orthogonal to u generate
-    (`stabilizer`)."""
+    forest is the stabilizer's action on the positions in ids; its roots
+    are the dominant vertices u of the orbits. The child is S & N(u) at
+    depth 1, and above that its own tree under Stab(u), which the
+    generators orthogonal to u generate (`DescentForest.stabilizer`)."""
     tree = []
-    for u, n_o in zip(*orbits):
+    for u, n_o in zip(forest.roots.tolist(), forest.sizes().tolist()):
         child = mask & hood.rows[ids[u]]
         if depth > 1:
             below = _members(child)
-            local = stabilizer(*action, u, np.searchsorted(ids, below))
-            forest = descent_forest(*local)
-            orbits_below = (forest.roots.tolist(), forest.sizes().tolist())
-            child = _orbit_tree(hood, local, below, child, orbits_below, depth - 1)
+            local = forest.stabilizer(u, np.searchsorted(ids, below))
+            child = _orbit_tree(hood, local, below, child, depth - 1)
         tree.append((n_o, child))
     return tree
 
@@ -353,9 +340,8 @@ def _clique_number(trees) -> int:
 def _trees(hoods):
     """(rows, orbit tree of N(v) under Stab(v), DEPTH levels) per neighborhood."""
     for hood in hoods:
-        action, ids = (hood.perms, hood.pairing), np.arange(hood.members.size)
-        full = _full_mask(hood.members.size)
-        yield hood.rows, _orbit_tree(hood, action, ids, full, (hood.reps, hood.sizes), DEPTH)
+        ids, full = np.arange(hood.members.size), _full_mask(hood.members.size)
+        yield hood.rows, _orbit_tree(hood, hood.forest, ids, full, DEPTH)
 
 
 def clique_number(g: MembershipGraph) -> int:

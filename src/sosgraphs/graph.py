@@ -10,20 +10,19 @@ finest W-invariant equivalence containing the edges at those vertices,
 found by merging labels over pairs of vertices (`roots.merge_labels`).
 
 All group work comes from W's action, which every vertex set carries
-from one construction (`sos.closed_vertex_set`): the simple reflections
-as permutations, their pairing with the vertices, which is the Cartan
-integers <x, a_j^v>, and their descent forest. Stab_W(v) of a dominant v
-is generated by the simple reflections fixing v, restricted to N(v)
-(`roots.stabilizer`), and the descent of every index toward its orbit's
-dominant vertex (`descent_forest`) gives the orbits, their sizes and a
-Schreier vector at once, with no lookup and no search. The explicit
-edge list (`build_gamma`) carries each representative's neighbourhood
-down that forest to every vertex of its orbit, N(g.r) = g.N(r)
-(`transport`); it serves the graph file, DOT export and the isomorphism
-checks. A graph file is read in two steps: one streamed pass for its
-CRC, then read-only views of the file mapped into memory, so a reader
-holds only the rows it touches. Its vertex set gets its action as it is
-read, so a file whose orbit block disagrees with its rows is refused.
+from one construction (`sos.closed_vertex_set`): the descent forest of
+the simple reflections, paired with the vertices by the Cartan integers
+<x, a_j^v>. The descent of every index toward its orbit's dominant
+vertex gives the orbits, their sizes and a Schreier vector at once, with
+no lookup and no search, and Stab_W(v) of a dominant v on N(v) is the
+forest's `stabilizer`. The explicit edge list (`build_gamma`) carries
+each representative's neighbourhood down the forest to every vertex of
+its orbit, N(g.r) = g.N(r) (`DescentForest.transport`); it serves the
+graph file, DOT export and the isomorphism checks. A graph file is read
+in two steps: one streamed pass for its CRC, then read-only views of the
+file mapped into memory, so a reader holds only the rows it touches. Its
+vertex set gets its action as it is read, so a file whose orbit block
+disagrees with its rows is refused.
 Files are written under a temporary name and renamed into place, so a
 rewrite never changes the bytes under a reader's views.
 """
@@ -40,17 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from sosgraphs.roots import (
-    DescentForest,
     RootSystem,
     _cartan_integers,
     _check_norms,
-    descent_forest,
     encode_rows,
     merge_labels,
     orbit_labels,
     parse_label,
     reflection_permutations,
-    stabilizer,
 )
 from sosgraphs.sos import VertexSet, closed_vertex_set, vertex_set
 
@@ -94,10 +90,10 @@ class MembershipGraph:
         return np.bincount(self.orbit_label).tolist()
 
     def orbit_representatives(self) -> list[int]:
-        """Highest vertex index within each orbit label, in orbit order: the
-        lex-max vertex, which is the dominant one (`DescentForest`)."""
-        labels = self.orbit_label
-        return (labels.size - 1 - np.unique(labels[::-1], return_index=True)[1]).tolist()
+        """The dominant vertex of each orbit, its highest index, in orbit
+        order: the roots of W's descent forest."""
+        roots = self.vertices.forest.roots
+        return roots[np.argsort(self.orbit_label[roots])].tolist()
 
     def neighbors(self, v: int) -> np.ndarray:
         hit = self.vertices.adjacent(v, slice(None))
@@ -132,36 +128,6 @@ class GraphStats:
     isolated_vertex_count: int
 
 
-# Int32 entries per carried block: each block's two temporaries stay at
-# 1 MB, where the widest E8 k=6 level, 1,621 rows of 2,710, took 17.6 MB each.
-_CARRY_BLOCK = 1 << 18
-
-
-def transport(perms: np.ndarray, forest: DescentForest, reps, carried) -> np.ndarray:
-    """Carry one index row per forest root down to every index of its tree.
-
-    perms are the generators as a (g, m) array of permutations and carried[i]
-    is the row of reps[i]; reps must be the forest's roots. Row x of the
-    (m, width) int32 result is g_x applied to the row of its root r, where
-    g_x.r = x is read off the forest, one level at a time in blocks of
-    rows. Short rows are padded with r itself, which arrives at x as x:
-    the padding marks self-pairs.
-    """
-    if not np.array_equal(np.sort(reps), forest.roots):
-        raise ValueError("carried rows must sit at the forest roots")
-    width = max(map(len, carried), default=0)
-    out = np.empty((forest.root.size, width), dtype=np.int32)
-    for r, row in zip(reps, carried):
-        out[r, : len(row)] = row
-        out[r, len(row) :] = r
-    step = max(1, _CARRY_BLOCK // max(width, 1))
-    for level in forest.levels():
-        for lo in range(0, level.size, step):
-            rows = level[lo : lo + step]
-            out[rows] = perms[forest.gen[rows][:, None], out[forest.parent[rows]]]
-    return out
-
-
 def weyl_orbit_labels(rs: RootSystem, vertices: VertexSet) -> np.ndarray:
     """Per-vertex Weyl orbit ids, numbered by their lex-least vertex."""
     return orbit_labels(reflection_permutations(rs.simple_roots, vertices.vectors), len(vertices))
@@ -176,8 +142,8 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
     """Build the gamma graph for rs at level k with its explicit edge list.
 
     The neighbourhood of each W-orbit representative is carried to every
-    vertex of its orbit (`transport`); each row is then sorted and the
-    padding, which arrives at x as x itself, is dropped.
+    vertex of its orbit (`DescentForest.transport`); each row is then
+    sorted and the padding, which arrives at x as x itself, is dropped.
     """
     g = membership_graph(rs, k)
     vs = g.vertices
@@ -185,7 +151,7 @@ def build_gamma(rs: RootSystem, k: int) -> SOSGraph:
         raise ValueError("vertex set not closed under negation; adjacency would not be symmetric")
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    rows = transport(vs.reflections, vs.forest, reps, hoods)
+    rows = vs.forest.transport(reps, hoods)
     rows.sort(axis=1)
     if all(h.size == rows.shape[1] for h in hoods):
         # No row is padded, so the sorted rows already are the edge list;
@@ -215,14 +181,13 @@ def quotient_components(g: MembershipGraph, reps: list[int], hoods) -> np.ndarra
     nothing; the fixed point is W-invariant and holds every edge at the
     representatives, so it is exact.
     """
-    perms, pairing = g.vertices.reflections, g.vertices.pairing
-    seeds = [
-        nb[descent_forest(*stabilizer(perms, pairing, r, nb)).roots] for r, nb in zip(reps, hoods)
-    ]
+    forest = g.vertices.forest
+    seeds = [nb[forest.stabilizer(r, nb).roots] for r, nb in zip(reps, hoods)]
     every = np.arange(g.n, dtype=np.int64)
-    labels = merge_labels(every, every[:, None], transport(perms, g.vertices.forest, reps, seeds))
+    labels = merge_labels(every, every[:, None], forest.transport(reps, seeds))
     rep_src = np.repeat(np.asarray(reps, dtype=np.int64), [h.size for h in hoods])
     labels = merge_labels(labels, rep_src, np.concatenate([every[:0], *hoods]))
+    perms = forest.perms
     while (merged := merge_labels(labels, perms, perms[:, labels])) is not labels:
         labels = merged
     return labels

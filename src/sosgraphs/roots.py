@@ -13,9 +13,12 @@ on a closed set of rows as an index permutation found by one lookup of
 those image keys (`reflection_permutations`), half a lookup when the
 rows are closed under negation. Orbits are the classes of one
 label-merging step (`merge_labels`) joining each x with s.x
-(`orbit_labels`), or the trees of the descent toward each orbit's
-dominant vertex (`descent_forest`). Graph components go through the same
-step.
+(`orbit_labels`), or the trees of a `DescentForest`: the generators and
+their pairings, with the descent of each index toward its orbit's
+dominant vertex. That one object gives the stabilizer of a dominant
+vertex (`DescentForest.stabilizer`) and carries rows from the roots down
+the trees (`DescentForest.transport` and `carry`). Graph components go
+through the same label-merging step.
 
 `weyl_closure` closes a set of vectors under the simple reflections one
 W-orbit at a time. The closed fundamental chamber is a fundamental domain,
@@ -397,11 +400,19 @@ def orbit_labels(perms, n: int) -> np.ndarray:
     return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
 
+# Int32 entries per carried block: each block's two temporaries stay at
+# 1 MB, where the widest E8 k=6 level, 1,621 rows of 2,710, took 17.6 MB each.
+_CARRY_BLOCK = 1 << 18
+
+
 @dataclass(frozen=True)
 class DescentForest:
-    """Every index's descent toward the dominant vertex of its orbit.
+    """A group action on 0..m-1 with its descent toward the dominant
+    vertex of each orbit: the one object through which W, H and every
+    stabilizer act.
 
-    For generators s_j acting as permutations with pairings <x, a_j>,
+    perms are the generators s_j as a (g, m) array of permutations and
+    pairing the (m, g) pairings <x, a_j> (any positive multiple of them).
     parent[x] = s_j.x and gen[x] = j for the least j with <x, a_j> < 0;
     both are -1 at the roots, which pair with no generator negatively: the
     dominant vertices, one per orbit (Humphreys, *Reflection Groups and
@@ -412,6 +423,8 @@ class DescentForest:
     come from pointer jumping.
     """
 
+    perms: np.ndarray
+    pairing: np.ndarray
     parent: np.ndarray
     gen: np.ndarray
     root: np.ndarray
@@ -431,13 +444,62 @@ class DescentForest:
         order = np.argsort(self.depth, kind="stable")
         return np.split(order, np.cumsum(np.bincount(self.depth))[:-1])[1:]
 
+    def stabilizer(self, x: int, ids: np.ndarray) -> DescentForest:
+        """The forest of Stab(x) acting on the invariant ascending index set
+        ids, x dominant: the parabolic subgroup generated by the generators
+        orthogonal to x (Humphreys, 1.12), as permutations of positions in
+        ids with their pairings restricted. An image outside ids raises
+        GroupActionError.
+        """
+        gens = np.flatnonzero(self.pairing[x] == 0)
+        position = np.full(self.root.size, -1, dtype=np.int64)
+        position[ids] = np.arange(len(ids))
+        local = position[self.perms[gens[:, None], ids]]
+        if (local < 0).any():
+            raise GroupActionError("generator image escapes the index subset; it is not invariant")
+        return descent_forest(local, self.pairing[np.ix_(ids, gens)])
+
+    def transport(self, reps, carried) -> np.ndarray:
+        """Carry one index row per root down to every index of its tree.
+
+        carried[i] is the row of reps[i]; reps must be the roots. Row x of
+        the (m, width) int32 result is g_x applied to the row of its root r,
+        where g_x.r = x is read off the forest, one level at a time in blocks
+        of rows. Short rows are padded with r itself, which arrives at x as
+        x: the padding marks self-pairs.
+        """
+        if not np.array_equal(np.sort(reps), self.roots):
+            raise ValueError("carried rows must sit at the forest roots")
+        width = max(map(len, carried), default=0)
+        out = np.empty((self.root.size, width), dtype=np.int32)
+        for r, row in zip(reps, carried):
+            out[r, : len(row)] = row
+            out[r, len(row) :] = r
+        step = max(1, _CARRY_BLOCK // max(width, 1))
+        for level in self.levels():
+            for lo in range(0, level.size, step):
+                rows = level[lo : lo + step]
+                out[rows] = self.perms[self.gen[rows][:, None], out[self.parent[rows]]]
+        return out
+
+    def carry(self, x: int, row):
+        """g_x applied to the index row of the root r of x's tree, where
+        g_x.r = x: `transport` for one index."""
+        path = []
+        while self.gen[x] >= 0:
+            path.append(self.gen[x])
+            x = self.parent[x]
+        for j in reversed(path):
+            row = self.perms[j][row]
+        return row
+
 
 def descent_forest(perms: np.ndarray, pairing: np.ndarray) -> DescentForest:
     """The descent forest of generators given as a (g, m) array of
     permutations of 0..m-1 and an (m, g) array of pairings <x, a_j> (any
-    positive multiple of them). A step that does not rise in index means
-    the permutations are not the reflections the pairings describe, and
-    raises GroupActionError.
+    positive multiple of them), which it keeps. A step that does not rise
+    in index means the permutations are not the reflections the pairings
+    describe, and raises GroupActionError.
     """
     m = pairing.shape[0]
     below = pairing < 0
@@ -456,30 +518,9 @@ def descent_forest(perms: np.ndarray, pairing: np.ndarray) -> DescentForest:
     while True:
         up = root[root]
         if np.array_equal(up, root):
-            return DescentForest(parent, gen, root, depth)
+            return DescentForest(perms, pairing, parent, gen, root, depth)
         depth += depth[root]
         root = up
-
-
-def stabilizer(
-    perms: np.ndarray, pairing: np.ndarray, x: int, ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stab(x) acting on the invariant ascending index set ids, for
-    generators given as `descent_forest` takes them and x dominant: the
-    parabolic subgroup generated by the generators orthogonal to x
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.12).
-
-    Returns those generators as a (g', len(ids)) array of permutations of
-    positions in ids and their (len(ids), g') pairings, the same pair one
-    level down. An image outside ids raises GroupActionError.
-    """
-    gens = np.flatnonzero(pairing[x] == 0)
-    position = np.full(perms.shape[1], -1, dtype=np.int64)
-    position[ids] = np.arange(len(ids))
-    local = position[perms[gens[:, None], ids]]
-    if (local < 0).any():
-        raise GroupActionError("generator image escapes the index subset; it is not invariant")
-    return local, pairing[np.ix_(ids, gens)]
 
 
 def exact_quotient(weighted: int, k: int, what: str) -> int:

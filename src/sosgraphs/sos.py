@@ -25,10 +25,10 @@ The dominant vertices seed the closure, which walks each W-orbit once,
 down from its dominant vertex (`roots.weyl_closure`), and returns the
 orbit ids and the Cartan integers <x, a_j^v> the walk carries. From those
 integers and the keys, one function (`closed_vertex_set`) builds W's
-action for the graph views: the simple reflections as permutations of
-the vertices, the pairing, which is the Cartan integers themselves, and
-their descent forest, checked against the orbit ids. A graph file's
-vertex set gets its action from the same function.
+action for the graph views: the descent forest of the simple reflections
+as permutations of the vertices, paired by the Cartan integers
+themselves, checked against the orbit ids. A graph file's vertex set
+gets its action from the same function.
 
 The gamma graph is the vertex set itself: two vertices are adjacent when
 their difference is again a vertex (`VertexSet.adjacent`).
@@ -67,10 +67,10 @@ class VertexSet:
     vectors rows are doubled coordinates in lex order; multiplicity[i]
     counts the SOS summing to vectors[i]; orbit[i] is the W-orbit id of
     row i, numbered by lowest row; keys are the rows' sorted int64 keys.
-    The action is the simple reflections as a (rank, n) int32 array of
-    row permutations (reflections[j, i] is the index of s_j.vectors[i]),
-    the (n, rank) Cartan integers pairing[i, j] = <vectors[i], a_j^v>,
-    and the descent forest of the two (`closed_vertex_set`).
+    forest is W's action (`closed_vertex_set`): its perms are the simple
+    reflections as a (rank, n) int32 array of row permutations
+    (perms[j, i] is the index of s_j.vectors[i]), and its pairing the
+    (n, rank) Cartan integers pairing[i, j] = <vectors[i], a_j^v>.
     """
 
     label: str
@@ -79,8 +79,6 @@ class VertexSet:
     multiplicity: np.ndarray  # (n,) int64
     orbit: np.ndarray = field(repr=False, compare=False)
     keys: np.ndarray = field(repr=False, compare=False)
-    reflections: np.ndarray = field(repr=False, compare=False)
-    pairing: np.ndarray = field(repr=False, compare=False)
     forest: DescentForest = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -112,8 +110,8 @@ def closed_vertex_set(label: str, k: int, vectors, multiplicity, orbit, keys, pa
     Each simple reflection is one lookup of image keys found by key
     arithmetic (`_image_permutations`), so the caller must have bounded
     the norms; an image outside the rows raises GroupActionError. The
-    Cartan integers are the pairing: per column a positive multiple of
-    <x, a_j>, all that `descent_forest` and `roots.stabilizer` read. A
+    Cartan integers are the forest's pairing: per column a positive
+    multiple of <x, a_j>, all that its descent and stabilizers read. A
     forest without one root per recorded W-orbit raises GroupActionError.
     """
     simple = np.asarray(parse_label(label).simple_roots, dtype=np.int64)
@@ -122,7 +120,7 @@ def closed_vertex_set(label: str, k: int, vectors, multiplicity, orbit, keys, pa
     orbits = int(orbit.max()) + 1 if orbit.size else 0
     if forest.roots.size != orbits or not np.array_equal(orbit[forest.root], orbit):
         raise GroupActionError("the descent forest does not have one root per W-orbit")
-    return VertexSet(label, k, vectors, multiplicity, orbit, keys, perms, pairing, forest)
+    return VertexSet(label, k, vectors, multiplicity, orbit, keys, forest)
 
 
 def strong_orthogonality_graph(rs: RootSystem) -> np.ndarray:

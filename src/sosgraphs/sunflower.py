@@ -33,15 +33,14 @@ H acts through the simple reflections the vertex set keeps. Every simple
 root of H is a simple root of W but at most one, whose coroot is an
 integer sum of W's simple coroots; so its Cartan integers are that sum
 of W's kept columns, its reflection is one lookup per vertex set, and no
-vertex is multiplied by a root. `base_action` gives H as permutations
-and Cartan integers, the pair W's levels pass. The H-orbits and their
-sizes are the trees of its descent forest, and each Stab_H(v) on P_v is
-the step every level of the clique census takes (`roots.stabilizer`),
-with no lookup per representative.
+vertex is multiplied by a root. `base_action` gives H's descent forest,
+built as W's is. The H-orbits and their sizes are its trees, and each
+Stab_H(v) on P_v is the step every level of the clique census takes
+(`DescentForest.stabilizer`), with no lookup per representative.
 
 No neighborhood is induced again here. Each representative x is g.r for
-its W-representative r, the dominant vertex, with g read off the descent
-forest of the simple reflections, so the clique census's carried N(r),
+its W-representative r, the dominant vertex, with g read off W's descent
+forest (`DescentForest.carry`), so the clique census's carried N(r),
 moved by g, is N(x) index for index. Each N_P(u) is r's carried row of u,
 masked, and only its own small adjacency matrix is built.
 """
@@ -74,7 +73,6 @@ from sosgraphs.roots import (
     parse_label,
     reflection_permutations,
     simple_roots_of,
-    stabilizer,
 )
 from sosgraphs.sos import VertexSet
 
@@ -161,11 +159,11 @@ def _split_base(label: str, roots: tuple) -> tuple[np.ndarray, np.ndarray, np.nd
     return base, kept, coroots
 
 
-def base_action(vertices: VertexSet, roots) -> tuple[np.ndarray, np.ndarray]:
-    """The group the reflections in roots generate, as `descent_forest` and
-    `stabilizer` take it: its base's reflections as a (b, n) int32 array
-    of vertex permutations, and the (n, b) Cartan integers of the vertices
-    with the base roots.
+def base_action(vertices: VertexSet, roots) -> DescentForest:
+    """The descent forest of the group the reflections in roots generate:
+    its base's reflections as a (b, n) int32 array of vertex permutations,
+    paired by the (n, b) Cartan integers of the vertices with the base
+    roots.
 
     A base root that is a simple root of W takes the permutation and the
     Cartan column the vertex set keeps. The others' Cartan integers are
@@ -174,14 +172,15 @@ def base_action(vertices: VertexSet, roots) -> tuple[np.ndarray, np.ndarray]:
     vertices raises GroupActionError.
     """
     base, kept, coroots = _split_base(vertices.label, tuple(map(tuple, roots)))
-    others = vertices.pairing @ coroots
-    perms = vertices.reflections[kept]
+    w = vertices.forest
+    others = w.pairing @ coroots
+    perms = w.perms[kept]
     if others.shape[1]:
         extra = _image_permutations(
             vertices.keys, base[kept.size :], lambda lo, hi: others[:, lo:hi].T
         )
         perms = np.concatenate([perms, extra])
-    return perms, np.hstack([vertices.pairing[:, kept], others])
+    return descent_forest(perms, np.hstack([w.pairing[:, kept], others]))
 
 
 def _support_masks(rows: np.ndarray) -> np.ndarray:
@@ -189,23 +188,13 @@ def _support_masks(rows: np.ndarray) -> np.ndarray:
     return (rows != 0).astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
 
 
-def _carry(perms: np.ndarray, forest: DescentForest, x: int, row):
-    """g_x applied to row, where g_x.r = x for the root r of x's tree in the
-    descent forest of perms."""
-    path = []
-    while forest.gen[x] >= 0:
-        path.append(forest.gen[x])
-        x = forest.parent[x]
-    for j in reversed(path):
-        row = perms[j][row]
-    return row
-
-
-def sunflowers_at(action, masks: np.ndarray, x: int, hood: Neighborhood, images, omega: int) -> int:
+def sunflowers_at(
+    forest: DescentForest, masks: np.ndarray, x: int, hood: Neighborhood, images, omega: int
+) -> int:
     """Sunflower maximum cliques (of size omega >= 2) containing x, the
-    dominant vertex of its orbit under the group action (perms, pairing):
-    the (omega-1)-cliques of P_x, counted at one u per Stab(x)-orbit
-    (`stabilizer`), with exact division.
+    dominant vertex of its orbit in the group's descent forest: the
+    (omega-1)-cliques of P_x, counted at one u per Stab(x)-orbit
+    (`DescentForest.stabilizer`), with exact division.
 
     images[i] is the neighbour of x that vertex i of hood (x's
     W-representative's neighborhood) is carried to, so hood's row i,
@@ -217,9 +206,9 @@ def sunflowers_at(action, masks: np.ndarray, x: int, hood: Neighborhood, images,
     if omega == 2:
         return int(part.size)
     part = part[np.argsort(images[part])]
-    forest = descent_forest(*stabilizer(*action, x, images[part]))
+    local = forest.stabilizer(x, images[part])
     weighted = 0
-    for u, n_o in zip(part[forest.roots].tolist(), forest.sizes().tolist()):
+    for u, n_o in zip(part[local.roots].tolist(), local.sizes().tolist()):
         # w is u's neighbour in P_x exactly when it meets supp(u) | supp(x)
         # in u's core alone.
         core = cores[u]
@@ -238,19 +227,17 @@ def sunflowers_by_orbit(g: MembershipGraph, roots, census: CliqueCensus):
 
     The orbits are the trees of the descent forest of a base of roots, and
     x, a tree's root, is the highest index of its orbit. x = g_x.r for its
-    W-representative r, with g_x read off the descent forest of the simple
-    reflections, so N(x) = g_x.N(r) index for index and the census's
-    carried neighborhood of r serves x.
+    W-representative r, with g_x read off W's descent forest, so
+    N(x) = g_x.N(r) index for index and the census's carried neighborhood
+    of r serves x.
     """
-    action = base_action(g.vertices, roots)
-    hforest = descent_forest(*action)
-    perms = g.vertices.reflections
-    forest = g.vertices.forest
+    h = base_action(g.vertices, roots)
+    w = g.vertices.forest
     masks = _support_masks(g.vertices.vectors)
-    for size, x in zip(hforest.sizes().tolist(), hforest.roots.tolist()):
+    for size, x in zip(h.sizes().tolist(), h.roots.tolist()):
         hood = census.neighborhoods[g.orbit_label[x]]
-        images = _carry(perms, forest, x, hood.members)
-        yield size, x, sunflowers_at(action, masks, x, hood, images, census.omega)
+        images = w.carry(x, hood.members)
+        yield size, x, sunflowers_at(h, masks, x, hood, images, census.omega)
 
 
 def orbit_weighted_sunflowers(g: MembershipGraph, roots, census: CliqueCensus) -> int:

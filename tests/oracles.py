@@ -42,7 +42,7 @@ listed_seeds lists the (k-1)-SOS strongly orthogonal to one fixed root of
 each length, and listed_vertex_set closes their sums under W and weights
 each W-orbit by the seeds it holds: the vertex sets before they were
 counted by candidate-set recursion. placeholder_vertex_set gives graph
-shells over given rows a vertex set with no generators.
+shells over given rows a vertex set whose one generator cycles each orbit.
 enumerated_sunflower_census lists every maximum clique through one vertex
 per coordinate-permutation orbit and classifies each by its column profile.
 sunflowers_through counts the sunflower maximum cliques through one vertex
@@ -70,12 +70,14 @@ from sosgraphs.clique import (
     induced_bitrows,
     max_clique_size_bitset,
 )
-from sosgraphs.graph import DescentForest, GraphStats, SOSGraph, descent_forest
+from sosgraphs.graph import GraphStats, SOSGraph
 from sosgraphs.roots import (
     KEY_BASE,
     KEY_SHIFT,
+    DescentForest,
     GroupActionError,
     RootSystemError,
+    descent_forest,
     dot,
     encode_rows,
     key_index,
@@ -879,14 +881,20 @@ def listed_vertex_set(rs, k: int) -> VertexSet:
 
 
 def placeholder_vertex_set(label: str, vectors: np.ndarray, orbit: np.ndarray) -> VertexSet:
-    """A VertexSet over given rows and orbit ids with no generators, for
-    graph shells whose edges are given: its action is built from nothing
-    and checked against nothing."""
+    """A VertexSet over given rows and orbit ids, for graph shells whose
+    edges are given. Its action is one generator that moves each index to
+    the next index of its orbit and the highest back to the lowest, paired
+    negatively everywhere but at the highest: its descent forest has one
+    root per orbit, the highest index, as a closed vertex set's has."""
     n = len(vectors)
-    perms = np.empty((0, n), dtype=np.int32)
-    pairing = np.empty((n, 0), dtype=np.int16)
+    perm = np.arange(n, dtype=np.int32)
+    pairing = np.zeros((n, 1), dtype=np.int16)
+    for o in np.unique(orbit):
+        members = np.flatnonzero(orbit == o)
+        perm[members] = np.roll(members, -1)
+        pairing[members[:-1]] = -1
     return VertexSet(label, 1, vectors, np.ones(n, dtype=np.int64), orbit,
-                     encode_rows(vectors), perms, pairing, descent_forest(perms, pairing))
+                     encode_rows(vectors), descent_forest(perm[None, :], pairing))
 
 
 def plain_permutation_roots(rs) -> list:

@@ -337,6 +337,24 @@ def test_stats_output(cli_cache, capsys, tmp_path):
     assert dot.read_text().count(" -- ") == 96
 
 
+def test_stats_dot_into_missing_directory_prints_no_report(cli_cache, capsys, tmp_path):
+    """The DOT file is written before the report, so a DOT path that cannot
+    be written fails the run with nothing on stdout."""
+    dot = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "stats", "--system", "G2", "--k", "1", "--dot", str(dot))
+    assert code == 1 and out == ""
+    assert any(line.startswith("error: ") and str(dot) in line for line in err.splitlines())
+
+
+def test_refused_build_makes_no_cache_directory(capsys, tmp_path):
+    """k = 0 is refused before any graph is written, and the cache
+    directory is made only when one is."""
+    fresh = tmp_path / "new"
+    code, out, err = run(capsys, "build", "--system", "E7", "--k", "0", "--cache-dir", str(fresh))
+    assert code == 1 and out == "" and "k must be >= 1" in err
+    assert not fresh.exists()
+
+
 def test_cliques_json_and_csv(cli_cache, capsys):
     code, out, _ = run(capsys, "cliques", "--system", "G2", "--k", "1", "--brute-force")
     assert code == 0

@@ -21,7 +21,7 @@ from sosgraphs.clique import (
     max_clique_size_bitset,
     maximal_clique_size_counts,
 )
-from sosgraphs.roots import GroupActionError, descent_forest, parse_label, stabilizer
+from sosgraphs.roots import DescentForest, GroupActionError, parse_label
 
 from oracles import (
     closure_orbit_labels,
@@ -286,12 +286,13 @@ def test_stabilizer_orbits_match_closure_and_fix_counts(label, k, mgraph):
         labels = closure_orbit_labels(
             [tuple(int(x) for x in g.vertices.vectors[w]) for w in nb], _stabilizer_maps(g, [v])
         )
-        assert sum(hood.sizes) == nb.size
-        assert hood.reps == _highest(labels)
-        assert hood.sizes == [labels.count(labels[w]) for w in hood.reps]
+        reps, sizes = hood.forest.roots.tolist(), hood.forest.sizes().tolist()
+        assert sum(sizes) == nb.size
+        assert reps == _highest(labels)
+        assert sizes == [labels.count(labels[w]) for w in reps]
         rows = induced_bitrows(g, nb)
         counts = [count_cliques_of_size_bitset(rows, rows[i], omega - 2) for i in range(nb.size)]
-        rep_of = {labels[w]: w for w in hood.reps}
+        rep_of = {labels[w]: w for w in reps}
         assert all(counts[i] == counts[rep_of[labels[i]]] for i in range(nb.size))
 
 
@@ -313,14 +314,14 @@ def test_stabilizer_orbits_reject_non_invariant_subset(mgraph):
     g = mgraph("F4", 3)
     v = g.orbit_representatives()[0]
     nb = g.neighbors(v)
-    perms, pairing = g.vertices.reflections, g.vertices.pairing
+    forest = g.vertices.forest
     with pytest.raises(GroupActionError):
-        stabilizer(perms, pairing, v, nb[1:])
-    local, local_pairing = stabilizer(perms, pairing, v, nb)
-    moves_first = local[:, 0] != 0
-    x = next(x for x in range(nb.size) if (moves_first & (local_pairing[x] == 0)).any())
+        forest.stabilizer(v, nb[1:])
+    local = forest.stabilizer(v, nb)
+    moves_first = local.perms[:, 0] != 0
+    x = next(x for x in range(nb.size) if (moves_first & (local.pairing[x] == 0)).any())
     with pytest.raises(GroupActionError):
-        stabilizer(local, local_pairing, x, np.arange(1, nb.size))
+        local.stabilizer(x, np.arange(1, nb.size))
 
 
 @pytest.mark.parametrize("label,k", sorted(OMEGA))
@@ -333,14 +334,13 @@ def test_parabolic_orbits_match_orthogonal_root_orbits(label, k, mgraph):
     for v, hood in zip(g.orbit_representatives(), carried_neighborhoods(g)):
         nb = hood.members
         roots, perms = stabilizer_action(g, v, nb)
-        forest = descent_forest(hood.perms, hood.pairing)
+        forest = hood.forest
         assert _forest_labels(forest) == restricted_labels(perms, np.arange(nb.size)).tolist()
-        for w in hood.reps:
+        for w in forest.roots:
             local = np.flatnonzero(hood.adjacency[w])
             pointwise = perms[(roots @ g.vertices.vectors[nb[w]]) == 0]
             want = restricted_labels(pointwise, local).tolist()
-            forest = descent_forest(*stabilizer(hood.perms, hood.pairing, w, local))
-            assert _forest_labels(forest) == want
+            assert _forest_labels(forest.stabilizer(w, local)) == want
 
 
 @pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
@@ -355,14 +355,14 @@ def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
     for v, hood in zip(g.orbit_representatives(), carried_neighborhoods(g)):
         nb = hood.members
         rows = induced_bitrows(g, nb)
-        for w in hood.reps:
+        for w in hood.forest.roots.tolist():
             local = np.array([i for i in range(nb.size) if rows[w] >> i & 1])
             common = nb[local]
             labels = closure_orbit_labels(
                 [tuple(int(x) for x in g.vertices.vectors[u]) for u in common],
                 _stabilizer_maps(g, [v, int(nb[w])]),
             )
-            forest = descent_forest(*stabilizer(hood.perms, hood.pairing, w, local))
+            forest = hood.forest.stabilizer(w, local)
             reps, sizes = forest.roots.tolist(), forest.sizes().tolist()
             assert sum(sizes) == common.size
             assert reps == _highest(labels)
@@ -373,7 +373,7 @@ def test_pointwise_stabilizer_orbits_match_closure(label, k, mgraph):
             assert all(counts[i] == counts[forest.root[i]] for i in range(len(local)))
             if local.size and labels.count(labels[0]) > 1:
                 with pytest.raises(GroupActionError):
-                    stabilizer(hood.perms, hood.pairing, w, local[1:])
+                    hood.forest.stabilizer(w, local[1:])
                 refused += 1
     assert refused
 
@@ -386,13 +386,14 @@ def test_restriction_to_a_non_invariant_common_neighborhood_raises(label, k, mgr
     g = mgraph(label, k)
     hood = next(carried_neighborhoods(g))
     escaped = 0
-    for w in hood.reps:
+    forest = hood.forest
+    for w in forest.roots:
         local = np.flatnonzero(hood.adjacency[w])
-        for j, perm in enumerate(hood.perms):
-            fixed = np.flatnonzero(hood.pairing[:, j] == 0)
+        for j, perm in enumerate(forest.perms):
+            fixed = np.flatnonzero(forest.pairing[:, j] == 0)
             if fixed.size and perm[w] != w and not np.array_equal(np.sort(perm[local]), local):
                 with pytest.raises(GroupActionError):
-                    stabilizer(hood.perms, hood.pairing, fixed[0], local)
+                    forest.stabilizer(fixed[0], local)
                 escaped += 1
     assert escaped
 
@@ -445,6 +446,14 @@ def test_non_divisible_common_neighborhood_sum_raises(mgraph, monkeypatch):
         count_maximum_cliques(mgraph("F4", 1))
 
 
+class _GrownOrbits(DescentForest):
+    """A forest that counts one more vertex in each orbit; its stabilizers
+    are left exact."""
+
+    def sizes(self):
+        return super().sizes() + 1
+
+
 def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
     """F4 k=1: omega 7. At the first vertex the Stab(v)-orbits have sizes
     6 and 8 with 1 and 0 cliques of size 5 in C_w; one more vertex in each
@@ -454,7 +463,7 @@ def test_non_divisible_neighborhood_sum_raises(mgraph, monkeypatch):
 
     def grown(g):
         for hood in real(g):
-            yield dataclasses.replace(hood, sizes=[s + 1 for s in hood.sizes])
+            yield dataclasses.replace(hood, forest=_GrownOrbits(**vars(hood.forest)))
 
     monkeypatch.setattr(cliquemod, "carried_neighborhoods", grown)
     with pytest.raises(ArithmeticError, match="neighborhood clique count"):

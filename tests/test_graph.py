@@ -16,7 +16,6 @@ from sosgraphs.graph import (
     GraphStats,
     SOSGraph,
     build_gamma,
-    descent_forest,
     deserialize,
     file_checksum,
     membership_graph,
@@ -24,17 +23,16 @@ from sosgraphs.graph import (
     serialize,
     stats,
     to_dot,
-    transport,
     weyl_orbit_labels,
 )
 from sosgraphs.roots import (
+    DescentForest,
     GroupActionError,
     build_root_system,
     key_index,
     orbit_labels,
     parse_label,
     reflection_permutations,
-    stabilizer,
 )
 from sosgraphs.sos import vertex_set
 from sosgraphs.sunflower import count_sunflower_max_cliques
@@ -143,7 +141,7 @@ def test_perturbed_reflection_breaks_the_descent_forest(monkeypatch):
     step down in lex order or into another W-orbit; building the vertex
     set's action with it raises either way."""
     vs = vertex_set(parse_label("E7"), 3)
-    forest, perms = vs.forest, vs.reflections
+    forest, perms = vs.forest, vs.forest.perms
 
     def rebuilt(x, z):
         """The action with s_j, j the descent generator of x, swapped at x and z."""
@@ -152,7 +150,7 @@ def test_perturbed_reflection_breaks_the_descent_forest(monkeypatch):
         bad[j, [x, z]] = bad[j, [z, x]]
         monkeypatch.setattr(sosmod, "_image_permutations", lambda *args: bad)
         return sosmod.closed_vertex_set(
-            vs.label, vs.k, vs.vectors, vs.multiplicity, vs.orbit, vs.keys, vs.pairing
+            vs.label, vs.k, vs.vectors, vs.multiplicity, vs.orbit, vs.keys, forest.pairing
         )
 
     x = int(np.flatnonzero(forest.gen >= 0).max())
@@ -186,7 +184,7 @@ def test_weyl_forest_is_computed_once(monkeypatch, label, k):
     build_gamma(rs, k)
     count_sunflower_max_cliques(membership_graph(rs, k), rs)
     assert len(calls) == 1 and vertex_set(rs, k) is vs
-    fresh = real(vs.reflections, vs.vectors @ np.asarray(rs.simple_roots).T)
+    fresh = real(vs.forest.perms, vs.vectors @ np.asarray(rs.simple_roots).T)
     for name in ("parent", "gen", "root", "depth"):
         assert np.array_equal(getattr(vs.forest, name), getattr(fresh, name))
 
@@ -197,21 +195,20 @@ def test_forest_transport_matches_bfs_oracle(label, k, mgraph):
     each N(v) under Stab(v), are the rows carried along the breadth-first
     Schreier vector, as sets."""
     g = mgraph(label, k)
-    perms = g.vertices.reflections
+    forest = g.vertices.forest
     reps = g.orbit_representatives()
     hoods = [g.neighbors(r) for r in reps]
-    have = transport(perms, g.vertices.forest, reps, hoods)
-    want = oracles.bfs_transport(perms, reps, hoods)
+    have = forest.transport(reps, hoods)
+    want = oracles.bfs_transport(forest.perms, reps, hoods)
     assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
     for r, nb in zip(reps, hoods):
-        local, pairing = stabilizer(perms, g.vertices.pairing, r, nb)
-        forest = descent_forest(local, pairing)
-        rows = [np.flatnonzero(g.vertices.adjacent(nb[w], nb)) for w in forest.roots]
-        have = transport(local, forest, forest.roots, rows)
-        want = oracles.bfs_transport(local, forest.roots, rows)
+        local = forest.stabilizer(r, nb)
+        rows = [np.flatnonzero(g.vertices.adjacent(nb[w], nb)) for w in local.roots]
+        have = local.transport(local.roots, rows)
+        want = oracles.bfs_transport(local.perms, local.roots, rows)
         assert np.array_equal(np.sort(have, axis=1), np.sort(want, axis=1))
     with pytest.raises(ValueError, match="forest roots"):
-        transport(perms, g.vertices.forest, np.arange(len(reps)) + 1, hoods)
+        forest.transport(np.arange(len(reps)) + 1, hoods)
 
 
 QUOTIENT_ROWS = sorted(TIER1) + [
@@ -279,7 +276,7 @@ def test_census_reads_the_closure_reflections(label, k, monkeypatch, tmp_path):
     # Cartan integers from one product, which serves lookup and pairing.
     serialize(g, tmp_path / "g.sosg")
     read = deserialize(tmp_path / "g.sosg")[0].vertices
-    assert np.array_equal(read.reflections, g.vertices.reflections)
+    assert np.array_equal(read.forest.perms, g.vertices.forest.perms)
     assert lookups == [] and products == [label]
 
 
@@ -292,7 +289,7 @@ def test_components_exact_without_transported_edges(mgraph, monkeypatch):
     hoods = [g.neighbors(v) for v in reps]
     want = propagated_components(g, reps, hoods)
     monkeypatch.setattr(
-        graphmod, "transport", lambda perms, forest, reps, carried: np.empty((g.n, 0), np.int32)
+        DescentForest, "transport", lambda self, reps, carried: np.empty((g.n, 0), np.int32)
     )
     labels = quotient_components(g, reps, hoods)
     assert np.array_equal(labels, want) and np.unique(labels).size == 57
@@ -465,23 +462,23 @@ def corrupted_headers(data: bytes) -> dict[str, bytes]:
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 3), ("E8", 2)])
 def test_weyl_action_of_a_deserialized_vertex_set(tmp_path, gamma, label, k):
     """A vertex set read back from its file gets its action as it is read,
-    from its rows' Cartan integers: its keys, reflections, pairing,
-    descent forest and every Stab_W(v) on N(v) equal those of the vertex
-    set that was written."""
+    from its rows' Cartan integers: its keys, its descent forest with the
+    reflections and pairing it keeps, and every Stab_W(v) on N(v) equal
+    those of the vertex set that was written."""
     g = gamma(label, k)
     serialize(g, tmp_path / "g.sosg")
     read, _ = deserialize(tmp_path / "g.sosg")
     kept, vs = g.vertices, read.vertices
-    assert vs.reflections.dtype == np.int32
-    for name in ("keys", "reflections", "pairing"):
-        assert np.array_equal(getattr(vs, name), getattr(kept, name)), name
-    for name in ("parent", "gen", "root", "depth"):
-        assert np.array_equal(getattr(vs.forest, name), getattr(kept.forest, name))
+    assert vs.forest.perms.dtype == np.int32
+    assert np.array_equal(vs.keys, kept.keys)
+    fields = ("perms", "pairing", "parent", "gen", "root", "depth")
+    for name in fields:
+        assert np.array_equal(getattr(vs.forest, name), getattr(kept.forest, name)), name
     for v in read.orbit_representatives():
         nb = read.neighbors(v)
-        have = stabilizer(vs.reflections, vs.pairing, v, nb)
-        want = stabilizer(kept.reflections, kept.pairing, v, nb)
-        assert all(np.array_equal(a, b) for a, b in zip(have, want))
+        have, want = vs.forest.stabilizer(v, nb), kept.forest.stabilizer(v, nb)
+        for name in fields:
+            assert np.array_equal(getattr(have, name), getattr(want, name)), name
 
 
 def with_swapped_orbit_ids(data: bytes) -> bytes:
@@ -630,7 +627,8 @@ def test_stabilizer_permutations_match_lookup_oracle(label, k, mgraph):
     simple = np.asarray(parse_label(label).simple_roots)
     for v in g.orbit_representatives():
         nb = g.neighbors(v)
-        perms, pairing = stabilizer(g.vertices.reflections, g.vertices.pairing, v, nb)
+        local = g.vertices.forest.stabilizer(v, nb)
+        perms, pairing = local.perms, local.pairing
         roots = simple[simple @ g.vertices.vectors[v] == 0]
         assert len(roots) and perms.shape == (len(roots), nb.size)
         assert np.array_equal(perms, oracles.lookup_permutations(roots, g.vertices.vectors[nb]))

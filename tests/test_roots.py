@@ -238,8 +238,8 @@ def test_weyl_closure_matches_orbitwise_oracle(label, k):
     assert np.array_equal(cartan, _cartan_integers(rows, simple).T)
     multiplicity = np.ones(len(rows), dtype=np.int64)
     vs = closed_vertex_set(rs.label, k, rows.astype(np.int32), multiplicity, orbit, keys, cartan)
-    assert vs.reflections.dtype == np.int32 and vs.reflections.shape == (rs.rank, len(rows))
-    assert np.array_equal(vs.reflections, lookup_permutations(rs.simple_roots, rows))
+    assert vs.forest.perms.dtype == np.int32 and vs.forest.perms.shape == (rs.rank, len(rows))
+    assert np.array_equal(vs.forest.perms, lookup_permutations(rs.simple_roots, rows))
 
 
 @pytest.mark.parametrize("label,k", TIER1)
@@ -372,7 +372,7 @@ def test_image_key_permutations_match_lookup_oracle(label, k):
     vs = vertex_set(rs, k)
     want = lookup_permutations(rs.simple_roots, vs.vectors)
     assert np.array_equal(reflection_permutations(rs.simple_roots, vs.vectors), want)
-    assert np.array_equal(vs.reflections, want)
+    assert np.array_equal(vs.forest.perms, want)
 
 
 @pytest.mark.parametrize(
@@ -417,7 +417,7 @@ def test_mirrored_lookups_query_half_the_rows(label, k, monkeypatch):
     monkeypatch.setattr(rootsmod, "key_index", counted)
     perms = reflection_permutations(rs.simple_roots, vs.vectors, vs.keys)
     assert sum(queries) <= rs.rank * ((len(vs) + 1) // 2)
-    assert np.array_equal(perms, vs.reflections)
+    assert np.array_equal(perms, vs.forest.perms)
 
 
 def test_reflection_permutations_refuse_rows_of_norm_32():

@@ -259,8 +259,8 @@ def test_orbit_counts_match_listing_and_enumeration(label, k):
         (vs.multiplicity, listed.multiplicity),
         (vs.orbit, listed.orbit),
         (vs.keys, listed.keys),
-        (vs.reflections, listed.reflections),
-        (vs.pairing, listed.pairing),
+        (vs.forest.perms, listed.forest.perms),
+        (vs.forest.pairing, listed.forest.pairing),
     ]:
         assert have.dtype == want.dtype and np.array_equal(have, want)
 
@@ -361,14 +361,14 @@ def test_reflections_are_kept_from_the_closure(label, k):
     graph file's are, get the same action from the same function."""
     rs = parse_label(label)
     vs = vertex_set(rs, k)
-    perms = vs.reflections
+    perms = vs.forest.perms
     assert perms.dtype == np.int32 and perms.shape == (rs.rank, len(vs))
     assert np.array_equal(perms, reflection_permutations(rs.simple_roots, vs.vectors))
     cartan = _cartan_integers(vs.vectors, np.asarray(rs.simple_roots)).T
     fresh = sosmod.closed_vertex_set(
         vs.label, vs.k, vs.vectors, vs.multiplicity, vs.orbit, vs.keys, cartan
     )
-    assert fresh.reflections.dtype == np.int32 and np.array_equal(fresh.reflections, perms)
+    assert fresh.forest.perms.dtype == np.int32 and np.array_equal(fresh.forest.perms, perms)
     for name in ("parent", "gen", "root", "depth"):
         assert np.array_equal(getattr(fresh.forest, name), getattr(vs.forest, name))
 
@@ -380,8 +380,8 @@ def test_pairing_is_the_exact_cartan_integers(label, k):
     rs = parse_label(label)
     vs = vertex_set(rs, k)
     simple = np.asarray(rs.simple_roots, dtype=np.int64)
-    assert vs.pairing.shape == (len(vs), rs.rank)
-    assert np.array_equal(vs.pairing, _cartan_integers(vs.vectors, simple).T)
+    assert vs.forest.pairing.shape == (len(vs), rs.rank)
+    assert np.array_equal(vs.forest.pairing, _cartan_integers(vs.vectors, simple).T)
 
 
 @pytest.mark.parametrize("label,k", [("G2", 2), ("F4", 2), ("E6", 2)])

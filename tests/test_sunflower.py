@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from sosgraphs import sunflower as sunmod
 from sosgraphs.clique import brute_force_maximum_cliques, clique_number, count_maximum_cliques
-from sosgraphs.graph import DescentForest, descent_forest
 from sosgraphs.roots import (
+    DescentForest,
     build_root_system,
     orbit_labels,
     parse_label,
     reflection_permutations,
     simple_roots_of,
-    stabilizer,
 )
 from sosgraphs.sunflower import (
     count_sunflower_max_cliques,
@@ -190,7 +189,8 @@ def test_base_action_matches_lookup_oracle(label, k, group, mgraph):
     rs = build_root_system(label)
     roots = GROUPS[group](rs)
     vs = mgraph(label, k).vertices
-    perms, pairing = sunmod.base_action(vs, roots)
+    forest = sunmod.base_action(vs, roots)
+    perms, pairing = forest.perms, forest.pairing
     base = sunmod._split_base(label, tuple(map(tuple, roots)))[0]
     assert set(map(tuple, base.tolist())) == set(simple_roots_of(roots))
     assert np.array_equal(perms, lookup_permutations(base.tolist(), vs.vectors))
@@ -208,13 +208,35 @@ def test_descent_forest_orbits_match_perm_labels(label, k, group, mgraph):
     orbit."""
     roots = GROUPS[group](build_root_system(label))
     vs = mgraph(label, k).vertices
-    forest = descent_forest(*sunmod.base_action(vs, roots))
+    forest = sunmod.base_action(vs, roots)
     labels = perm_orbit_labels(roots, vs)
     assert _same_partition(forest.root, labels)
     highest = np.zeros(labels.max() + 1, dtype=np.int64)
     np.maximum.at(highest, labels, np.arange(labels.size))
     assert np.array_equal(np.sort(highest), forest.roots)
     assert np.array_equal(forest.sizes(), np.bincount(labels)[labels[forest.roots]])
+
+
+def _carried_rows_agree(forest, rows_at):
+    """forest.carry of the row at each index's root equals that index's row
+    of forest.transport, without the padding."""
+    roots = forest.roots.tolist()
+    rows = {r: rows_at(r) for r in roots}
+    carried = forest.transport(roots, list(rows.values()))
+    for x, r in enumerate(forest.root.tolist()):
+        have = forest.carry(x, rows[r])
+        assert np.array_equal(have, carried[x, : len(rows[r])]), x
+
+
+@pytest.mark.parametrize("label,k", TIER1_ROWS)
+def test_carry_matches_transport(label, k, mgraph):
+    """Carrying one row to one vertex gives that vertex's row of the
+    carried table, over W's forest and over H's, each row the
+    neighbourhood of its root."""
+    g = mgraph(label, k)
+    _carried_rows_agree(g.vertices.forest, g.neighbors)
+    h = sunmod.base_action(g.vertices, signed_permutation_roots(build_root_system(label)))
+    _carried_rows_agree(h, g.neighbors)
 
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8"])
@@ -345,13 +367,18 @@ class _EnlargedFirstOrbit(DescentForest):
         return sizes
 
 
+class _EnlargedStabilizers(DescentForest):
+    def stabilizer(self, x, ids):
+        return _EnlargedFirstOrbit(**vars(super().stabilizer(x, ids)))
+
+
 def test_non_divisible_stabilizer_sum_raises(mgraph, monkeypatch):
     """Only the Stab(x) level is broken: its first orbit is counted once too
     often. At E6 k=1 (omega 5) that leaves a weighted sum of 22 at the
     first representative, which 4 does not divide."""
-    real = sunmod.descent_forest
+    real = sunmod.base_action
     monkeypatch.setattr(
-        sunmod, "descent_forest", lambda *args: _EnlargedFirstOrbit(**vars(real(*args)))
+        sunmod, "base_action", lambda *args: _EnlargedStabilizers(**vars(real(*args)))
     )
     with pytest.raises(ArithmeticError, match=r"clique count of P_x under Stab\(x\) 22 "):
         count_sunflower_max_cliques(mgraph("E6", 1), build_root_system("E6"))
@@ -403,10 +430,10 @@ def test_stabilizer_orbits_match_every_orthogonal_root(label, k, group, mgraph):
     masks = sunmod._support_masks(vectors)
     action = sunmod.base_action(g.vertices, roots)
     base = sunmod._split_base(label, tuple(map(tuple, roots)))[0]
-    for x in descent_forest(*action).roots:
+    for x in action.roots:
         nb = g.neighbors(x)
         part = nb[(masks[nb] & masks[x]) != 0]
-        forest = descent_forest(*stabilizer(*action, x, part))
+        forest = action.stabilizer(x, part)
         looked_up = lookup_stabilizer_forest(base, vectors[x], vectors[part], keys[part])
         for name in ("parent", "gen", "root", "depth"):
             assert np.array_equal(getattr(forest, name), getattr(looked_up, name)), x
