@@ -62,6 +62,7 @@ def main() -> int:
             n, m = params[2:4]
             print(f"{label} k={k}: n={n} m={m} omega={census.omega} "
                   f"total={census.total_maximum_cliques} [{time.time()-t:.1f}s]")
+            del g  # so the next row's graph is not built beside this one
     for name, table in rows.items():
         path = out / f"{name}.csv"
         path.write_text(cli.csv_text(columns[name], table), encoding="utf-8", newline="")

@@ -612,37 +612,29 @@ def weyl_closure(
     every row with the simple roots.
 
     The closed fundamental chamber is a fundamental domain (Humphreys,
-    1.12), so each orbit has one dominant vertex. Each orbit is walked
-    down from it (`_walk_orbit`) once, starting at a seed not yet reached;
-    no level is deduplicated or looked up. The walk carries the Cartan
-    integers, so they come with the rows and no product computes them.
+    1.12), so each orbit has one dominant vertex. The seeds are reduced to
+    their distinct dominant vertices, and each orbit is walked down from
+    its one (`_walk_orbit`); no level is deduplicated or looked up. The
+    walk carries the Cartan integers, so they come with the rows and no
+    product computes them, and the keys are encoded once, after the walks.
     """
     seed_rows = np.asarray(seeds, dtype=np.int64)
     dim = seed_rows.shape[1]
     simple = np.asarray(simple_roots, dtype=np.int64).reshape(-1, dim)
-    seed_keys, first = np.unique(encode_rows(seed_rows), return_index=True)
-    seed_rows = seed_rows[first]
     # Every walked row has its seed's norm, so this bounds every row and
     # image digit, and keeps the walk's states within int16.
     _check_norms(seed_rows)
     seed_states = np.hstack([seed_rows, _cartan_integers(seed_rows, simple).T]).tolist()
     gens = np.hstack([simple, _cartan_integers(simple, simple).T]).astype(np.int16)
     gens_list = gens.tolist()
-    reached = np.zeros(seed_keys.size, dtype=bool)
-    # Empty heads keep the concatenations below valid when there are no seeds.
-    states, keys = [np.empty((0, gens.shape[1]), dtype=np.int16)], [seed_keys[:0]]
-    for start in range(seed_keys.size):
-        if reached[start]:
-            continue
-        lam, _ = _dominant(seed_states[start], dim, gens_list)
-        members = _walk_orbit(lam, _antipodal_depth(lam, dim, gens_list), dim, gens)
-        member_keys = encode_rows(members[:, :dim])
-        hit = key_index(seed_keys, member_keys)
-        reached[hit[hit >= 0]] = True
-        states.append(members)
-        keys.append(member_keys)
-    sizes = [k.size for k in keys[1:]]
-    keys = np.concatenate(keys)
+    tops = {tuple(lam): lam for lam, _ in (_dominant(s, dim, gens_list) for s in seed_states)}
+    # An empty head keeps the concatenation below valid when there are no seeds.
+    states = [np.empty((0, gens.shape[1]), dtype=np.int16)] + [
+        _walk_orbit(lam, _antipodal_depth(lam, dim, gens_list), dim, gens) for lam in tops.values()
+    ]
+    sizes = [len(members) for members in states[1:]]
+    states = np.concatenate(states)
+    keys = encode_rows(states[:, :dim])
     order = np.argsort(keys)
     position = np.empty(order.size, dtype=np.int64)
     position[order] = np.arange(order.size)
@@ -651,5 +643,5 @@ def weyl_closure(
     number = np.empty(len(sizes), dtype=np.int32)
     number[np.argsort(lowest)] = np.arange(len(sizes))
     orbit = np.repeat(number, sizes)[order]
-    states = np.concatenate(states)[order]
+    states = states[order]
     return states[:, :dim].astype(np.int64), keys[order], orbit, states[:, dim:]

@@ -249,9 +249,16 @@ def _orbit_counts(rs: RootSystem, k: int) -> dict[tuple[int, ...], int]:
     return _count(rs, np.ones(len(rs.roots), dtype=bool).tobytes(), k, {})
 
 
-def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
-    """V_k as the W-orbit closure of its dominant vertices, with
-    mult(O) = N(R, k, O) / |O| per W-orbit O; empty above the largest SOS."""
+def vertex_set(rs: RootSystem, k: int) -> VertexSet:
+    """Sorted deduplicated sums of k-element SOS, with multiplicities: V_k
+    as the W-orbit closure of its dominant vertices, with
+    mult(O) = N(R, k, O) / |O| per W-orbit O; empty above the largest SOS.
+
+    Each call builds V_k afresh, and nothing keeps it but the caller: a
+    caller that needs V_k again holds on to it.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     counts = _orbit_counts(rs, k) if k <= rs.max_sos_size else {}
     dominant = np.asarray(list(counts), dtype=np.int64).reshape(-1, rs.ambient_dim)
     rows, keys, orbit, cartan = weyl_closure(dominant, rs.simple_roots)
@@ -266,15 +273,3 @@ def _orbit_vertex_set(rs: RootSystem, k: int) -> VertexSet:
         )
     return closed_vertex_set(rs.label, k, rows.astype(np.int32), mult[orbit], orbit, keys, cartan)
 
-
-_VCACHE: dict[tuple[str, int], VertexSet] = {}
-
-
-def vertex_set(rs: RootSystem, k: int) -> VertexSet:
-    """Sorted deduplicated sums of k-element SOS, with multiplicities."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hit = _VCACHE.get((rs.label, k))
-    if hit is None:
-        hit = _VCACHE[(rs.label, k)] = _orbit_vertex_set(rs, k)
-    return hit

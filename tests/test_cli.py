@@ -172,22 +172,29 @@ print(json.dumps({"exit": code, "out": out.getvalue(), "peak_kb": peak_kb}))
 """
 
 
+def _fresh_peak(*argv) -> tuple[str, float]:
+    """The output of a CLI command run in a fresh process, and its VmHWM
+    in MB; the command must exit 0."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK, *argv], env=env,
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["exit"] == 0
+    return report["out"], report["peak_kb"] / 1024
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
 def test_warm_graph_commands_hold_only_what_they_touch(cli_cache):
     """A warm build and a warm stats at E8 k=5, a 178 MB file, each peak
     below 100 MB in a fresh process: the CRC is streamed and the blocks
     are mapped, so neither holds the edge block."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
     def fresh(*argv):
-        done = subprocess.run(
-            [sys.executable, "-c", _PEAK, *argv, "--system", "E8", "--k", "5"], env=env,
-            capture_output=True, text=True, timeout=300, check=True,
-        )
-        report = json.loads(done.stdout)
-        assert report["exit"] == 0
-        return json.loads(report["out"]), report["peak_kb"] / 1024
+        out, peak_mb = _fresh_peak(*argv, "--system", "E8", "--k", "5")
+        return json.loads(out), peak_mb
 
     cold, _ = fresh("build")
     assert not cold["reused"] and Path(cold["path"]).stat().st_size > 170 * 10**6
@@ -197,6 +204,15 @@ def test_warm_graph_commands_hold_only_what_they_touch(cli_cache):
     stats, stats_mb = fresh("stats")
     assert (stats["n"], stats["m"], stats["graph_checksum"]) == (n, m, cold["checksum"])
     assert build_mb < 100 and stats_mb < 100, (build_mb, stats_mb)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_whole_table_holds_one_row_at_a_time():
+    """The 25-row parameter table peaks below 70 MB in a fresh process: no
+    row's vertex set outlives its row, so the peak is the largest row's,
+    not the sum of all rows."""
+    out, peak_mb = _fresh_peak("table", "parameters", "--format", "csv")
+    assert len(out.splitlines()) == 26 and peak_mb < 70, peak_mb
 
 
 @pytest.mark.parametrize("label,k", [("E7", 4), ("E8", 3)])
@@ -222,7 +238,6 @@ def test_census_commands_take_no_cartan_product_of_the_vertices(
     for argv in (["cliques", "--system", label, "--k", str(k)],
                  ["sunflowers", "--system", label, "--k", str(k)],
                  ["table", "parameters", "--systems", label, "--k-range", str(k)]):
-        monkeypatch.setattr(sosmod, "_VCACHE", {})
         assert run(capsys, *argv)[0] == 0
     n = len(sosmod.vertex_set(rootsmod.parse_label(label), k))
     assert sizes and max(sizes) < n

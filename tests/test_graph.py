@@ -14,11 +14,11 @@ from sosgraphs import sos as sosmod
 from sosgraphs.graph import (
     GraphFileError,
     GraphStats,
+    MembershipGraph,
     SOSGraph,
     build_gamma,
     deserialize,
     file_checksum,
-    membership_graph,
     quotient_components,
     serialize,
     stats,
@@ -164,13 +164,13 @@ def test_perturbed_reflection_breaks_the_descent_forest(monkeypatch):
 
 @pytest.mark.parametrize("label,k", [("F4", 3), ("E7", 3), ("E8", 2)])
 def test_weyl_forest_is_computed_once(monkeypatch, label, k):
-    """The vertex set builds its descent forest once, with its action: two
-    edge builds, the components and the sunflower census read that forest.
-    It equals the descent forest of the kept reflections under the inner
-    products <x, a_j>, of which the kept Cartan integers are a positive
-    multiple per column."""
+    """Each vertex set builds its descent forest once, with its action: the
+    components and the sunflower census read that forest, and an edge
+    build takes one forest, with the vertex set it closes. It equals the
+    descent forest of the kept reflections under the inner products
+    <x, a_j>, of which the kept Cartan integers are a positive multiple
+    per column."""
     rs = parse_label(label)
-    monkeypatch.setattr(sosmod, "_VCACHE", {})
     sosmod._orbit_counts(rs, k)  # the candidate-set tables take forests of their own
     real, calls = sosmod.descent_forest, []
 
@@ -180,10 +180,13 @@ def test_weyl_forest_is_computed_once(monkeypatch, label, k):
 
     monkeypatch.setattr(sosmod, "descent_forest", counted)
     vs = vertex_set(rs, k)
+    g = MembershipGraph(vs)
+    stats(g)
+    count_sunflower_max_cliques(g, rs)
+    assert len(calls) == 1
     stats(build_gamma(rs, k))
     build_gamma(rs, k)
-    count_sunflower_max_cliques(membership_graph(rs, k), rs)
-    assert len(calls) == 1 and vertex_set(rs, k) is vs
+    assert len(calls) == 3
     fresh = real(vs.forest.perms, vs.vectors @ np.asarray(rs.simple_roots).T)
     for name in ("parent", "gen", "root", "depth"):
         assert np.array_equal(getattr(vs.forest, name), getattr(fresh, name))
@@ -264,7 +267,6 @@ def test_census_reads_the_closure_reflections(label, k, monkeypatch, tmp_path):
         monkeypatch.setattr(module, "reflection_permutations", counted)
         if hasattr(module, "_cartan_integers"):
             monkeypatch.setattr(module, "_cartan_integers", product)
-    monkeypatch.setattr(sosmod, "_VCACHE", {})
     s = stats(graphmod.membership_graph(rs, k))
     assert (s.n, s.m, s.min_degree, s.max_degree, s.component_count) == (n, m, dmin, dmax, cc)
     g = build_gamma(rs, k)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -284,7 +285,6 @@ def test_corrupted_subsystem_orbit_size_raises_at_its_level(monkeypatch, label, 
     exact division by the remaining k at that table, and the error names it."""
     rs = parse_label(label)
     table = _corrupt_subsystem(monkeypatch, rs, depth)
-    monkeypatch.setattr(sosmod, "_VCACHE", {})
     with pytest.raises(
         ArithmeticError,
         match=f"{k - depth}-SOS of a candidate set of {len(table.roots)} roots: .* "
@@ -304,7 +304,6 @@ def test_corrupted_top_level_count_raises(monkeypatch, label, k):
         counts[next(iter(counts))] += 1
         return counts
 
-    monkeypatch.setattr(sosmod, "_VCACHE", {})
     monkeypatch.setattr(sosmod, "_orbit_counts", corrupted)
     with pytest.raises(ArithmeticError, match=f"{label} k={k}: .* divisible by the orbit sizes"):
         vertex_set(parse_label(label), k)
@@ -316,7 +315,6 @@ def test_subsystem_tables_are_closed_and_cover_their_roots(monkeypatch, label):
     reflections, its dominant roots' orbits cover it, and each dominant
     root pairs non-negatively with the set's base."""
     rs = parse_label(label)
-    monkeypatch.setattr(sosmod, "_VCACHE", {})
     monkeypatch.setattr(sosmod, "_SUBSYSTEMS", {})
     for k in range(1, rs.max_sos_size + 1):
         vertex_set(rs, k)
@@ -330,10 +328,24 @@ def test_subsystem_tables_are_closed_and_cover_their_roots(monkeypatch, label):
         assert (roots[table.thetas] @ table.base.T >= 0).all()
 
 
+def test_a_vertex_set_lives_as_long_as_its_caller_holds_it():
+    """Nothing but the caller keeps a vertex set: two calls give distinct
+    objects with equal arrays, and a dropped one is freed at once."""
+    rs = parse_label("E7")
+    vs, again = vertex_set(rs, 3), vertex_set(rs, 3)
+    assert again is not vs
+    for name in ("vectors", "multiplicity", "orbit", "keys"):
+        assert np.array_equal(getattr(again, name), getattr(vs, name))
+    for name in ("perms", "pairing", "parent", "gen", "root", "depth"):
+        assert np.array_equal(getattr(again.forest, name), getattr(vs.forest, name))
+    dropped = weakref.ref(vs)
+    del vs
+    assert dropped() is None
+
+
 def test_keys_are_encoded_once(monkeypatch):
     """The closure encodes the keys and the vertex set keeps that array:
     nothing encodes the whole vertex set again, and the keys are the rows'."""
-    monkeypatch.setattr(sosmod, "_VCACHE", {})
     real_closure, closures = sosmod.weyl_closure, []
     real_encode, encoded = sosmod.encode_rows, []
 
